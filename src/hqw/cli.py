@@ -21,17 +21,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import graphs, matmul, pst, walk
+from . import graphs, linalg, matmul, pst, walk
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 PROB_SUM_ATOL = 1e-9
-
-
-class NumericalViolation(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +193,18 @@ def _coords_for(family, n: int) -> np.ndarray:
     return np.arange(n, dtype=float)
 
 
+def _parse_finite(text: str, what: str) -> float:
+    x = float(text)
+    if not np.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {text.strip()!r}")
+    return x
+
+
 def _parse_grid(text: str, what: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{what} grid must be start:stop:points, got {text!r}")
-    start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop, points = _parse_finite(parts[0], what), _parse_finite(parts[1], what), int(parts[2])
     if points < 2:
         raise ValueError(f"{what} grid needs at least 2 points, got {points}")
     return np.linspace(start, stop, points)
@@ -257,7 +260,7 @@ def _check_probability_rows(rows, first_prob_col: int, num_probs: int):
     for row in rows:
         total = float(np.sum(row[first_prob_col:first_prob_col + num_probs]))
         if abs(total - 1.0) > PROB_SUM_ATOL:
-            raise NumericalViolation(f"probability columns sum to {total:.12g}, not 1")
+            raise linalg.NumericalViolation(f"probability columns sum to {total:.12g}, not 1")
 
 
 def _prob_header(coords) -> list[str]:
@@ -270,12 +273,26 @@ def _check_line_guard(distributions):
     # truncation was too small for the requested step count
     band = float(np.asarray(distributions)[:, [0, 1, -2, -1]].sum(axis=1).max())
     if band > 1e-12:
-        raise NumericalViolation(
+        raise linalg.NumericalViolation(
             f"boundary band carries probability {band:.3e}; enlarge the line truncation")
 
 
 # ---------------------------------------------------------------------------
 # dynamics
+
+
+def _grid_rows(args, spec: GraphSpec, coin_spec: str, ts: np.ndarray, omega=None) -> list:
+    """Rows [omega?, t, P..., sigma, entropy] of one coin step at every t of the grid."""
+    g = spec.make(omega)
+    coords = _coords_for(spec.family, g.n)
+    w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
+    states = w.evolve(ts, w.apply_coin(_initial_state(args, spec.family, g)))
+    P = walk.position_distribution(states, w.coin_dim, w.pos_dim)
+    # Schmidt coefficients of each coin|position split, as in walk.entanglement_entropy
+    s = np.linalg.svd(states.reshape(len(ts), w.coin_dim, w.pos_dim), compute_uv=False)
+    lead = [] if omega is None else [omega]
+    return [[*lead, t, *p, walk.std_dev(p, coords), linalg.entropy_of_probabilities(sk**2)]
+            for t, p, sk in zip(ts, P, s)]
 
 
 def cmd_dynamics(args) -> int:
@@ -285,7 +302,7 @@ def cmd_dynamics(args) -> int:
     if args.steps is not None:
         if args.t is not None and ":" in args.t:
             raise ValueError("trajectory mode (--steps) takes a single --t, not a grid")
-        t = float(args.t) if args.t is not None else float(np.pi / 2)
+        t = _parse_finite(args.t, "--t") if args.t is not None else float(np.pi / 2)
         g = spec.make()
         coords = _coords_for(spec.family, g.n)
         w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
@@ -303,46 +320,20 @@ def cmd_dynamics(args) -> int:
 
     if args.t is None:
         raise ValueError("dynamics needs --t (single value or start:stop:points grid)")
-    ts = _parse_grid(args.t, "--t") if ":" in args.t else np.array([float(args.t)])
-
+    ts = _parse_grid(args.t, "--t") if ":" in args.t else np.array([_parse_finite(args.t, "--t")])
+    omegas = [None]
     if args.sweep:
         name, omegas = _parse_sweep(args.sweep)
         if name != "omega":
             raise ValueError("dynamics sweeps only 'omega'; q sweeps live in the sweep subcommand")
         if not spec.omega_dependent:
             raise ValueError("--sweep omega needs circle2 weights that reference w, e.g. circle2:2w,2w+1")
-
-        def one_omega(omega):
-            g = spec.make(omega)
-            coords = _coords_for(spec.family, g.n)
-            w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
-            psi0 = _initial_state(args, spec.family, g)
-            out = []
-            for t in ts:
-                psi = w.step(t, psi0)
-                P = walk.position_distribution(psi, w.coin_dim, w.pos_dim)
-                out.append([omega, t, *P, walk.std_dev(P, coords),
-                            walk.entanglement_entropy(psi, w.coin_dim, w.pos_dim)])
-            return out
-
-        chunks = _pmap(one_omega, omegas)
-        rows = [row for chunk in chunks for row in chunk]
-        g0 = spec.make(float(omegas[0]))
-        header = ["omega", "t"] + _prob_header(_coords_for(spec.family, g0.n)) + ["sigma", "entropy"]
-        _check_probability_rows(rows, 2, g0.n)
-    else:
-        g = spec.make()
-        coords = _coords_for(spec.family, g.n)
-        w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
-        psi0 = _initial_state(args, spec.family, g)
-        rows = []
-        for t in ts:
-            psi = w.step(t, psi0)
-            P = walk.position_distribution(psi, w.coin_dim, w.pos_dim)
-            rows.append([t, *P, walk.std_dev(P, coords),
-                         walk.entanglement_entropy(psi, w.coin_dim, w.pos_dim)])
-        header = ["t"] + _prob_header(coords) + ["sigma", "entropy"]
-        _check_probability_rows(rows, 1, g.n)
+    chunks = _pmap(lambda omega: _grid_rows(args, spec, coin_spec, ts, omega), omegas)
+    rows = [row for chunk in chunks for row in chunk]
+    lead = [] if omegas[0] is None else ["omega"]
+    g0 = spec.make(omegas[0])
+    header = lead + ["t"] + _prob_header(_coords_for(spec.family, g0.n)) + ["sigma", "entropy"]
+    _check_probability_rows(rows, len(lead) + 1, g0.n)
 
     path = _out_path(args, args.format)
     _write_text(path, _table_text(header, rows, args.format))
@@ -606,7 +597,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericalViolation as exc:
+    except linalg.NumericalViolation as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

@@ -13,6 +13,10 @@ HERMITIAN_ATOL = 1e-12
 ENTROPY_EIGENVALUE_CUTOFF = 1e-12
 
 
+class NumericalViolation(RuntimeError):
+    """A numerical invariant (norm, probability sum, boundary mass) failed."""
+
+
 def as_matrix(M) -> np.ndarray:
     """Coerce to a square complex matrix."""
     M = np.asarray(M, dtype=complex)

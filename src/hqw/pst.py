@@ -76,26 +76,25 @@ class PstTranscript:
     def record(self, name: str, state: np.ndarray):
         nrm = np.linalg.norm(state)
         if abs(nrm - 1.0) > 1e-9:
-            raise RuntimeError(f"norm drifted to {nrm:.12g} at stage {name}")
+            raise linalg.NumericalViolation(f"norm drifted to {nrm:.12g} at stage {name}")
         self.stages.append(PstStage(name, state.copy()))
 
     def to_json_dict(self, amp_cutoff: float = 1e-12) -> dict:
-        coin_dim = len(self.coin_labels)
+        # "+ 0.0" turns -0.0 into 0.0, so computed amplitudes do not depend on
+        # which kernel produced an exact zero; "expected" derives from alpha only
         stages = []
         for stage in self.stages:
-            mat = stage.state.reshape(coin_dim, self.pos_dim)
-            dump = {}
-            for c in range(coin_dim):
-                for v in range(self.pos_dim):
-                    amp = mat[c, v]
-                    if abs(amp) > amp_cutoff:
-                        dump[f"{self.coin_labels[c]}|{v}"] = [amp.real, amp.imag]
+            keep = np.flatnonzero(np.abs(stage.state) > amp_cutoff)
+            amps = stage.state[keep]
+            re, im = (amps.real + 0.0).tolist(), (amps.imag + 0.0).tolist()
+            dump = {f"{self.coin_labels[k // self.pos_dim]}|{k % self.pos_dim}": [r, i]
+                    for k, r, i in zip(keep.tolist(), re, im)}
             stages.append({"name": stage.name, "state": dump})
         return {
             "stages": stages,
             "phase_checks": [
                 {"component": l + 1,
-                 "measured": [m.real, m.imag],
+                 "measured": [m.real + 0.0, m.imag + 0.0],
                  "expected": [e.real, e.imag]}
                 for l, m, e in self.phase_checks
             ],
@@ -169,10 +168,6 @@ def _extended_walk(plan: PstPlan) -> HybridWalk:
     return HybridWalk(extended, coin="identity")
 
 
-def _apply_coin(op: np.ndarray, state: np.ndarray, coin_dim: int, pos_dim: int) -> np.ndarray:
-    return (op @ state.reshape(coin_dim, pos_dim)).reshape(-1)
-
-
 def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
     """Execute the transfer protocol on the coin amplitudes `alpha`.
 
@@ -203,7 +198,7 @@ def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
         pos_dim=n,
         expected_phase=1j**M,
     )
-    state = _apply_coin(ops.P, state, coin_dim, n)
+    state = walk.apply_coin(state, ops.P)
     transcript.record("P", state)
     for l in range(N):
         state = walk.step(STEP_TIME, state, coin=ops.D[l])
@@ -211,11 +206,11 @@ def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
         for k in range(M - 1):
             state = walk.step(STEP_TIME, state, coin=ops.C[k])
             transcript.record(f"iter{l + 1}.C{k + 1}", state)
-        state = _apply_coin(ops.E[l], state, coin_dim, n)
+        state = walk.apply_coin(state, ops.E[l])
         transcript.record(f"iter{l + 1}.E", state)
         measured = state.reshape(coin_dim, n)[N + l, plan.target]
         transcript.phase_checks.append((l, measured, transcript.expected_phase * alpha[l]))
-    state = _apply_coin(ops.P, state, coin_dim, n)
+    state = walk.apply_coin(state, ops.P)
     transcript.record("P.final", state)
     transcript.fidelity = verify_pst(plan, state, alpha)
     return state, transcript

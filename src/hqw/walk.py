@@ -10,6 +10,11 @@ its own S_c, with closed forms for diagonal (self-loop) and matching blocks
 and an eigendecomposition fallback for everything else. Reference walkers
 (continuous, discrete coined) and the closed-form two-vertex-circle oracle
 live here as well, so equivalences can always be checked two ways.
+
+Performance model: no propagator matrix is formed or cached. Per step and
+per time, a diagonal sector costs O(n) (phase multiply), a matching O(n)
+(2x2 rotations on its pairs), a dense sector O(n^2) after one eigh at
+construction. `HybridWalk.evolve` takes an array of times in one pass.
 """
 
 from __future__ import annotations
@@ -103,51 +108,54 @@ def product_state(coin_vec, pos_vec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-sector propagators
+# Per-sector kernels
 
 _MATCHING_ZERO_ATOL = 1e-14
 
 
 class _SectorBlock:
-    """One Hamiltonian block S_c with a structure-aware propagator."""
+    """One Hamiltonian block S_c, applied as exp(-i S_c t) without forming a matrix.
 
-    def __init__(self, S: np.ndarray):
-        self.dim = S.shape[0]
-        diag = np.real(np.diag(S))
-        off = S - np.diag(np.diag(S))
-        if np.abs(off).max(initial=0.0) <= _MATCHING_ZERO_ATOL:
+    Built from the edges of one label. Only a dense block (neither diagonal
+    nor a matching) materializes S_c, for its one eigendecomposition.
+    """
+
+    def __init__(self, graph: LabeledGraph, label: str, edges):
+        n = graph.n
+        u = np.array([e.u for e in edges], dtype=np.intp)
+        v = np.array([e.v for e in edges], dtype=np.intp)
+        w = np.array([e.weight for e in edges], dtype=float)
+        loop = u == v
+        hop = ~loop & (np.abs(w) > _MATCHING_ZERO_ATOL)
+        if not hop.any():
             self.kind = "diagonal"
-            self.diag = diag
-        elif np.abs(diag).max(initial=0.0) <= _MATCHING_ZERO_ATOL and self._matching_pairs(off):
+            self.diag = np.zeros(n)
+            self.diag[u[loop]] = w[loop]
+        elif (np.abs(w[loop]) <= _MATCHING_ZERO_ATOL).all() and \
+                np.bincount(np.concatenate([u[hop], v[hop]]), minlength=n).max() <= 1:
             self.kind = "matching"
+            self.us, self.vs = np.minimum(u[hop], v[hop]), np.maximum(u[hop], v[hop])
+            self.ws = w[hop]
         else:
             self.kind = "dense"
-            self.w, self.V = linalg.hermitian_eig(S)
+            self.w, self.V = linalg.hermitian_eig(subgraph_adjacency(graph, label))
+            self.Vh = self.V.conj().T
 
-    def _matching_pairs(self, off: np.ndarray) -> bool:
-        rows, cols = np.nonzero(np.abs(off) > _MATCHING_ZERO_ATOL)
-        if any(np.bincount(rows, minlength=self.dim) > 1):
-            return False
-        mask = rows < cols
-        self.us, self.vs = rows[mask], cols[mask]
-        self.ws = np.real(off[self.us, self.vs])
-        return True
-
-    def propagator(self, t: float) -> np.ndarray:
-        """Dense exp(-i S_c t)."""
+    def apply(self, t, x) -> np.ndarray:
+        """exp(-i S_c t) x for a vector x; an array of times adds a leading time axis."""
+        t = np.asarray(t, dtype=float)
+        tcol = t.reshape(t.shape + (1,))
         if self.kind == "diagonal":
-            return np.diag(np.exp(-1j * self.diag * t))
+            return np.exp(-1j * self.diag * tcol) * x
         if self.kind == "matching":
-            U = np.eye(self.dim, dtype=complex)
-            c = np.cos(self.ws * t)
-            s = -1j * np.sin(self.ws * t)
-            U[self.us, self.us] = c
-            U[self.vs, self.vs] = c
-            U[self.us, self.vs] = s
-            U[self.vs, self.us] = s
-            return U
-        phases = np.exp(-1j * self.w * t)
-        return (self.V * phases) @ self.V.conj().T
+            c = np.cos(self.ws * tcol)
+            s = -1j * np.sin(self.ws * tcol)
+            xu, xv = x[self.us], x[self.vs]
+            out = np.broadcast_to(x, t.shape + x.shape).copy()
+            out[..., self.us] = c * xu + s * xv
+            out[..., self.vs] = s * xu + c * xv
+            return out
+        return (np.exp(-1j * self.w * tcol) * (self.Vh @ x)) @ self.V.T
 
 
 @dataclass
@@ -174,25 +182,19 @@ class HybridWalk:
         self.coin_dim = len(graph.labels)
         self.pos_dim = graph.n
         self.dim = self.coin_dim * self.pos_dim
-        self.blocks = {lab: subgraph_adjacency(graph, lab) for lab in graph.labels}
         self.coin = make_coin(coin, self.coin_dim)
-        self._sectors = [_SectorBlock(self.blocks[lab]) for lab in graph.labels]
-        self._prop_cache: dict[float, list[np.ndarray]] = {}
+        by_label = {lab: [] for lab in graph.labels}
+        for e in graph.edges:
+            by_label[e.label].append(e)
+        self._sectors = [_SectorBlock(graph, lab, by_label[lab]) for lab in graph.labels]
 
     def hamiltonian(self) -> np.ndarray:
         """Assemble the full block-diagonal Hamiltonian sum_c |c><c| (x) S_c."""
         H = np.zeros((self.dim, self.dim), dtype=complex)
         p = self.pos_dim
         for idx, lab in enumerate(self.labels):
-            H[idx * p:(idx + 1) * p, idx * p:(idx + 1) * p] = self.blocks[lab]
+            H[idx * p:(idx + 1) * p, idx * p:(idx + 1) * p] = subgraph_adjacency(self.graph, lab)
         return H
-
-    def _propagators(self, t: float) -> list[np.ndarray]:
-        props = self._prop_cache.get(t)
-        if props is None:
-            props = [sector.propagator(t) for sector in self._sectors]
-            self._prop_cache[t] = props
-        return props
 
     def _check_dim(self, psi: np.ndarray) -> np.ndarray:
         psi = np.asarray(psi, dtype=complex)
@@ -202,31 +204,33 @@ class HybridWalk:
             )
         return psi
 
-    def evolve(self, t: float, psi) -> np.ndarray:
-        """Apply exp(-iHt) only (no coin)."""
+    def apply_coin(self, psi, coin=None) -> np.ndarray:
+        """Apply the coin (default: the walk's own) on the label factor only."""
         psi = self._check_dim(psi)
-        mat = psi.reshape(self.coin_dim, self.pos_dim).copy()
-        for c, U in enumerate(self._propagators(t)):
-            mat[c] = U @ mat[c]
-        return mat.reshape(-1)
+        C = self.coin if coin is None else make_coin(coin, self.coin_dim)
+        return (C @ psi.reshape(self.coin_dim, self.pos_dim)).reshape(-1)
+
+    def evolve(self, t, psi) -> np.ndarray:
+        """Apply exp(-iHt) only (no coin).
+
+        `t` is a scalar or a 1-D array of times; an array gives one state per
+        time, stacked along a leading axis.
+        """
+        psi = self._check_dim(psi)
+        t = np.asarray(t, dtype=float)
+        mat = psi.reshape(self.coin_dim, self.pos_dim)
+        out = np.empty(t.shape + mat.shape, dtype=complex)
+        for c, sector in enumerate(self._sectors):
+            out[..., c, :] = sector.apply(t, mat[c])
+        return out.reshape(t.shape + (self.dim,))
 
     def step(self, t: float, psi, coin=None) -> np.ndarray:
-        """One walk step: coin first, then exp(-iHt)."""
-        psi = self._check_dim(psi)
-        C = self.coin if coin is None else make_coin(coin, self.coin_dim)
-        mat = C @ psi.reshape(self.coin_dim, self.pos_dim)
-        for c, U in enumerate(self._propagators(t)):
-            mat[c] = U @ mat[c]
-        return mat.reshape(-1)
+        """One walk step at a single time t: coin first, then exp(-iHt)."""
+        return self.evolve(float(t), self.apply_coin(psi, coin))
 
     def step_operator(self, t: float, coin=None) -> np.ndarray:
-        """Dense matrix of one step; intended for small dimensions."""
-        C = self.coin if coin is None else make_coin(coin, self.coin_dim)
-        p = self.pos_dim
-        S = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, U in enumerate(self._propagators(t)):
-            S[c * p:(c + 1) * p, c * p:(c + 1) * p] = U
-        return S @ np.kron(C, np.eye(p))
+        """Dense matrix of one step, one basis column at a time; for small dimensions."""
+        return np.column_stack([self.step(t, e, coin) for e in np.eye(self.dim)])
 
     def run(self, t: float, steps: int, psi0, coords=None) -> Trajectory:
         """Repeat the step `steps` times, recording observables along the way."""
@@ -248,20 +252,16 @@ class HybridWalk:
                           sigmas=sigmas, entropies=entropies)
 
 
-def assemble_hamiltonian(walk: HybridWalk) -> np.ndarray:
-    return walk.hamiltonian()
-
-
 # ---------------------------------------------------------------------------
 # Observables
 
 
 def position_distribution(psi, coin_dim: int, pos_dim: int) -> np.ndarray:
-    """P(v) = sum_c |<c,v|psi>|^2."""
+    """P(v) = sum_c |<c,v|psi>|^2; a stack of states (..., dim) gives one row per state."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (coin_dim * pos_dim,):
+    if psi.shape[-1:] != (coin_dim * pos_dim,):
         raise ValueError(f"state of dim {psi.shape} does not factor as {coin_dim} x {pos_dim}")
-    return (np.abs(psi.reshape(coin_dim, pos_dim)) ** 2).sum(axis=0)
+    return (np.abs(psi.reshape(psi.shape[:-1] + (coin_dim, pos_dim))) ** 2).sum(axis=-2)
 
 
 def std_dev(P, coords) -> float:

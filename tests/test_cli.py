@@ -234,6 +234,34 @@ def test_too_small_truncation_is_a_numerical_violation(tmp_path):
     assert code == 2
 
 
+def test_non_finite_times_are_validation_errors(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for argv in (["dynamics", "--graph", "star:5", "--t", "nan"],
+                 ["dynamics", "--graph", "star:5", "--t", "inf"],
+                 ["dynamics", "--graph", "star:5", "--t", "0:nan:5"],
+                 ["dynamics", "--graph", "star:5", "--t=-inf:1:5"],
+                 ["dynamics", "--graph", "line3:4", "--steps", "2", "--t", "nan"],
+                 ["dynamics", "--graph", "circle2:2w,2w+1", "--t", "0:1:3", "--sweep", "omega:0:inf:3"]):
+        assert main(argv + ["--out", out]) == 1, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "finite" in err
+        assert len(err.strip().splitlines()) == 1, err
+    assert not os.path.exists(out)
+
+
+def test_pst_norm_drift_is_a_numerical_violation(tmp_path, capsys, monkeypatch):
+    from hqw.walk import HybridWalk
+
+    step = HybridWalk.step
+    monkeypatch.setattr(HybridWalk, "step", lambda self, *a, **k: 1.001 * step(self, *a, **k))
+    out = tmp_path / "tree.json"
+    assert main(["pst", "--tree-demo", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [err.strip()] and "norm drifted" in err
+    assert not out.exists()
+
+
 def test_thread_cap_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HQW_THREADS", "1")
     out = tmp_path / "t.csv"

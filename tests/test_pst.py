@@ -4,7 +4,7 @@ import pytest
 from _graphgen import random_properly_colored_graph, random_transfer_case
 from hqw import linalg
 from hqw.graphs import Edge, LabeledGraph, subgraph_adjacency, validate_proper_coloring
-from hqw.pst import (STEP_TIME, build_operators, demo_tree, make_plan, run_pst,
+from hqw.pst import (STEP_TIME, PstTranscript, build_operators, demo_tree, make_plan, run_pst,
                      segment_line_transfer, verify_pst)
 
 
@@ -211,6 +211,33 @@ def test_transcript_json_dump():
     first = doc["stages"][0]["state"]
     assert first == {"1'|0": [1.0, 0.0]}
     assert len(doc["phase_checks"]) == 2
+
+
+def test_transcript_json_matches_entrywise_scan():
+    rng = np.random.default_rng(5)
+    labels, n = ("a", "b", "a'"), 4
+    state = rng.normal(size=len(labels) * n) + 1j * rng.normal(size=len(labels) * n)
+    state[rng.random(state.size) < 0.4] = 0.0
+    state[1] = complex(-0.0, 0.5)
+    state[6] = complex(0.5, -0.0)
+    state[7] = 1e-13
+    state /= np.linalg.norm(state)
+    transcript = PstTranscript(coin_labels=labels, pos_dim=n)
+    transcript.record("s", state)
+    transcript.phase_checks.append((0, complex(-0.0, -0.0), 1j * complex(0.0, 1.0)))
+    doc = transcript.to_json_dict()
+    want = {}
+    mat = state.reshape(len(labels), n)
+    for c in range(len(labels)):
+        for v in range(n):
+            if abs(mat[c, v]) > 1e-12:
+                want[f"{labels[c]}|{v}"] = [mat[c, v].real + 0.0, mat[c, v].imag + 0.0]
+    got = doc["stages"][0]["state"]
+    assert list(got.items()) == list(want.items())
+    assert "a|1" in got and "b|2" in got and "b|3" not in got
+    # no signed zero reaches the artifact from a computed state
+    for x in [x for pair in got.values() for x in pair] + doc["phase_checks"][0]["measured"]:
+        assert x != 0.0 or not np.signbit(x)
 
 
 # ---------------------------------------------------------------------------

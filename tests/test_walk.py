@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from _graphgen import random_properly_colored_graph
 from hqw import linalg, walk
 from hqw.graphs import (Edge, LabeledGraph, circle2, cubic8, fock_g0, line2, line3,
                         adjacency, signed_coords, star)
@@ -106,6 +109,42 @@ def test_sector_propagators_match_generic_evolution():
     psi /= np.linalg.norm(psi)
     for t in (0.3, 1.9):
         np.testing.assert_allclose(w.evolve(t, psi), linalg.evolve(H, t, psi), atol=1e-12)
+
+
+def test_sector_kernels_match_generic_evolution_on_random_graphs():
+    rng = np.random.default_rng(3)
+    ts = np.array([0.0, 0.37, 1.9, -2.6, 11.3])
+    for _ in range(12):
+        base = random_properly_colored_graph(rng, max_n=9)
+        n = base.n
+        loops = tuple(Edge(v, v, "loops", float(rng.normal())) for v in range(n) if rng.random() < 0.6)
+        hub = tuple(Edge(0, v, "hub", float(rng.uniform(0.2, 2.0))) for v in range(1, 4))
+        g = LabeledGraph(n, base.edges + loops + hub, base.labels + ("loops", "hub"))
+        w = HybridWalk(g, coin="grover")
+        assert {s.kind for s in w._sectors} == {"diagonal", "matching", "dense"}
+        H = w.hamiltonian()
+        psi = rng.normal(size=w.dim) + 1j * rng.normal(size=w.dim)
+        psi /= np.linalg.norm(psi)
+        batch = w.evolve(ts, psi)
+        assert batch.shape == (len(ts), w.dim)
+        for k, t in enumerate(ts):
+            want = linalg.evolve(H, t, psi)
+            np.testing.assert_allclose(w.evolve(t, psi), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch[k], want, rtol=0, atol=1e-12)
+        assert linalg.is_unitary(w.step_operator(float(rng.uniform(0, 7))), atol=1e-12)
+
+
+def test_one_step_on_a_long_line_allocates_no_dense_block():
+    g = line3(20000)
+    tracemalloc.start()
+    try:
+        w = HybridWalk(g, coin="grover")
+        psi = w.step(np.pi / 2, coin_position_state(3, g.n, 0, g.n // 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+    assert peak < 64 * 2**20
 
 
 def test_step_operator_matches_generic_route():
