@@ -153,7 +153,10 @@ def _resolve_coin(spec: str, dim: int):
         path = spec.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        mat = np.array([[complex(c[0], c[1]) for c in row] for row in raw])
+        try:
+            mat = np.array([[complex(a, b) for a, b in row] for row in raw])
+        except (TypeError, ValueError):
+            raise ValueError(f"custom coin {path} must be a list of rows of [re, im] pairs") from None
         return walk.make_coin(mat, dim)
     return walk.make_coin(spec, dim)
 
@@ -489,7 +492,7 @@ def cmd_matmul(args) -> int:
         print(f"trace = {_fmt(value)}")
     else:
         C = matmul.product_matrix(seq, mode=mode, shots=shots, seed=seed)
-        rows = [[i, j, C[i, j]] for i in range(seq.n) for j in range(seq.n)]
+        rows = ([i, j, v] for i, row in enumerate(C.tolist()) for j, v in enumerate(row))
         path = _out_path(args, "csv")
         _write_text(path, _table_text(["i", "j", "value"], rows, "csv"))
         print(f"wrote {path}")

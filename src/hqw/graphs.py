@@ -10,6 +10,7 @@ subgraph whose weighted adjacency matrix becomes one Hamiltonian block.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -41,6 +42,8 @@ class LabeledGraph:
                 raise ValueError(f"edge {e} has endpoint outside 0..{self.n - 1}")
             if e.label not in known:
                 raise ValueError(f"edge {e} uses unknown label {e.label!r}")
+            if not math.isfinite(e.weight):
+                raise ValueError(f"edge {e} has a non-finite weight")
             key = (min(e.u, e.v), max(e.u, e.v), e.label)
             if key in seen:
                 raise ValueError(f"duplicate edge for pair {key[:2]} under label {e.label!r}")

@@ -7,7 +7,10 @@ vertex onto the uniform superposition of its neighbors (times -i), and a
 generalized CNOT then copies the new vertex into register l+1. Projecting
 the final state on register 1 = j and register K+1 = i leaves squared
 amplitude C_ij / (d_K ... d_1), because every surviving path contributes the
-0/1 product of its adjacency entries.
+0/1 product of its adjacency entries. A state is an int array of register
+values beside an array of amplitudes and may hold many columns j; the matrix is
+walked in blocks of at most 2^14 rows, each read by one `np.bincount`, which is
+O(n D) array work for D = d_1...d_K, not O(n^2 D).
 
 Exact projection is the default readout; a seeded binomial sampler stands in
 for hardware-style amplitude estimation. Classical oracles for products and
@@ -16,15 +19,15 @@ triangle counts live here too, so every quantum result can be cross-checked.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .graphs import LabeledGraph, adjacency
+from .graphs import LabeledGraph, NotRegularError, adjacency
 
 _PRUNE_ATOL = 1e-15
+_BLOCK_ROWS = 1 << 14  # amplitude rows per block of columns: bounds peak memory
 
 
 def _as_adjacency(g) -> np.ndarray:
@@ -45,8 +48,7 @@ def _as_adjacency(g) -> np.ndarray:
 def _regular_degree(A: np.ndarray) -> int:
     row_sums = A.sum(axis=1)
     if len(set(row_sums.tolist())) != 1:
-        listing = ", ".join(f"{v}:{d}" for v, d in enumerate(row_sums))
-        raise ValueError(f"graph is not regular; per-vertex degrees: {listing}")
+        raise NotRegularError(row_sums.tolist())
     d = int(row_sums[0])
     if d < 1:
         raise ValueError("regular degree must be at least 1")
@@ -87,25 +89,23 @@ def regular_sequence(factors) -> RegularGraphSequence:
 
 @dataclass
 class MultiRegisterState:
-    """Sparse amplitudes over tuples of (num_registers) base-n register values."""
+    """Amplitude `amps[r]` on base-n register values `regs[r]` ((m, R) int64, distinct rows)."""
 
     n: int
-    num_registers: int
-    amps: dict
+    regs: np.ndarray
+    amps: np.ndarray
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amps.values())))
-
-    def copy(self) -> "MultiRegisterState":
-        return MultiRegisterState(self.n, self.num_registers, dict(self.amps))
+        return float(np.linalg.norm(self.amps))
 
 
-def initial_state(n: int, K: int, j: int) -> MultiRegisterState:
-    """|j, 0, ..., 0, j> over K+1 registers."""
-    if not 0 <= j < n:
+def initial_state(n: int, K: int, j) -> MultiRegisterState:
+    """|j, 0, ..., 0, j> over K+1 registers; one row per column for an array of distinct j."""
+    js = np.atleast_1d(np.asarray(j, dtype=np.int64))
+    if ((js < 0) | (js >= n)).any():
         raise ValueError(f"vertex index {j} outside 0..{n - 1}")
-    tup = (j,) + (0,) * (K - 1) + (j,)
-    return MultiRegisterState(n=n, num_registers=K + 1, amps={tup: 1.0 + 0j})
+    regs = np.column_stack([js] + [np.zeros_like(js)] * (K - 1) + [js])
+    return MultiRegisterState(n=n, regs=regs, amps=np.ones(len(js), dtype=complex))
 
 
 def stage_walk(state: MultiRegisterState, l: int, A, d: int) -> MultiRegisterState:
@@ -120,48 +120,44 @@ def stage_walk(state: MultiRegisterState, l: int, A, d: int) -> MultiRegisterSta
     A = _as_adjacency(A)
     if A.shape[0] != state.n:
         raise ValueError(f"adjacency of size {A.shape[0]} does not match register base {state.n}")
-    if not 1 <= l <= state.num_registers - 1:
-        raise ValueError(f"stage register {l} outside 1..{state.num_registers - 1}")
-    neighbors = [np.nonzero(A[:, k])[0] for k in range(state.n)]
-    last = state.num_registers - 1
+    if not 1 <= l < state.regs.shape[1]:
+        raise ValueError(f"stage register {l} outside 1..{state.regs.shape[1] - 1}")
+    if _regular_degree(A) != d:
+        raise ValueError(f"adjacency is not {d}-regular")
+    neighbors = np.nonzero(A.T)[1].reshape(state.n, d)  # ascending per vertex
     scale = -1j / np.sqrt(d)
-    out: dict = defaultdict(complex)
-    for tup, amp in state.amps.items():
-        k = tup[l - 1]
-        v = tup[last]
-        if v == k:
-            for p in neighbors[k]:
-                out[tup[:last] + (int(p),)] += amp * scale
-        elif A[v, k] == 0:
-            out[tup] += amp
-        else:
-            out[tup] += amp * (1.0 - 1.0 / d)
-            out[tup[:last] + (k,)] += amp * scale
-            for p in neighbors[k]:
-                if p != v:
-                    out[tup[:last] + (int(p),)] += amp * (-1.0 / d)
-    amps = {tup: a for tup, a in out.items() if abs(a) > _PRUNE_ATOL}
-    return MultiRegisterState(n=state.n, num_registers=state.num_registers, amps=amps)
+    k, v = state.regs[:, l - 1], state.regs[:, -1]
+    on, adj = v == k, A[v, k] == 1
+    src = on | adj
+    regs = np.repeat(state.regs[src], d, axis=0)
+    regs[:, -1] = neighbors[k[src]].ravel()
+    amps = np.repeat(state.amps[src] * np.where(on, scale, -1.0 / d)[src], d)
+    if not on.all():
+        # off-coin rows also keep |v> and, when v ~ k, gain -i/sqrt(d) |k>; merge
+        to_k = np.column_stack([state.regs[adj, :-1], k[adj]])
+        regs = np.concatenate([regs, state.regs[~on], to_k])
+        amps = np.concatenate([amps, state.amps[~on], state.amps[adj] * scale])
+        regs, inv = np.unique(regs, axis=0, return_inverse=True)
+        amps = np.bincount(inv, amps.real, len(regs)) + 1j * np.bincount(inv, amps.imag, len(regs))
+    keep = np.abs(amps) > _PRUNE_ATOL
+    return MultiRegisterState(n=state.n, regs=regs[keep], amps=amps[keep])
 
 
 def generalized_cnot(state: MultiRegisterState, control: int, target: int) -> MultiRegisterState:
     """Map the target register value j to (j + i) mod n with i the control value."""
-    R = state.num_registers
+    R = state.regs.shape[1]
     for name, r in (("control", control), ("target", target)):
         if not 1 <= r <= R:
             raise ValueError(f"{name} register {r} outside 1..{R}")
     if control == target:
         raise ValueError("control and target registers must differ")
-    amps = {}
-    for tup, amp in state.amps.items():
-        new = list(tup)
-        new[target - 1] = (tup[target - 1] + tup[control - 1]) % state.n
-        amps[tuple(new)] = amp
-    return MultiRegisterState(n=state.n, num_registers=R, amps=amps)
+    regs = state.regs.copy()
+    regs[:, target - 1] = (regs[:, target - 1] + regs[:, control - 1]) % state.n
+    return MultiRegisterState(n=state.n, regs=regs, amps=state.amps.copy())
 
 
-def run_sequence(seq: RegularGraphSequence, j: int) -> MultiRegisterState:
-    """Final state for column j: stages 1..K, with the copy step after each
+def run_sequence(seq: RegularGraphSequence, j) -> MultiRegisterState:
+    """Final state for column(s) j: stages 1..K, with the copy step after each
     stage except the last (register K+1 already holds the stage-K vertex)."""
     state = initial_state(seq.n, seq.K, j)
     for l in range(1, seq.K + 1):
@@ -173,9 +169,16 @@ def run_sequence(seq: RegularGraphSequence, j: int) -> MultiRegisterState:
 
 def projection_probability(state: MultiRegisterState, i: int, j: int) -> float:
     """Squared norm of the projection onto register 1 = j, last register = i."""
-    last = state.num_registers - 1
-    return float(sum(abs(a) ** 2 for tup, a in state.amps.items()
-                     if tup[0] == j and tup[last] == i))
+    hit = (state.regs[:, 0] == j) & (state.regs[:, -1] == i)
+    return float(sum((np.abs(state.amps[hit]) ** 2).tolist()))  # in order, as np.bincount sums
+
+
+def projection_matrix(state: MultiRegisterState, first: int = 0, width: int | None = None) -> np.ndarray:
+    """P[i, c] = |projection on register 1 = first + c, last register = i|^2 by one
+    `np.bincount`; register 1 must lie in that window (by default 0..n-1)."""
+    width = state.n if width is None else width
+    bins = state.regs[:, -1] * width + (state.regs[:, 0] - first)
+    return np.bincount(bins, np.abs(state.amps) ** 2, state.n * width).reshape(state.n, width)
 
 
 def sample_projector(state: MultiRegisterState, i: int, j: int,
@@ -239,50 +242,55 @@ def product_entry(seq: RegularGraphSequence, i: int, j: int, mode: str = "exact"
                            meets_half_integer=bool(radius < 0.5))
 
 
+def _column_blocks(seq: RegularGraphSequence):
+    """(cols, P[i, c] for entry (i, cols[c])) per block of <= max(_BLOCK_ROWS, D) rows."""
+    step = max(1, _BLOCK_ROWS // seq.degree_product)
+    for first in range(0, seq.n, step):
+        cols = np.arange(first, min(first + step, seq.n))
+        yield cols, projection_matrix(run_sequence(seq, cols), first, len(cols))
+
+
 def product_matrix(seq: RegularGraphSequence, mode: str = "exact",
                    shots: int | None = None, seed=None) -> np.ndarray:
-    """All entries; one walk per column, shared across the column's projections."""
+    """All entries, the columns walked in blocks and each block read at once."""
     _check_mode(mode, shots, seed)
     D = seq.degree_product
     C = np.zeros((seq.n, seq.n), dtype=float)
-    for j in range(seq.n):
-        state = run_sequence(seq, j)
-        for i in range(seq.n):
-            p = projection_probability(state, i, j)
-            if mode == "exact":
-                C[i, j] = D * p
-            else:
-                rng = np.random.default_rng([seed, i, j])
-                C[i, j] = D * rng.binomial(shots, p) / shots
+    for cols, P in _column_blocks(seq):
+        if mode == "exact":
+            C[:, cols] = D * P
+            continue
+        for (i, c), p in np.ndenumerate(P):
+            rng = np.random.default_rng([seed, i, int(cols[c])])
+            C[i, cols[c]] = D * rng.binomial(shots, p) / shots
     return C
 
 
 def product_trace(seq: RegularGraphSequence, mode: str = "exact",
                   shots: int | None = None, seed=None) -> float:
-    """Sum of the diagonal entries."""
+    """Sum of the diagonal entries; shots mode samples entry (k, k) with seed [seed, k]."""
     _check_mode(mode, shots, seed)
+    D = seq.degree_product
     total = 0.0
-    for k in range(seq.n):
-        if mode == "exact":
-            total += product_entry(seq, k, k, mode="exact").value
-        else:
-            total += product_entry(seq, k, k, mode="shots", shots=shots, seed=[seed, k]).value
+    for cols, P in _column_blocks(seq):
+        for k, p in zip(cols.tolist(), P[cols, np.arange(len(cols))].tolist()):
+            if mode == "shots":
+                p = int(np.random.default_rng([seed, k]).binomial(shots, p)) / shots
+            total += D * p
     return total
 
 
 def triangles_at_vertex(g, k: int, mode: str = "exact",
                         shots: int | None = None, seed=None) -> int:
     """Triangles containing vertex k, as round((A^3)_kk) / 2."""
-    A = _as_adjacency(g)
-    seq = regular_sequence([A, A, A])
+    seq = regular_sequence([g] * 3)
     est = product_entry(seq, k, k, mode=mode, shots=shots, seed=seed)
     return int(round(est.value)) // 2
 
 
 def triangle_count(g, mode: str = "exact", shots: int | None = None, seed=None) -> int:
     """Total number of triangles, tr(A^3) / 6."""
-    A = _as_adjacency(g)
-    seq = regular_sequence([A, A, A])
+    seq = regular_sequence([g] * 3)
     tr = product_trace(seq, mode=mode, shots=shots, seed=seed)
     return int(round(tr / 6.0))
 

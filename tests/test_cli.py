@@ -249,6 +249,26 @@ def test_non_finite_times_are_validation_errors(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_non_finite_weights_and_malformed_coins_are_validation_errors(tmp_path, capsys):
+    graph = tmp_path / "nan.json"
+    graph.write_text('{"n": 2, "labels": ["a"], "edges": [[0, 1, "a", NaN]]}')
+    coins = []
+    for k, text in enumerate(("[[1,2]]", '{"a":1}')):
+        coins.append(tmp_path / f"coin{k}.json")
+        coins[-1].write_text(text)
+    out = str(tmp_path / "x.csv")
+    for argv in (["dynamics", "--graph", "circle2:inf,1", "--t", "1"],
+                 ["dynamics", "--graph", "circle2:nan,1", "--t", "1"],
+                 ["dynamics", "--graph", str(graph), "--t", "1"],
+                 *(["dynamics", "--graph", "star:3", "--coin", f"custom:{c}", "--t", "1"]
+                   for c in coins)):
+        assert main(argv + ["--out", out]) == 1, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1, err
+    assert not os.path.exists(out)
+
+
 def test_pst_norm_drift_is_a_numerical_violation(tmp_path, capsys, monkeypatch):
     from hqw.walk import HybridWalk
 

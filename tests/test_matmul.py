@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from hqw.graphs import complete, cubic8, cycle, star
 from hqw.matmul import (MultiRegisterState, classical_product, classical_triangle_count,
                         classical_triangles_at_vertex, generalized_cnot, initial_state,
                         product_entry, product_matrix, product_trace,
-                        projection_probability, regular_sequence, run_sequence,
+                        projection_matrix, projection_probability, regular_sequence, run_sequence,
                         sample_projector, stage_walk, triangle_count,
                         triangles_at_vertex)
 
@@ -18,6 +20,17 @@ C4 = np.array([[0, 1, 0, 1],
 K3 = np.array([[0, 1, 1],
                [1, 0, 1],
                [1, 1, 0]], dtype=int)
+
+
+def make_state(n, amps):
+    """MultiRegisterState from a {register tuple: amplitude} dict."""
+    return MultiRegisterState(n=n, regs=np.array(list(amps), dtype=np.int64),
+                              amps=np.array(list(amps.values()), dtype=complex))
+
+
+def as_dict(state):
+    """{register tuple: amplitude} view of a MultiRegisterState."""
+    return {tuple(r): a for r, a in zip(state.regs.tolist(), state.amps.tolist())}
 
 
 def vertex_star_matrix(A, k):
@@ -68,7 +81,7 @@ def test_stage_walk_column_matches_generic_evolution():
         for k in range(n):
             state = stage_walk(initial_state(n, 1, k), 1, A, d)
             got = np.zeros(n, dtype=complex)
-            for tup, amp in state.amps.items():
+            for tup, amp in as_dict(state).items():
                 assert tup[0] == k
                 got[tup[1]] = amp
             want = linalg.evolve(vertex_star_matrix(A, k), t, np.eye(n)[k].astype(complex))
@@ -78,15 +91,15 @@ def test_stage_walk_column_matches_generic_evolution():
 def test_stage_walk_smallest_cases():
     # single edge (d = 1): quarter-period swap with a -i factor
     edge = np.array([[0, 1], [1, 0]], dtype=int)
-    out = stage_walk(initial_state(2, 1, 0), 1, edge, 1)
-    assert set(out.amps) == {(0, 1)}
-    assert abs(out.amps[(0, 1)] + 1j) < 1e-12
+    out = as_dict(stage_walk(initial_state(2, 1, 0), 1, edge, 1))
+    assert set(out) == {(0, 1)}
+    assert abs(out[(0, 1)] + 1j) < 1e-12
     # 4-cycle (d = 2), coin 0: |0> -> -i(|1> + |3>)/sqrt(2)
-    out = stage_walk(initial_state(4, 1, 0), 1, C4, 2)
+    out = as_dict(stage_walk(initial_state(4, 1, 0), 1, C4, 2))
     want = {(0, 1): -1j / np.sqrt(2), (0, 3): -1j / np.sqrt(2)}
-    assert set(out.amps) == set(want)
+    assert set(out) == set(want)
     for tup, amp in want.items():
-        assert abs(out.amps[tup] - amp) < 1e-12
+        assert abs(out[tup] - amp) < 1e-12
 
 
 def test_stage_walk_general_position_matches_generic_evolution():
@@ -98,16 +111,15 @@ def test_stage_walk_general_position_matches_generic_evolution():
     t = np.pi / (2 * np.sqrt(d))
     k = 2
     for v in range(6):
-        state = MultiRegisterState(n=6, num_registers=2, amps={(k, v): 1.0 + 0j})
+        state = make_state(6, {(k, v): 1.0 + 0j})
         out = stage_walk(state, 1, A, d)
         got = np.zeros(6, dtype=complex)
-        for tup, amp in out.amps.items():
+        for tup, amp in as_dict(out).items():
             got[tup[1]] = amp
         want = linalg.evolve(vertex_star_matrix(A, k), t, np.eye(6)[v].astype(complex))
         np.testing.assert_allclose(got, want, atol=1e-10)
     # unitarity on a superposed input
-    sup = MultiRegisterState(n=6, num_registers=2,
-                             amps={(k, v): 1 / np.sqrt(6) for v in range(6)})
+    sup = make_state(6, {(k, v): 1 / np.sqrt(6) for v in range(6)})
     assert abs(stage_walk(sup, 1, A, d).norm() - 1.0) < 1e-12
 
 
@@ -115,6 +127,8 @@ def test_stage_walk_register_bounds():
     state = initial_state(4, 2, 0)
     with pytest.raises(ValueError, match="stage register"):
         stage_walk(state, 3, C4, 2)
+    with pytest.raises(ValueError, match="not 3-regular"):
+        stage_walk(state, 1, C4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +136,17 @@ def test_stage_walk_register_bounds():
 
 
 def test_generalized_cnot_examples():
-    st = MultiRegisterState(n=8, num_registers=4, amps={(0, 2, 3, 0): 1.0})
+    st = make_state(8, {(0, 2, 3, 0): 1.0})
     out = generalized_cnot(st, control=2, target=3)
-    assert out.amps == {(0, 2, 5, 0): 1.0}
+    assert as_dict(out) == {(0, 2, 5, 0): 1.0}
 
-    st = MultiRegisterState(n=8, num_registers=2, amps={(0, 5): 1.0})
+    st = make_state(8, {(0, 5): 1.0})
     out = generalized_cnot(st, control=1, target=2)
-    assert out.amps == {(0, 5): 1.0}  # control value 0 acts as identity
+    assert as_dict(out) == {(0, 5): 1.0}  # control value 0 acts as identity
 
-    st = MultiRegisterState(n=8, num_registers=2, amps={(7, 7): 1.0})
+    st = make_state(8, {(7, 7): 1.0})
     out = generalized_cnot(st, control=1, target=2)
-    assert out.amps == {(7, 6): 1.0}  # 14 mod 8
+    assert as_dict(out) == {(7, 6): 1.0}  # 14 mod 8
 
 
 def test_generalized_cnot_rejections():
@@ -202,6 +216,45 @@ def test_factor_order_is_right_to_left():
     B = random_regular_adjacency(rng, 6, 3)
     seq = regular_sequence([A, B])  # C = B @ A, not A @ B
     np.testing.assert_allclose(product_matrix(seq), B @ A, atol=1e-9)
+
+
+def test_product_matrix_spanning_several_blocks():
+    # D = 8^3 = 512 rows per column, so 32 columns per block and two blocks for n = 40
+    rng = np.random.default_rng(12)
+    A = random_regular_adjacency(rng, 40, 8)
+    B = random_regular_adjacency(rng, 40, 8)
+    seq = regular_sequence([A, B, A])
+    C = product_matrix(seq)
+    np.testing.assert_allclose(C, classical_product(seq), atol=1e-9)
+    # per-column walk and per-entry projection as the reference readout
+    want = np.array([[seq.degree_product * projection_probability(run_sequence(seq, j), i, j)
+                      for j in range(seq.n)] for i in range(seq.n)])
+    np.testing.assert_array_equal(C, want)
+    assert product_trace(seq) == sum(want[k, k] for k in range(seq.n))
+    # a batch of columns reads the same projections as one column at a time
+    batch = projection_matrix(run_sequence(seq, np.arange(5, 9)), 5, 4)
+    np.testing.assert_array_equal(seq.degree_product * batch, want[:, 5:9])
+    full = projection_matrix(run_sequence(seq, np.arange(seq.n)))
+    np.testing.assert_array_equal(seq.degree_product * full, want)
+
+
+def test_product_matrix_memory_is_bounded_by_the_block():
+    # 8-regular circulant on 160 vertices, K = 3: an unblocked walk of all columns
+    # holds 160 * 512 rows (~9 MB); a block holds at most 2^14 rows
+    n = 160
+    A = np.zeros((n, n), dtype=int)
+    for off in (1, 2, 3, 4):
+        for v in range(n):
+            A[v, (v + off) % n] = A[(v + off) % n, v] = 1
+    seq = regular_sequence([A, A, A])
+    tracemalloc.start()
+    try:
+        C = product_matrix(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(C, classical_product(seq), atol=1e-9)
+    assert peak < 4e6, peak
 
 
 def test_product_trace_cases():
@@ -277,7 +330,7 @@ def test_run_sequence_matches_dense_statevector():
 
     state = run_sequence(seq, j)
     sparse = np.zeros(dim, dtype=complex)
-    for tup, amp in state.amps.items():
+    for tup, amp in as_dict(state).items():
         idx = 0
         for dgt in tup:
             idx = idx * n + dgt
@@ -342,7 +395,7 @@ def test_sampling_degenerate_probabilities():
     # p = 0.5 for (0,0); craft p = 0 and p = 1 cases directly
     hits, est = sample_projector(state, 1, 0, shots=500, seed=4)  # (A^2)_10 = 0
     assert hits == 0 and est == 0.0
-    point = MultiRegisterState(n=4, num_registers=3, amps={(2, 1, 3): 1.0})
+    point = make_state(4, {(2, 1, 3): 1.0})
     hits, est = sample_projector(point, 3, 2, shots=250, seed=4)
     assert hits == 250 and est == 1.0
 
