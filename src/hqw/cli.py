@@ -17,7 +17,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,28 +33,11 @@ PROB_SUM_ATOL = 1e-9
 # Argument parsing helpers
 
 
-def _threads() -> int:
-    env = os.environ.get("HQW_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = min(_threads(), max(1, len(items)))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 class GraphSpec:
-    def __init__(self, family, make, omega_dependent=False, source=""):
+    def __init__(self, family, make, omega_dependent=False):
         self.family = family
         self.make = make
         self.omega_dependent = omega_dependent
-        self.source = source
 
 
 def _parse_weight_expr(text: str):
@@ -82,7 +64,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
     """Builder spec 'family:params' or a path to a graph JSON file."""
     if text.endswith(".json") or os.path.sep in text or os.path.exists(text):
         g = graphs.load_json_file(text)
-        return GraphSpec(family=None, make=lambda omega=None: g, source=text)
+        return GraphSpec(family=None, make=lambda omega=None: g)
     name, _, argstr = text.partition(":")
     if name not in graphs.BUILDERS:
         raise ValueError(f"unknown graph spec {text!r}; builders: {sorted(graphs.BUILDERS)} or a .json path")
@@ -99,10 +81,10 @@ def parse_graph_spec(text: str) -> GraphSpec:
             w = 0.0 if omega is None else omega
             return graphs.circle2(ca * w + oa, cb * w + ob)
 
-        return GraphSpec(family="circle2", make=make, omega_dependent=depends, source=text)
+        return GraphSpec(family="circle2", make=make, omega_dependent=depends)
     params = [_parse_number(tok) for tok in tokens]
     g = graphs.build(name, *params)
-    return GraphSpec(family=name, make=lambda omega=None: g, source=text)
+    return GraphSpec(family=name, make=lambda omega=None: g)
 
 
 def _parse_amplitudes(text: str) -> np.ndarray:
@@ -116,6 +98,8 @@ def _parse_amplitudes(text: str) -> np.ndarray:
         if len(parts) != 2:
             raise ValueError(f"amplitude component {chunk!r} is not 're,im'")
         comps.append(complex(float(parts[0]), float(parts[1])))
+        if not np.isfinite(comps[-1]):
+            raise ValueError(f"amplitude component {chunk.strip()!r} is not finite")
     return np.array(comps, dtype=complex)
 
 
@@ -234,18 +218,15 @@ def _config_hash(args) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _out_path(args, ext: str) -> str:
-    if args.out:
-        return args.out
-    return os.path.join("out", f"{args.command}-{_config_hash(args)}.{ext}")
-
-
-def _write_text(path: str, text: str):
+def _emit(args, ext: str, text: str):
+    """Write the run's artifact (--out, or out/<cmd>-<confighash>.<ext>) and name it."""
+    path = args.out or os.path.join("out", f"{args.command}-{_config_hash(args)}.{ext}")
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+    print(f"wrote {path}")
 
 
 def _table_text(header, rows, fmt: str) -> str:
@@ -259,15 +240,23 @@ def _table_text(header, rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_probability_rows(rows, first_prob_col: int, num_probs: int):
-    for row in rows:
-        total = float(np.sum(row[first_prob_col:first_prob_col + num_probs]))
-        if abs(total - 1.0) > PROB_SUM_ATOL:
-            raise linalg.NumericalViolation(f"probability columns sum to {total:.12g}, not 1")
+def _write_observables(args, lead_names, leads, trajs):
+    """Write rows [*lead, P..., sigma, entropy], one per state of `trajs` in order.
 
-
-def _prob_header(coords) -> list[str]:
-    return [f"P({int(c)})" if float(c).is_integer() else f"P({_fmt(c)})" for c in coords]
+    `leads` holds the leading values of every row, across all trajectories.
+    """
+    coords = trajs[0].coords.tolist()
+    header = [*lead_names, *(f"P({int(c)})" if c.is_integer() else f"P({_fmt(c)})" for c in coords),
+              "sigma", "entropy"]
+    for traj in trajs:
+        totals = traj.distributions.sum(axis=-1)
+        bad = np.flatnonzero(np.abs(totals - 1.0) > PROB_SUM_ATOL)
+        if bad.size:
+            raise linalg.NumericalViolation(f"probability columns sum to {totals[bad[0]]:.12g}, not 1")
+    obs = ([*P, sigma, entropy] for traj in trajs for P, sigma, entropy in
+           zip(traj.distributions.tolist(), traj.sigmas.tolist(), traj.entropies.tolist()))
+    rows = ([*lead, *o] for lead, o in zip(leads, obs))
+    _emit(args, args.format, _table_text(header, rows, args.format))
 
 
 def _check_line_guard(distributions):
@@ -284,18 +273,12 @@ def _check_line_guard(distributions):
 # dynamics
 
 
-def _grid_rows(args, spec: GraphSpec, coin_spec: str, ts: np.ndarray, omega=None) -> list:
-    """Rows [omega?, t, P..., sigma, entropy] of one coin step at every t of the grid."""
+def _grid_trajectory(args, spec: GraphSpec, coin_spec: str, ts: np.ndarray, omega=None) -> walk.Trajectory:
+    """One coin step at every t of the grid, as a trajectory with one state per t."""
     g = spec.make(omega)
-    coords = _coords_for(spec.family, g.n)
     w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
     states = w.evolve(ts, w.apply_coin(_initial_state(args, spec.family, g)))
-    P = walk.position_distribution(states, w.coin_dim, w.pos_dim)
-    # Schmidt coefficients of each coin|position split, as in walk.entanglement_entropy
-    s = np.linalg.svd(states.reshape(len(ts), w.coin_dim, w.pos_dim), compute_uv=False)
-    lead = [] if omega is None else [omega]
-    return [[*lead, t, *p, walk.std_dev(p, coords), linalg.entropy_of_probabilities(sk**2)]
-            for t, p, sk in zip(ts, P, s)]
+    return walk.Trajectory.from_states(states, w.coin_dim, w.pos_dim, _coords_for(spec.family, g.n))
 
 
 def cmd_dynamics(args) -> int:
@@ -307,40 +290,28 @@ def cmd_dynamics(args) -> int:
             raise ValueError("trajectory mode (--steps) takes a single --t, not a grid")
         t = _parse_finite(args.t, "--t") if args.t is not None else float(np.pi / 2)
         g = spec.make()
-        coords = _coords_for(spec.family, g.n)
         w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
-        traj = w.run(t, args.steps, _initial_state(args, spec.family, g), coords=coords)
+        traj = w.run(t, args.steps, _initial_state(args, spec.family, g), coords=_coords_for(spec.family, g.n))
         if spec.family in ("line2", "line3") and g.n >= 5:
             _check_line_guard(traj.distributions)
-        header = ["step"] + _prob_header(coords) + ["sigma", "entropy"]
-        rows = [[k, *traj.distributions[k], traj.sigmas[k], traj.entropies[k]]
-                for k in range(args.steps + 1)]
-        _check_probability_rows(rows, 1, g.n)
-        path = _out_path(args, args.format)
-        _write_text(path, _table_text(header, rows, args.format))
-        print(f"wrote {path}")
+        _write_observables(args, ["step"], ([k] for k in range(args.steps + 1)), [traj])
         return EXIT_OK
 
     if args.t is None:
         raise ValueError("dynamics needs --t (single value or start:stop:points grid)")
     ts = _parse_grid(args.t, "--t") if ":" in args.t else np.array([_parse_finite(args.t, "--t")])
-    omegas = [None]
+    lead_names, omegas = ["t"], [None]
     if args.sweep:
-        name, omegas = _parse_sweep(args.sweep)
+        name, grid = _parse_sweep(args.sweep)
         if name != "omega":
             raise ValueError("dynamics sweeps only 'omega'; q sweeps live in the sweep subcommand")
         if not spec.omega_dependent:
             raise ValueError("--sweep omega needs circle2 weights that reference w, e.g. circle2:2w,2w+1")
-    chunks = _pmap(lambda omega: _grid_rows(args, spec, coin_spec, ts, omega), omegas)
-    rows = [row for chunk in chunks for row in chunk]
-    lead = [] if omegas[0] is None else ["omega"]
-    g0 = spec.make(omegas[0])
-    header = lead + ["t"] + _prob_header(_coords_for(spec.family, g0.n)) + ["sigma", "entropy"]
-    _check_probability_rows(rows, len(lead) + 1, g0.n)
-
-    path = _out_path(args, args.format)
-    _write_text(path, _table_text(header, rows, args.format))
-    print(f"wrote {path}")
+        # Python floats: an overflowing weight becomes inf without a numpy warning
+        lead_names, omegas = ["omega", "t"], grid.tolist()
+    trajs = [_grid_trajectory(args, spec, coin_spec, ts, omega) for omega in omegas]
+    leads = ([t] if omega is None else [omega, t] for omega in omegas for t in ts.tolist())
+    _write_observables(args, lead_names, leads, trajs)
     return EXIT_OK
 
 
@@ -380,29 +351,21 @@ def cmd_sweep(args) -> int:
         raise ValueError("q sweeps run on the three-label line; use --graph line3:L or omit --graph")
     g = spec.make() if spec else graphs.line3(steps + 8)
     coords = _coords_for("line3", g.n)
-    coin_spec = args.coin or "grover"
-    center = (g.n - 1) // 2
     base_coin = (_coin_vector(args.init_coin, len(g.labels)) if args.init_coin
                  else np.ones(3, dtype=complex) / np.sqrt(3))
-
-    def one_q(q):
-        coin_vec = _sweep_initial_coin(name, float(q), base_coin)
-        pos_vec = np.zeros(g.n, dtype=complex)
-        pos_vec[center] = 1.0
-        psi0 = walk.product_state(coin_vec, pos_vec)
-        w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
-        t = float(q) * np.pi if name == "q_time" else 3 * np.pi / 2
+    w = walk.HybridWalk(g, coin=_resolve_coin(args.coin or "grover", len(g.labels)))
+    pos_vec = np.zeros(g.n, dtype=complex)
+    pos_vec[(g.n - 1) // 2] = 1.0
+    qs = qs.tolist()
+    finals = np.empty((len(qs), w.dim), dtype=complex)
+    for k, q in enumerate(qs):
+        psi0 = walk.product_state(_sweep_initial_coin(name, q, base_coin), pos_vec)
+        t = q * np.pi if name == "q_time" else 3 * np.pi / 2
         traj = w.run(t, steps, psi0, coords=coords)
         _check_line_guard(traj.distributions)
-        P = traj.distributions[-1]
-        return [q, *P, traj.sigmas[-1], traj.entropies[-1]]
-
-    rows = _pmap(one_q, qs)
-    header = ["q"] + _prob_header(coords) + ["sigma", "entropy"]
-    _check_probability_rows(rows, 1, g.n)
-    path = _out_path(args, args.format)
-    _write_text(path, _table_text(header, rows, args.format))
-    print(f"wrote {path}")
+        finals[k] = traj.states[-1]
+    final = walk.Trajectory.from_states(finals, w.coin_dim, w.pos_dim, coords)
+    _write_observables(args, ["q"], ([q] for q in qs), [final])
     return EXIT_OK
 
 
@@ -444,11 +407,9 @@ def cmd_pst(args) -> int:
         payload["path_colors"] = list(plan.path_labels)
         fidelity = transcript.fidelity
 
-    out = _out_path(args, "json")
-    _write_text(out, json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out}")
+    _emit(args, "json", json.dumps(payload, indent=2) + "\n")
     print(f"fidelity {_fmt(fidelity)}")
-    if fidelity <= 1 - 1e-6:
+    if not fidelity > 1 - 1e-6:
         print(f"transfer fidelity {fidelity:.9g} below 1 - 1e-6", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -477,25 +438,19 @@ def cmd_matmul(args) -> int:
     if args.entry:
         i, j = (int(x) for x in args.entry.split(","))
         est = matmul.product_entry(seq, i, j, mode=mode, shots=shots, seed=seed)
-        path = _out_path(args, "json")
-        _write_text(path, json.dumps(_estimate_json(est), indent=2) + "\n")
-        print(f"wrote {path}")
+        _emit(args, "json", json.dumps(_estimate_json(est), indent=2) + "\n")
         print(f"C[{i},{j}] = {_fmt(est.value)} (probability {_fmt(est.probability)})")
     elif args.trace:
         value = matmul.product_trace(seq, mode=mode, shots=shots, seed=seed)
         obj = {"mode": mode, "value": value}
         if mode == "shots":
             obj["shots"], obj["seed"] = shots, seed
-        path = _out_path(args, "json")
-        _write_text(path, json.dumps(obj, indent=2) + "\n")
-        print(f"wrote {path}")
+        _emit(args, "json", json.dumps(obj, indent=2) + "\n")
         print(f"trace = {_fmt(value)}")
     else:
         C = matmul.product_matrix(seq, mode=mode, shots=shots, seed=seed)
         rows = ([i, j, v] for i, row in enumerate(C.tolist()) for j, v in enumerate(row))
-        path = _out_path(args, "csv")
-        _write_text(path, _table_text(["i", "j", "value"], rows, "csv"))
-        print(f"wrote {path}")
+        _emit(args, "csv", _table_text(["i", "j", "value"], rows, "csv"))
     return EXIT_OK
 
 
@@ -512,9 +467,7 @@ def cmd_triangles(args) -> int:
         obj = {"triangles": count, "mode": mode}
     if mode == "shots":
         obj["shots"], obj["seed"] = shots, seed
-    path = _out_path(args, "json")
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
-    print(f"wrote {path}")
+    _emit(args, "json", json.dumps(obj, indent=2) + "\n")
     print(f"triangles = {count}")
     return EXIT_OK
 
@@ -603,7 +556,7 @@ def main(argv=None) -> int:
     except linalg.NumericalViolation as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

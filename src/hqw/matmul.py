@@ -220,6 +220,8 @@ def _check_mode(mode: str, shots, seed):
     if mode == "shots":
         if shots is None or shots < 1:
             raise ValueError("shots mode needs a positive shot count")
+        if shots > np.iinfo(np.int64).max:
+            raise ValueError(f"shot count {shots} exceeds the int64 sampler limit")
         if seed is None:
             raise ValueError("shots mode needs a seed for reproducibility")
 

@@ -160,13 +160,24 @@ class _SectorBlock:
 
 @dataclass
 class Trajectory:
-    """States and per-step observables of a repeated-step walk."""
+    """A stack of states (one row each) and the observables of every row."""
 
     coords: np.ndarray
-    states: list
+    states: np.ndarray
     distributions: np.ndarray
     sigmas: np.ndarray
     entropies: np.ndarray
+
+    @classmethod
+    def from_states(cls, states, coin_dim: int, pos_dim: int, coords) -> "Trajectory":
+        """Position distribution, sigma and entropy of each row of a (k, dim) stack."""
+        states = np.asarray(states, dtype=complex)
+        coords = np.asarray(coords, dtype=float)
+        dists = position_distribution(states, coin_dim, pos_dim)
+        # std_dev per row: a stacked P @ coords would round differently (BLAS gemv)
+        return cls(coords=coords, states=states, distributions=dists,
+                   sigmas=np.array([std_dev(P, coords) for P in dists]),
+                   entropies=entanglement_entropy(states, coin_dim, pos_dim))
 
     @property
     def steps(self) -> int:
@@ -240,16 +251,12 @@ class HybridWalk:
             raise ValueError(f"initial state is not normalized: ||psi0|| = {nrm:.12g}")
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
-        coords = np.arange(self.pos_dim, dtype=float) if coords is None else np.asarray(coords, dtype=float)
-        states = [psi.copy()]
-        for _ in range(steps):
-            psi = self.step(t, psi)
-            states.append(psi)
-        dists = np.array([position_distribution(s, self.coin_dim, self.pos_dim) for s in states])
-        sigmas = np.array([std_dev(P, coords) for P in dists])
-        entropies = np.array([entanglement_entropy(s, self.coin_dim, self.pos_dim) for s in states])
-        return Trajectory(coords=coords, states=states, distributions=dists,
-                          sigmas=sigmas, entropies=entropies)
+        states = np.empty((steps + 1, self.dim), dtype=complex)
+        states[0] = psi
+        for k in range(steps):
+            states[k + 1] = self.step(t, states[k])
+        coords = np.arange(self.pos_dim) if coords is None else coords
+        return Trajectory.from_states(states, self.coin_dim, self.pos_dim, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +282,18 @@ def std_dev(P, coords) -> float:
     return float(np.sqrt(max(var, 0.0)))
 
 
-def entanglement_entropy(psi, coin_dim: int, pos_dim: int) -> float:
-    """Entropy (bits) of the reduced position state of a pure coin (x) position state."""
+def entanglement_entropy(psi, coin_dim: int, pos_dim: int):
+    """Entropy (bits) of the reduced position state of a pure coin (x) position state.
+
+    A stack of states (..., dim) gives an array of entropies, one per state.
+    """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (coin_dim * pos_dim,):
+    if psi.shape[-1:] != (coin_dim * pos_dim,):
         raise ValueError(f"state of dim {psi.shape} does not factor as {coin_dim} x {pos_dim}")
     # Schmidt coefficients of the coin|position split; rho_p shares their squares.
-    s = np.linalg.svd(psi.reshape(coin_dim, pos_dim), compute_uv=False)
-    return linalg.entropy_of_probabilities(s**2)
+    s2 = np.linalg.svd(psi.reshape(psi.shape[:-1] + (coin_dim, pos_dim)), compute_uv=False) ** 2
+    ents = [linalg.entropy_of_probabilities(p) for p in s2.reshape(-1, s2.shape[-1])]
+    return ents[0] if s2.ndim == 1 else np.array(ents).reshape(s2.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +328,14 @@ def discrete_coined_walk(steps: int, coin, psi0, L: int, coords=None) -> Traject
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (2 * n,):
         raise ValueError(f"state of dim {psi.shape} does not match 2 x {n}")
-    coords = np.arange(-L, L + 1, dtype=float) if coords is None else np.asarray(coords, dtype=float)
-    states = [psi.copy()]
-    mat = psi.reshape(2, n)
-    for _ in range(steps):
-        mat = C @ mat
-        mat = np.vstack([np.roll(mat[0], 1), np.roll(mat[1], -1)])
-        states.append(mat.reshape(-1).copy())
-    dists = np.array([position_distribution(s, 2, n) for s in states])
-    sigmas = np.array([std_dev(P, coords) for P in dists])
-    entropies = np.array([entanglement_entropy(s, 2, n) for s in states])
-    return Trajectory(coords=coords, states=states, distributions=dists,
-                      sigmas=sigmas, entropies=entropies)
+    states = np.empty((steps + 1, 2, n), dtype=complex)
+    states[0] = psi.reshape(2, n)
+    for k in range(steps):
+        mat = C @ states[k]
+        states[k + 1, 0] = np.roll(mat[0], 1)
+        states[k + 1, 1] = np.roll(mat[1], -1)
+    coords = np.arange(-L, L + 1) if coords is None else coords
+    return Trajectory.from_states(states.reshape(steps + 1, 2 * n), 2, n, coords)
 
 
 # ---------------------------------------------------------------------------

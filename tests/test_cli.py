@@ -269,6 +269,24 @@ def test_non_finite_weights_and_malformed_coins_are_validation_errors(tmp_path, 
     assert not os.path.exists(out)
 
 
+def test_non_finite_amplitudes_huge_counts_and_overflowing_weights_are_validation_errors(tmp_path, capsys):
+    out = str(tmp_path / "x.out")
+    for argv in (["dynamics", "--graph", "star:3", "--init-coin", "amp:[nan,0;1,0;0,0]", "--t", "1"],
+                 ["pst", "--graph", "line2:2", "--source", "0", "--target", "4", "--alpha", "[nan,0;1,0]"],
+                 ["matmul", "--graph", "cubic8", "--graph", "cubic8", "--entry", "0,0", "--mode", "shots",
+                  "--shots", "100000000000000000000", "--seed", "1"],
+                 ["triangles", "--graph", "cubic8", "--mode", "shots",
+                  "--shots", "100000000000000000000", "--seed", "1"],
+                 ["dynamics", "--graph", "circle2:2w,2w+1", "--t", "0:1:3", "--sweep", "omega:0:1e308:3"],
+                 # a state stack beyond any address space: refused before a step runs
+                 ["dynamics", "--graph", "star:3", "--steps", str(10**13), "--t", "1"]):
+        assert main(argv + ["--out", out]) == 1, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1, err
+    assert not os.path.exists(out)
+
+
 def test_pst_norm_drift_is_a_numerical_violation(tmp_path, capsys, monkeypatch):
     from hqw.walk import HybridWalk
 

@@ -394,6 +394,28 @@ def test_line_reference_hamiltonian_structure():
     linalg.require_hermitian(H)
 
 
+def test_trajectory_observables_equal_per_state_observables():
+    w = HybridWalk(line3(12), coin="grover")
+    psi0 = product_state(np.ones(3) / np.sqrt(3), np.eye(25)[12])
+    run = w.run(1.1, 9, psi0, coords=signed_coords(25))
+    L = 8
+    dcw = discrete_coined_walk(7, "hadamard", product_state(np.array([1, 1j]) / np.sqrt(2),
+                                                            np.eye(2 * L + 1)[L]), L)
+    for traj, coin_dim, pos_dim in ((run, 3, 25), (dcw, 2, 2 * L + 1)):
+        assert isinstance(traj.states, np.ndarray) and traj.states.shape == (traj.steps + 1, coin_dim * pos_dim)
+        for k, psi in enumerate(traj.states):
+            P = position_distribution(psi, coin_dim, pos_dim)
+            assert np.array_equal(traj.distributions[k], P)
+            assert traj.sigmas[k] == std_dev(P, traj.coords)
+            assert traj.entropies[k] == entanglement_entropy(psi, coin_dim, pos_dim)
+        again = walk.Trajectory.from_states(traj.states, coin_dim, pos_dim, traj.coords)
+        for name in ("distributions", "sigmas", "entropies"):
+            assert np.array_equal(getattr(again, name), getattr(traj, name))
+        stacked = entanglement_entropy(traj.states.reshape(-1, 1, coin_dim * pos_dim), coin_dim, pos_dim)
+        assert stacked.shape == (traj.steps + 1, 1)
+        assert np.array_equal(stacked[:, 0], traj.entropies)
+
+
 def test_discrete_walk_basics():
     L = 6
     n = 2 * L + 1
