@@ -161,7 +161,9 @@ def _default_initial(family, g: graphs.LabeledGraph):
     return coin, pos
 
 
-def _initial_state(args, family, g: graphs.LabeledGraph) -> np.ndarray:
+def _initial_state(args, family, g: graphs.LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(coin, position) vectors of the initial product state: the family default
+    unless --init-coin / --init-pos override it."""
     coin_default, pos_default = _default_initial(family, g)
     coin = _coin_vector(args.init_coin, len(g.labels)) if args.init_coin else coin_default
     pos = args.init_pos if args.init_pos is not None else pos_default
@@ -169,7 +171,7 @@ def _initial_state(args, family, g: graphs.LabeledGraph) -> np.ndarray:
         raise ValueError(f"initial position {pos} outside 0..{g.n - 1}")
     pos_vec = np.zeros(g.n, dtype=complex)
     pos_vec[pos] = 1.0
-    return walk.product_state(coin, pos_vec)
+    return coin, pos_vec
 
 
 def _coords_for(family, n: int) -> np.ndarray:
@@ -277,7 +279,7 @@ def _grid_trajectory(args, spec: GraphSpec, coin_spec: str, ts: np.ndarray, omeg
     """One coin step at every t of the grid, as a trajectory with one state per t."""
     g = spec.make(omega)
     w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
-    states = w.evolve(ts, w.apply_coin(_initial_state(args, spec.family, g)))
+    states = w.evolve(ts, w.apply_coin(walk.product_state(*_initial_state(args, spec.family, g))))
     return walk.Trajectory.from_states(states, w.coin_dim, w.pos_dim, _coords_for(spec.family, g.n))
 
 
@@ -288,10 +290,13 @@ def cmd_dynamics(args) -> int:
     if args.steps is not None:
         if args.t is not None and ":" in args.t:
             raise ValueError("trajectory mode (--steps) takes a single --t, not a grid")
+        if args.sweep:
+            raise ValueError("trajectory mode (--steps) takes no --sweep")
         t = _parse_finite(args.t, "--t") if args.t is not None else float(np.pi / 2)
         g = spec.make()
         w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
-        traj = w.run(t, args.steps, _initial_state(args, spec.family, g), coords=_coords_for(spec.family, g.n))
+        psi0 = walk.product_state(*_initial_state(args, spec.family, g))
+        traj = w.run(t, args.steps, psi0, coords=_coords_for(spec.family, g.n))
         if spec.family in ("line2", "line3") and g.n >= 5:
             _check_line_guard(traj.distributions)
         _write_observables(args, ["step"], ([k] for k in range(args.steps + 1)), [traj])
@@ -351,11 +356,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("q sweeps run on the three-label line; use --graph line3:L or omit --graph")
     g = spec.make() if spec else graphs.line3(steps + 8)
     coords = _coords_for("line3", g.n)
-    base_coin = (_coin_vector(args.init_coin, len(g.labels)) if args.init_coin
-                 else np.ones(3, dtype=complex) / np.sqrt(3))
+    base_coin, pos_vec = _initial_state(args, "line3", g)
     w = walk.HybridWalk(g, coin=_resolve_coin(args.coin or "grover", len(g.labels)))
-    pos_vec = np.zeros(g.n, dtype=complex)
-    pos_vec[(g.n - 1) // 2] = 1.0
     qs = qs.tolist()
     finals = np.empty((len(qs), w.dim), dtype=complex)
     for k, q in enumerate(qs):
@@ -419,13 +421,11 @@ def cmd_pst(args) -> int:
 # matmul / triangles
 
 
-def _estimate_json(est: matmul.ProductEstimate) -> dict:
-    obj = {"i": est.i, "j": est.j, "mode": est.mode,
-           "probability": est.probability, "value": est.value}
-    if est.mode == "shots":
-        obj["shots"] = est.shots
-        obj["seed"] = est.seed
-    return obj
+def _emit_result(args, obj: dict):
+    """Write a matmul/triangles JSON artifact, shots mode adding `shots` and `seed` last."""
+    if args.mode == "shots":
+        obj["shots"], obj["seed"] = args.shots, args.seed
+    _emit(args, "json", json.dumps(obj, indent=2) + "\n")
 
 
 def cmd_matmul(args) -> int:
@@ -433,19 +433,14 @@ def cmd_matmul(args) -> int:
         raise ValueError("pick one of --entry, --matrix, --trace")
     seq = matmul.regular_sequence([parse_graph_spec(s).make() for s in args.graph])
     mode, shots, seed = args.mode, args.shots, args.seed
-    if mode == "shots" and seed is None:
-        raise ValueError("shots mode needs --seed for reproducible sampling")
     if args.entry:
         i, j = (int(x) for x in args.entry.split(","))
         est = matmul.product_entry(seq, i, j, mode=mode, shots=shots, seed=seed)
-        _emit(args, "json", json.dumps(_estimate_json(est), indent=2) + "\n")
+        _emit_result(args, {"i": i, "j": j, "mode": mode, "probability": est.probability, "value": est.value})
         print(f"C[{i},{j}] = {_fmt(est.value)} (probability {_fmt(est.probability)})")
     elif args.trace:
         value = matmul.product_trace(seq, mode=mode, shots=shots, seed=seed)
-        obj = {"mode": mode, "value": value}
-        if mode == "shots":
-            obj["shots"], obj["seed"] = shots, seed
-        _emit(args, "json", json.dumps(obj, indent=2) + "\n")
+        _emit_result(args, {"mode": mode, "value": value})
         print(f"trace = {_fmt(value)}")
     else:
         C = matmul.product_matrix(seq, mode=mode, shots=shots, seed=seed)
@@ -457,17 +452,13 @@ def cmd_matmul(args) -> int:
 def cmd_triangles(args) -> int:
     g = parse_graph_spec(args.graph).make()
     mode, shots, seed = args.mode, args.shots, args.seed
-    if mode == "shots" and seed is None:
-        raise ValueError("shots mode needs --seed for reproducible sampling")
     if args.vertex is not None:
         count = matmul.triangles_at_vertex(g, args.vertex, mode=mode, shots=shots, seed=seed)
         obj = {"vertex": args.vertex, "triangles": count, "mode": mode}
     else:
         count = matmul.triangle_count(g, mode=mode, shots=shots, seed=seed)
         obj = {"triangles": count, "mode": mode}
-    if mode == "shots":
-        obj["shots"], obj["seed"] = shots, seed
-    _emit(args, "json", json.dumps(obj, indent=2) + "\n")
+    _emit_result(args, obj)
     print(f"triangles = {count}")
     return EXIT_OK
 
@@ -478,8 +469,7 @@ def cmd_triangles(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {message} (see '{self.prog} --help')", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
 
 
@@ -490,8 +480,8 @@ def _build_parser() -> _Parser:
 
     def common(p, with_walk=True):
         p.add_argument("--out", help="output path (default out/<cmd>-<confighash>.<ext>)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         if with_walk:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
             p.add_argument("--coin", help="identity|hadamard|fourier|grover|custom:path.json")
             p.add_argument("--init-coin", help="uniform | basis:k | amp:[re,im;...]")
             p.add_argument("--init-pos", type=int, help="initial vertex id")

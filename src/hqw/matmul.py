@@ -13,8 +13,11 @@ walked in blocks of at most 2^14 rows, each read by one `np.bincount`, which is
 O(n D) array work for D = d_1...d_K, not O(n^2 D).
 
 Exact projection is the default readout; a seeded binomial sampler stands in
-for hardware-style amplitude estimation. Classical oracles for products and
-triangle counts live here too, so every quantum result can be cross-checked.
+for hardware-style amplitude estimation: every entry point draws entry (i, j)
+from a generator seeded by [seed, i, j] (`sample_projector`) and takes the value
+D * (hits / shots), so entries, matrices, traces and triangle counts agree.
+Classical oracles for products and triangle counts live here too, so every
+quantum result can be cross-checked.
 """
 
 from __future__ import annotations
@@ -168,9 +171,10 @@ def run_sequence(seq: RegularGraphSequence, j) -> MultiRegisterState:
 
 
 def projection_probability(state: MultiRegisterState, i: int, j: int) -> float:
-    """Squared norm of the projection onto register 1 = j, last register = i."""
+    """Squared norm of the projection onto register 1 = j, last register = i; the
+    per-entry reference for `projection_matrix`, summed in order as `np.bincount` sums."""
     hit = (state.regs[:, 0] == j) & (state.regs[:, -1] == i)
-    return float(sum((np.abs(state.amps[hit]) ** 2).tolist()))  # in order, as np.bincount sums
+    return reduce(float.__add__, (np.abs(state.amps[hit]) ** 2).tolist(), 0.0)
 
 
 def projection_matrix(state: MultiRegisterState, first: int = 0, width: int | None = None) -> np.ndarray:
@@ -181,14 +185,12 @@ def projection_matrix(state: MultiRegisterState, first: int = 0, width: int | No
     return np.bincount(bins, np.abs(state.amps) ** 2, state.n * width).reshape(state.n, width)
 
 
-def sample_projector(state: MultiRegisterState, i: int, j: int,
-                     shots: int, seed) -> tuple[int, float]:
-    """Seeded binomial draw of the projection event; returns (hits, estimate)."""
+def sample_projector(p: float, i: int, j: int, shots: int, seed) -> tuple[int, float]:
+    """Binomial draw of `shots` trials of a projection of probability p for entry
+    (i, j), seeded by [seed, i, j]; returns (hits, hits / shots)."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    p = projection_probability(state, i, j)
-    rng = np.random.default_rng(seed)
-    hits = int(rng.binomial(shots, p))
+    hits = int(np.random.default_rng([seed, i, j]).binomial(shots, p))
     return hits, hits / shots
 
 
@@ -232,54 +234,48 @@ def product_entry(seq: RegularGraphSequence, i: int, j: int, mode: str = "exact"
     if not (0 <= i < seq.n and 0 <= j < seq.n):
         raise ValueError(f"entry ({i},{j}) outside 0..{seq.n - 1}")
     _check_mode(mode, shots, seed)
-    state = run_sequence(seq, j)
+    p = float(projection_matrix(run_sequence(seq, j), j, 1)[i, 0])
     D = seq.degree_product
     if mode == "exact":
-        p = projection_probability(state, i, j)
         return ProductEstimate(i=i, j=j, value=D * p, probability=p, mode=mode)
-    hits, est = sample_projector(state, i, j, shots, seed)
+    hits, est = sample_projector(p, i, j, shots, seed)
     radius = 3.0 * D * np.sqrt(max(est * (1.0 - est), 0.0) / shots)
     return ProductEstimate(i=i, j=j, value=D * est, probability=est, mode=mode,
                            shots=shots, seed=seed, hits=hits, ci_radius=radius,
                            meets_half_integer=bool(radius < 0.5))
 
 
-def _column_blocks(seq: RegularGraphSequence):
-    """(cols, P[i, c] for entry (i, cols[c])) per block of <= max(_BLOCK_ROWS, D) rows."""
-    step = max(1, _BLOCK_ROWS // seq.degree_product)
+def _column_blocks(seq: RegularGraphSequence, mode: str, shots, seed, diagonal: bool = False):
+    """(cols, E) per block of columns walked together in <= max(_BLOCK_ROWS, D) rows: E[i, c]
+    = D * (P or hits / shots) for entry (i, cols[c]), or with `diagonal` E[c] for (cols[c], cols[c])."""
+    D = seq.degree_product
+    step = max(1, _BLOCK_ROWS // D)
     for first in range(0, seq.n, step):
         cols = np.arange(first, min(first + step, seq.n))
-        yield cols, projection_matrix(run_sequence(seq, cols), first, len(cols))
+        I, J = (cols, cols) if diagonal else np.broadcast_arrays(np.arange(seq.n)[:, None], cols)
+        P = projection_matrix(run_sequence(seq, cols), first, len(cols))[I, J - first]
+        if mode == "shots":
+            entries = zip(P.ravel().tolist(), I.ravel().tolist(), J.ravel().tolist())
+            P = np.reshape([sample_projector(p, i, j, shots, seed)[1] for p, i, j in entries], P.shape)
+        yield cols, D * P
 
 
 def product_matrix(seq: RegularGraphSequence, mode: str = "exact",
                    shots: int | None = None, seed=None) -> np.ndarray:
     """All entries, the columns walked in blocks and each block read at once."""
     _check_mode(mode, shots, seed)
-    D = seq.degree_product
     C = np.zeros((seq.n, seq.n), dtype=float)
-    for cols, P in _column_blocks(seq):
-        if mode == "exact":
-            C[:, cols] = D * P
-            continue
-        for (i, c), p in np.ndenumerate(P):
-            rng = np.random.default_rng([seed, i, int(cols[c])])
-            C[i, cols[c]] = D * rng.binomial(shots, p) / shots
+    for cols, E in _column_blocks(seq, mode, shots, seed):
+        C[:, cols] = E
     return C
 
 
 def product_trace(seq: RegularGraphSequence, mode: str = "exact",
                   shots: int | None = None, seed=None) -> float:
-    """Sum of the diagonal entries; shots mode samples entry (k, k) with seed [seed, k]."""
+    """Sum, in k order, of the diagonal entries `product_matrix` would hold."""
     _check_mode(mode, shots, seed)
-    D = seq.degree_product
-    total = 0.0
-    for cols, P in _column_blocks(seq):
-        for k, p in zip(cols.tolist(), P[cols, np.arange(len(cols))].tolist()):
-            if mode == "shots":
-                p = int(np.random.default_rng([seed, k]).binomial(shots, p)) / shots
-            total += D * p
-    return total
+    diag = np.concatenate([E for _, E in _column_blocks(seq, mode, shots, seed, diagonal=True)])
+    return reduce(float.__add__, diag.tolist(), 0.0)
 
 
 def triangles_at_vertex(g, k: int, mode: str = "exact",

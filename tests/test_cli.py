@@ -1,16 +1,25 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hqw.cli import main
-from hqw.graphs import save_json, star
+from hqw.graphs import complete, cycle, line3, save_json, star
 
 
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
+    return err
 
 
 def csv_rows(path):
@@ -312,3 +321,66 @@ def test_bad_flag_exits_with_validation_code():
     with pytest.raises(SystemExit) as exc:
         main(["dynamics", "--no-such-flag"])
     assert exc.value.code == 1
+
+
+def test_sweep_honours_and_checks_init_pos(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--sweep", "q_time:0:1:3", "--steps", "5", "--init-pos", "99", "--out", str(out)]) == 1
+    assert "initial position 99" in one_line_error(capsys)
+    assert not out.exists()
+    # q = 0 is a coin flip without evolution, so the walker stays where it starts
+    assert main(["sweep", "--sweep", "q_time:0:1:3", "--steps", "5", "--init-pos", "10", "--out", str(out)]) == 0
+    header, rows = csv_rows(out)
+    assert rows[0][header.index("P(-3)")] == 1.0  # vertex 10 of line3(13) sits at -3
+
+
+def test_format_is_a_walk_option_only(tmp_path, capsys):
+    out = str(tmp_path / "x.out")
+    for argv in (["pst", "--tree-demo", "--format", "csv"],
+                 ["matmul", "--graph", "cubic8", "--entry", "0,0", "--format", "json"],
+                 ["triangles", "--graph", "cubic8", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", out])
+        assert exc.value.code == 1, argv
+        assert "--format" in one_line_error(capsys)
+    assert not os.path.exists(out)
+
+
+def test_trajectory_mode_rejects_a_sweep(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for argv in (["dynamics", "--graph", "line3:5", "--steps", "3", "--sweep", "q_time:0:1:3"],
+                 ["dynamics", "--graph", "circle2:2w,2w+1", "--steps", "3", "--sweep", "omega:0:1:3"]):
+        assert main(argv + ["--out", out]) == 1, argv
+        err = one_line_error(capsys)
+        assert "--sweep" in err and "supply" not in err
+    assert not os.path.exists(out)
+
+
+def test_shots_mode_without_a_seed_is_a_validation_error(tmp_path, capsys):
+    out = str(tmp_path / "x.out")
+    cubed = ["matmul", "--graph", "cubic8", "--graph", "cubic8", "--graph", "cubic8", "--mode", "shots"]
+    for argv in (cubed + ["--entry", "1,1"], cubed + ["--matrix"], cubed + ["--trace"],
+                 ["triangles", "--graph", "cubic8", "--mode", "shots"],
+                 ["triangles", "--graph", "cubic8", "--vertex", "3", "--mode", "shots"]):
+        assert main(argv + ["--out", out]) == 1, argv
+        assert "seed" in one_line_error(capsys)
+    assert not os.path.exists(out)
+
+
+def readme_commands():
+    """The argv of every `hqw ...` line of the README's CLI block."""
+    readme = read(Path(__file__).resolve().parents[1] / "README.md")
+    block = readme.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hqw ")]
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, g in (("mygraph.json", line3(4)), ("g1.json", cycle(12)), ("g2.json", complete(12))):
+        (tmp_path / name).write_text(save_json(g))
+    commands = readme_commands()
+    assert len(commands) >= 10
+    for k, argv in enumerate(commands):
+        if "--out" in argv:
+            del argv[argv.index("--out"):argv.index("--out") + 2]
+        assert main(argv + ["--out", str(tmp_path / f"readme{k}.out")]) == 0, argv

@@ -238,6 +238,25 @@ def test_product_matrix_spanning_several_blocks():
     np.testing.assert_array_equal(seq.degree_product * full, want)
 
 
+def test_every_entry_point_gives_the_same_shot_estimate():
+    # D = 10^3 = 1000 rows per column, so 16 columns per block and two blocks for n = 20
+    rng = np.random.default_rng(13)
+    graphs = (random_regular_adjacency(rng, 20, 10), cubic8())
+    kw = dict(mode="shots", shots=20000, seed=7)
+    for g in graphs:
+        seq = regular_sequence([g] * 3)
+        C = product_matrix(seq, **kw)
+        for i in range(seq.n):
+            for j in range(seq.n):
+                assert product_entry(seq, i, j, **kw).value == C[i, j], (i, j)
+        total = 0.0
+        for k in range(seq.n):
+            total += C[k, k]
+        assert product_trace(seq, **kw) == total
+        for k in range(seq.n):
+            assert triangles_at_vertex(g, k, **kw) == round(C[k, k]) // 2, k
+
+
 def test_product_matrix_memory_is_bounded_by_the_block():
     # 8-regular circulant on 160 vertices, K = 3: an unblocked walk of all columns
     # holds 160 * 512 rows (~9 MB); a block holds at most 2^14 rows
@@ -393,20 +412,20 @@ def test_sampling_degenerate_probabilities():
     seq = regular_sequence([C4, C4])
     state = run_sequence(seq, 0)
     # p = 0.5 for (0,0); craft p = 0 and p = 1 cases directly
-    hits, est = sample_projector(state, 1, 0, shots=500, seed=4)  # (A^2)_10 = 0
+    hits, est = sample_projector(projection_probability(state, 1, 0), 1, 0, shots=500, seed=4)  # (A^2)_10 = 0
     assert hits == 0 and est == 0.0
     point = make_state(4, {(2, 1, 3): 1.0})
-    hits, est = sample_projector(point, 3, 2, shots=250, seed=4)
+    hits, est = sample_projector(projection_probability(point, 3, 2), 3, 2, shots=250, seed=4)
     assert hits == 250 and est == 1.0
 
 
 def test_sampling_is_reproducible():
     seq = regular_sequence([cubic8()] * 3)
     state = run_sequence(seq, 0)
-    a = sample_projector(state, 0, 0, shots=20000, seed=123)
-    b = sample_projector(state, 0, 0, shots=20000, seed=123)
+    a = sample_projector(projection_probability(state, 0, 0), 0, 0, shots=20000, seed=123)
+    b = sample_projector(projection_probability(state, 0, 0), 0, 0, shots=20000, seed=123)
     assert a == b
-    c = sample_projector(state, 0, 0, shots=20000, seed=124)
+    c = sample_projector(projection_probability(state, 0, 0), 0, 0, shots=20000, seed=124)
     assert a != c
 
 
@@ -416,7 +435,7 @@ def test_shots_estimator_unbiased():
     p = projection_probability(state, 0, 0)
     shots = 400
     runs = 200
-    estimates = [sample_projector(state, 0, 0, shots=shots, seed=s)[1] for s in range(runs)]
+    estimates = [sample_projector(p, 0, 0, shots=shots, seed=s)[1] for s in range(runs)]
     stderr = np.sqrt(p * (1 - p) / shots) / np.sqrt(runs)
     assert abs(np.mean(estimates) - p) < 4 * stderr
 
