@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -208,12 +209,6 @@ def _parse_sweep(text: str):
 # Output helpers
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
-
-
 def _config_hash(args) -> str:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
     blob = json.dumps(cfg, sort_keys=True, default=str)
@@ -232,14 +227,21 @@ def _emit(args, ext: str, text: str):
 
 
 def _table_text(header, rows, fmt: str) -> str:
+    """CSV (or `--format json`) text of a table. One format string, typed from the
+    first row, writes every row: "%d" for integer columns, "%.12g" for floats."""
+    rows = iter(rows)
+    first = next(rows, None)
+    kinds, lines = [], []
+    if first is not None:
+        kinds = ["%d" if isinstance(x, (int, np.integer)) else "%.12g" for x in first]
+        line = ",".join(kinds)
+        lines = [line % tuple(row) for row in itertools.chain([first], rows)]
     if fmt == "json":
+        parse = [int if kind == "%d" else float for kind in kinds]
         payload = {"columns": header,
-                   "rows": [[int(x) if isinstance(x, (int, np.integer)) else float(_fmt(x))
-                             for x in row] for row in rows]}
+                   "rows": [[f(x) for f, x in zip(parse, text.split(","))] for text in lines]}
         return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _write_observables(args, lead_names, leads, trajs):
@@ -248,16 +250,16 @@ def _write_observables(args, lead_names, leads, trajs):
     `leads` holds the leading values of every row, across all trajectories.
     """
     coords = trajs[0].coords.tolist()
-    header = [*lead_names, *(f"P({int(c)})" if c.is_integer() else f"P({_fmt(c)})" for c in coords),
+    header = [*lead_names, *(f"P({int(c)})" if c.is_integer() else "P(%.12g)" % c for c in coords),
               "sigma", "entropy"]
     for traj in trajs:
         totals = traj.distributions.sum(axis=-1)
         bad = np.flatnonzero(np.abs(totals - 1.0) > PROB_SUM_ATOL)
         if bad.size:
             raise linalg.NumericalViolation(f"probability columns sum to {totals[bad[0]]:.12g}, not 1")
-    obs = ([*P, sigma, entropy] for traj in trajs for P, sigma, entropy in
+    obs = (o for traj in trajs for o in
            zip(traj.distributions.tolist(), traj.sigmas.tolist(), traj.entropies.tolist()))
-    rows = ([*lead, *o] for lead, o in zip(leads, obs))
+    rows = ((*lead, *P, sigma, entropy) for lead, (P, sigma, entropy) in zip(leads, obs))
     _emit(args, args.format, _table_text(header, rows, args.format))
 
 
@@ -350,6 +352,8 @@ def cmd_sweep(args) -> int:
     name, qs = _parse_sweep(args.sweep)
     if name not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {name!r}; choices: {SWEEP_PARAMS}")
+    if args.init_coin and name != "q_time":
+        raise ValueError(f"--init-coin applies to q_time only; {name} sets the initial coin from q")
     steps = args.steps if args.steps is not None else 30
     spec = parse_graph_spec(args.graph) if args.graph else None
     if spec is not None and spec.family != "line3":
@@ -410,7 +414,7 @@ def cmd_pst(args) -> int:
         fidelity = transcript.fidelity
 
     _emit(args, "json", json.dumps(payload, indent=2) + "\n")
-    print(f"fidelity {_fmt(fidelity)}")
+    print("fidelity %.12g" % fidelity)
     if not fidelity > 1 - 1e-6:
         print(f"transfer fidelity {fidelity:.9g} below 1 - 1e-6", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -429,22 +433,25 @@ def _emit_result(args, obj: dict):
 
 
 def cmd_matmul(args) -> int:
-    if sum(map(bool, (args.entry, args.matrix, args.trace))) > 1:
+    if sum((args.entry is not None, args.matrix, args.trace)) > 1:
         raise ValueError("pick one of --entry, --matrix, --trace")
     seq = matmul.regular_sequence([parse_graph_spec(s).make() for s in args.graph])
     mode, shots, seed = args.mode, args.shots, args.seed
-    if args.entry:
-        i, j = (int(x) for x in args.entry.split(","))
+    if args.entry is not None:
+        try:
+            i, j = (int(x) for x in args.entry.split(","))
+        except ValueError:
+            raise ValueError(f"--entry takes i,j (two vertex ids), got {args.entry!r}") from None
         est = matmul.product_entry(seq, i, j, mode=mode, shots=shots, seed=seed)
         _emit_result(args, {"i": i, "j": j, "mode": mode, "probability": est.probability, "value": est.value})
-        print(f"C[{i},{j}] = {_fmt(est.value)} (probability {_fmt(est.probability)})")
+        print("C[%d,%d] = %.12g (probability %.12g)" % (i, j, est.value, est.probability))
     elif args.trace:
         value = matmul.product_trace(seq, mode=mode, shots=shots, seed=seed)
         _emit_result(args, {"mode": mode, "value": value})
-        print(f"trace = {_fmt(value)}")
+        print("trace = %.12g" % value)
     else:
         C = matmul.product_matrix(seq, mode=mode, shots=shots, seed=seed)
-        rows = ([i, j, v] for i, row in enumerate(C.tolist()) for j, v in enumerate(row))
+        rows = ((i, j, v) for i, row in enumerate(C.tolist()) for j, v in enumerate(row))
         _emit(args, "csv", _table_text(["i", "j", "value"], rows, "csv"))
     return EXIT_OK
 

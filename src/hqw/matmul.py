@@ -226,6 +226,8 @@ def _check_mode(mode: str, shots, seed):
             raise ValueError(f"shot count {shots} exceeds the int64 sampler limit")
         if seed is None:
             raise ValueError("shots mode needs a seed for reproducibility")
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def product_entry(seq: RegularGraphSequence, i: int, j: int, mode: str = "exact",

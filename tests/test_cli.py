@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hqw.cli import main
+from hqw.cli import _table_text, main
 from hqw.graphs import complete, cycle, line3, save_json, star
 
 
@@ -384,3 +384,89 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
         if "--out" in argv:
             del argv[argv.index("--out"):argv.index("--out") + 2]
         assert main(argv + ["--out", str(tmp_path / f"readme{k}.out")]) == 0, argv
+
+
+def per_value_table(header, rows, fmt):
+    """The table text written one value at a time: str(int(x)) for integers,
+    f"{float(x):.12g}" for floats."""
+    text = [[str(int(x)) if isinstance(x, int) else f"{float(x):.12g}" for x in row] for row in rows]
+    if fmt == "json":
+        typed = [[int(v) if isinstance(x, int) else float(v) for x, v in zip(row, t)]
+                 for row, t in zip(rows, text)]
+        return json.dumps({"columns": header, "rows": typed}, indent=2) + "\n"
+    return "\n".join([",".join(header), *(",".join(t) for t in text)]) + "\n"
+
+
+def adversarial_floats():
+    rng = np.random.default_rng(2024)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+               1e-5, 9.99999999999949e-5, 9.9999999999995e-5, 999999999999.5, 999999999999.4,
+               123456789012.5, 1e12, 1e16, 0.30000000000000004, 1 - 2 ** -53]
+    # values that round across a power of ten at the 12th significant digit
+    edges = [float(f"{m}e{e}") for e in range(-300, 300, 7) for m in ("9.9999999999995", "4.99999999999995")]
+    patterns = np.frombuffer(rng.integers(-2 ** 63, 2 ** 63 - 1, 3000, dtype=np.int64).tobytes(), dtype=float)
+    return special + edges + [-x for x in edges] + patterns.tolist()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_matches_per_value_formatting(fmt):
+    values = adversarial_floats()
+    width = 7
+    values += [0.0] * (-len(values) % width)
+    header = ["step", *(f"c{k}" for k in range(width))]
+    rows = [(k, *values[k * width:(k + 1) * width]) for k in range(len(values) // width)]
+    assert _table_text(header, iter(rows), fmt) == per_value_table(header, rows, fmt)
+    # the matmul --matrix layout: two integer columns, then a float
+    mat = [(i, j, values[(31 * i + j) % len(values)]) for i in range(40) for j in range(40)]
+    assert _table_text(["i", "j", "value"], iter(mat), fmt) == per_value_table(["i", "j", "value"], mat, fmt)
+    # an integer column stays an integer however large; -0.0 keeps its sign
+    big = [(2 ** 70, -0.0), (-3, 2.0)]
+    assert _table_text(["n", "x"], big, fmt) == per_value_table(["n", "x"], big, fmt)
+    # a table without rows is its header alone
+    assert _table_text(["t", "x"], iter([]), fmt) == per_value_table(["t", "x"], [], fmt)
+
+
+def test_trajectory_step_column_is_an_integer_in_csv_and_json(tmp_path):
+    out, js = tmp_path / "traj.csv", tmp_path / "traj.json"
+    argv = ["dynamics", "--graph", "line3:6", "--steps", "4", "--t", "0.3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(js)]) == 0
+    lines = read(out).splitlines()
+    assert [line.split(",")[0] for line in lines] == ["step", "0", "1", "2", "3", "4"]
+    doc = json.loads(read(js))
+    assert [row[0] for row in doc["rows"]] == [0, 1, 2, 3, 4]
+    assert all(type(row[0]) is int and all(type(x) is float for x in row[1:]) for row in doc["rows"])
+    for line, row in zip(lines[1:], doc["rows"]):
+        assert line == ",".join([str(row[0]), *(f"{x:.12g}" for x in row[1:])])
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["matmul", "--graph", "cubic8", "--entry", "0"], "--entry"),
+    (["matmul", "--graph", "cubic8", "--entry", "0,0,0"], "--entry"),
+    (["matmul", "--graph", "cubic8", "--entry", "a,b"], "--entry"),
+    (["matmul", "--graph", "cubic8", "--entry", ""], "--entry"),
+    (["matmul", "--graph", "cubic8", "--entry", "0,0", "--mode", "shots", "--seed", "-1"], "seed"),
+    (["matmul", "--graph", "cubic8", "--matrix", "--mode", "shots", "--seed", "-1"], "seed"),
+    (["matmul", "--graph", "cubic8", "--trace", "--mode", "shots", "--seed", "-1"], "seed"),
+    (["triangles", "--graph", "cubic8", "--mode", "shots", "--seed", "-1"], "seed"),
+    (["triangles", "--graph", "cubic8", "--vertex", "0", "--mode", "shots", "--seed", "-1"], "seed"),
+    *((["sweep", "--sweep", f"{name}:0:1:3", "--steps", "4", "--init-coin", "basis:2"], "--init-coin")
+      for name in ("q_mix2", "q_mix3", "q_phase2", "q_phase3")),
+])
+def test_malformed_entry_negative_seed_and_ignored_init_coin_are_rejected(tmp_path, capsys, argv, option):
+    out = tmp_path / "x.out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = one_line_error(capsys)
+    assert option in err
+    if option == "--entry":
+        assert "i,j" in err
+    assert not out.exists()
+
+
+def test_sweep_q_time_honours_init_coin(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["sweep", "--sweep", "q_time:0:1:3", "--steps", "4"]
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--init-coin", "basis:2", "--out", str(b)]) == 0
+    assert read(a) != read(b)

@@ -456,3 +456,13 @@ def test_product_matrix_shots_deterministic_per_seed():
     a = product_matrix(seq, mode="shots", shots=1000, seed=5)
     b = product_matrix(seq, mode="shots", shots=1000, seed=5)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_shots_mode_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    seq = regular_sequence([C4, C4])
+    for estimate in (lambda: product_entry(seq, 0, 0, mode="shots", shots=10, seed=seed),
+                     lambda: product_matrix(seq, mode="shots", shots=10, seed=seed),
+                     lambda: product_trace(seq, mode="shots", shots=10, seed=seed)):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            estimate()
