@@ -166,7 +166,7 @@ def _initial_state(args, family, g: graphs.LabeledGraph) -> tuple[np.ndarray, np
     """(coin, position) vectors of the initial product state: the family default
     unless --init-coin / --init-pos override it."""
     coin_default, pos_default = _default_initial(family, g)
-    coin = _coin_vector(args.init_coin, len(g.labels)) if args.init_coin else coin_default
+    coin = _coin_vector(args.init_coin, len(g.labels)) if args.init_coin is not None else coin_default
     pos = args.init_pos if args.init_pos is not None else pos_default
     if not 0 <= pos < g.n:
         raise ValueError(f"initial position {pos} outside 0..{g.n - 1}")
@@ -287,7 +287,7 @@ def _grid_trajectory(args, spec: GraphSpec, coin_spec: str, ts: np.ndarray, omeg
 
 def cmd_dynamics(args) -> int:
     spec = parse_graph_spec(args.graph)
-    coin_spec = args.coin or _default_coin(spec.family)
+    coin_spec = _default_coin(spec.family) if args.coin is None else args.coin
 
     if args.steps is not None:
         if args.t is not None and ":" in args.t:
@@ -352,7 +352,7 @@ def cmd_sweep(args) -> int:
     name, qs = _parse_sweep(args.sweep)
     if name not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {name!r}; choices: {SWEEP_PARAMS}")
-    if args.init_coin and name != "q_time":
+    if args.init_coin is not None and name != "q_time":
         raise ValueError(f"--init-coin applies to q_time only; {name} sets the initial coin from q")
     steps = args.steps if args.steps is not None else 30
     spec = parse_graph_spec(args.graph) if args.graph else None
@@ -361,7 +361,7 @@ def cmd_sweep(args) -> int:
     g = spec.make() if spec else graphs.line3(steps + 8)
     coords = _coords_for("line3", g.n)
     base_coin, pos_vec = _initial_state(args, "line3", g)
-    w = walk.HybridWalk(g, coin=_resolve_coin(args.coin or "grover", len(g.labels)))
+    w = walk.HybridWalk(g, coin=_resolve_coin("grover" if args.coin is None else args.coin, len(g.labels)))
     qs = qs.tolist()
     finals = np.empty((len(qs), w.dim), dtype=complex)
     for k, q in enumerate(qs):

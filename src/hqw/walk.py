@@ -11,10 +11,15 @@ and an eigendecomposition fallback for everything else. Reference walkers
 (continuous, discrete coined) and the closed-form two-vertex-circle oracle
 live here as well, so equivalences can always be checked two ways.
 
-Performance model: no propagator matrix is formed or cached. Per step and
-per time, a diagonal sector costs O(n) (phase multiply), a matching O(n)
-(2x2 rotations on its pairs), a dense sector O(n^2) after one eigh at
-construction. `HybridWalk.evolve` takes an array of times in one pass.
+Performance model: no propagator matrix is formed or cached. The sectors are
+classified once, at construction, into one propagator over the whole state.
+Per step and per time, every diagonal and matching sector together costs
+O(dim) in one vectorized pass: one phase multiply over the state (skipped when
+no label has a self-loop) and one gather/scatter of 2x2 rotations over the
+pairs of every matching, with cos and sin taken once per distinct weight. A
+label without edges costs nothing (the primed colors of the PST protocol,
+`star`'s label "0"). Each dense sector costs one eigh at construction, then
+O(n^2). `HybridWalk.evolve` takes an array of times in the same pass.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from . import linalg
 from .graphs import LabeledGraph, circle2, subgraph_adjacency
 
 COIN_UNITARY_ATOL = 1e-10
+_MATCHING_ZERO_ATOL = 1e-14
+_PAIR_BLOCK = 2**14  # (time, pair) entries per block of HybridWalk.evolve's rotations
 
 
 # ---------------------------------------------------------------------------
@@ -107,57 +114,6 @@ def product_state(coin_vec, pos_vec) -> np.ndarray:
     return np.kron(np.asarray(coin_vec, dtype=complex), np.asarray(pos_vec, dtype=complex))
 
 
-# ---------------------------------------------------------------------------
-# Per-sector kernels
-
-_MATCHING_ZERO_ATOL = 1e-14
-
-
-class _SectorBlock:
-    """One Hamiltonian block S_c, applied as exp(-i S_c t) without forming a matrix.
-
-    Built from the edges of one label. Only a dense block (neither diagonal
-    nor a matching) materializes S_c, for its one eigendecomposition.
-    """
-
-    def __init__(self, graph: LabeledGraph, label: str, edges):
-        n = graph.n
-        u = np.array([e.u for e in edges], dtype=np.intp)
-        v = np.array([e.v for e in edges], dtype=np.intp)
-        w = np.array([e.weight for e in edges], dtype=float)
-        loop = u == v
-        hop = ~loop & (np.abs(w) > _MATCHING_ZERO_ATOL)
-        if not hop.any():
-            self.kind = "diagonal"
-            self.diag = np.zeros(n)
-            self.diag[u[loop]] = w[loop]
-        elif (np.abs(w[loop]) <= _MATCHING_ZERO_ATOL).all() and \
-                np.bincount(np.concatenate([u[hop], v[hop]]), minlength=n).max() <= 1:
-            self.kind = "matching"
-            self.us, self.vs = np.minimum(u[hop], v[hop]), np.maximum(u[hop], v[hop])
-            self.ws = w[hop]
-        else:
-            self.kind = "dense"
-            self.w, self.V = linalg.hermitian_eig(subgraph_adjacency(graph, label))
-            self.Vh = self.V.conj().T
-
-    def apply(self, t, x) -> np.ndarray:
-        """exp(-i S_c t) x for a vector x; an array of times adds a leading time axis."""
-        t = np.asarray(t, dtype=float)
-        tcol = t.reshape(t.shape + (1,))
-        if self.kind == "diagonal":
-            return np.exp(-1j * self.diag * tcol) * x
-        if self.kind == "matching":
-            c = np.cos(self.ws * tcol)
-            s = -1j * np.sin(self.ws * tcol)
-            xu, xv = x[self.us], x[self.vs]
-            out = np.broadcast_to(x, t.shape + x.shape).copy()
-            out[..., self.us] = c * xu + s * xv
-            out[..., self.vs] = s * xu + c * xv
-            return out
-        return (np.exp(-1j * self.w * tcol) * (self.Vh @ x)) @ self.V.T
-
-
 @dataclass
 class Trajectory:
     """A stack of states (one row each) and the observables of every row."""
@@ -197,7 +153,32 @@ class HybridWalk:
         by_label = {lab: [] for lab in graph.labels}
         for e in graph.edges:
             by_label[e.label].append(e)
-        self._sectors = [_SectorBlock(graph, lab, by_label[lab]) for lab in graph.labels]
+        # The propagator, over flat indices c * n + v: the self-loop phases of
+        # the diagonal sectors; the pairs (p, q) of every matching sector, with
+        # their distinct weights and each pair's index into them, so cos and sin
+        # are taken once per weight; (slice, eigenvalues, V, V^H) of each dense sector.
+        n = self.pos_dim
+        phase, pairs, self._dense = np.zeros(self.dim), [], []
+        for c, lab in enumerate(graph.labels):
+            edges = by_label[lab]
+            u = np.array([e.u for e in edges], dtype=np.intp)
+            v = np.array([e.v for e in edges], dtype=np.intp)
+            w = np.array([e.weight for e in edges], dtype=float)
+            loop = u == v
+            hop = ~loop & (np.abs(w) > _MATCHING_ZERO_ATOL)
+            if not hop.any():
+                phase[c * n + u[loop]] = w[loop]
+            elif (np.abs(w[loop]) <= _MATCHING_ZERO_ATOL).all() and \
+                    np.bincount(np.concatenate([u[hop], v[hop]]), minlength=n).max() <= 1:
+                pairs.append((c * n + np.minimum(u[hop], v[hop]), c * n + np.maximum(u[hop], v[hop]), w[hop]))
+            else:
+                ew, V = linalg.hermitian_eig(subgraph_adjacency(graph, lab))
+                self._dense.append((slice(c * n, (c + 1) * n), ew, V, V.conj().T))
+        self._phase = phase if phase.any() else None
+        self._pairs = None
+        if pairs:
+            p, q, w = map(np.concatenate, zip(*pairs))
+            self._pairs = (p, q, *np.unique(w, return_inverse=True))
 
     def hamiltonian(self) -> np.ndarray:
         """Assemble the full block-diagonal Hamiltonian sum_c |c><c| (x) S_c."""
@@ -229,11 +210,28 @@ class HybridWalk:
         """
         psi = self._check_dim(psi)
         t = np.asarray(t, dtype=float)
-        mat = psi.reshape(self.coin_dim, self.pos_dim)
-        out = np.empty(t.shape + mat.shape, dtype=complex)
-        for c, sector in enumerate(self._sectors):
-            out[..., c, :] = sector.apply(t, mat[c])
-        return out.reshape(t.shape + (self.dim,))
+        tcol = t.reshape(t.shape + (1,))
+        out = np.empty(t.shape + psi.shape, dtype=complex)
+        if self._phase is None:
+            out[...] = psi
+        else:
+            np.multiply(-1j * self._phase, tcol, out=out)
+            np.exp(out, out=out)
+            out *= psi
+        if self._pairs is not None:
+            # blocks of times keep the (times, pairs) temporaries cache-sized
+            p, q, w, of_pair = self._pairs
+            xp, xq = psi[p], psi[q]
+            rows, trows = out.reshape(-1, self.dim), t.reshape(-1, 1)
+            block = max(1, _PAIR_BLOCK // len(p))
+            for k in range(0, len(rows), block):
+                wt = w * trows[k:k + block]
+                c, s = np.cos(wt).take(of_pair, axis=-1), (-1j * np.sin(wt)).take(of_pair, axis=-1)
+                rows[k:k + block, p] = c * xp + s * xq
+                rows[k:k + block, q] = s * xp + c * xq
+        for sl, ew, V, Vh in self._dense:
+            out[..., sl] = (np.exp(-1j * ew * tcol) * (Vh @ psi[sl])) @ V.T
+        return out
 
     def step(self, t: float, psi, coin=None) -> np.ndarray:
         """One walk step at a single time t: coin first, then exp(-iHt)."""

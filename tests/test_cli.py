@@ -453,6 +453,11 @@ def test_trajectory_step_column_is_an_integer_in_csv_and_json(tmp_path):
     (["triangles", "--graph", "cubic8", "--vertex", "0", "--mode", "shots", "--seed", "-1"], "seed"),
     *((["sweep", "--sweep", f"{name}:0:1:3", "--steps", "4", "--init-coin", "basis:2"], "--init-coin")
       for name in ("q_mix2", "q_mix3", "q_phase2", "q_phase3")),
+    # an empty coin option is an unknown coin, not "use the default"
+    (["dynamics", "--graph", "star:5", "--t", "1", "--coin", ""], "unknown coin ''"),
+    (["dynamics", "--graph", "star:5", "--t", "1", "--init-coin", ""], "unknown coin init ''"),
+    (["sweep", "--sweep", "q_time:0:1:3", "--steps", "4", "--coin", ""], "unknown coin ''"),
+    (["sweep", "--sweep", "q_time:0:1:3", "--steps", "4", "--init-coin", ""], "unknown coin init ''"),
 ])
 def test_malformed_entry_negative_seed_and_ignored_init_coin_are_rejected(tmp_path, capsys, argv, option):
     out = tmp_path / "x.out"

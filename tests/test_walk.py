@@ -6,7 +6,7 @@ import pytest
 from _graphgen import random_properly_colored_graph
 from hqw import linalg, walk
 from hqw.graphs import (Edge, LabeledGraph, circle2, cubic8, fock_g0, line2, line3,
-                        adjacency, signed_coords, star)
+                        adjacency, signed_coords, star, subgraph_adjacency)
 from hqw.walk import (HybridWalk, cnot_realizability, coin_position_state,
                       continuous_walk, discrete_coined_walk, entanglement_entropy,
                       line_reference_hamiltonian, make_coin, oracle_p1_two_cycle,
@@ -121,7 +121,8 @@ def test_sector_kernels_match_generic_evolution_on_random_graphs():
         hub = tuple(Edge(0, v, "hub", float(rng.uniform(0.2, 2.0))) for v in range(1, 4))
         g = LabeledGraph(n, base.edges + loops + hub, base.labels + ("loops", "hub"))
         w = HybridWalk(g, coin="grover")
-        assert {s.kind for s in w._sectors} == {"diagonal", "matching", "dense"}
+        # all three sector kinds present: diagonal phases, matching pairs, a dense block
+        assert w._phase is not None and w._pairs is not None and w._dense
         H = w.hamiltonian()
         psi = rng.normal(size=w.dim) + 1j * rng.normal(size=w.dim)
         psi /= np.linalg.norm(psi)
@@ -132,6 +133,61 @@ def test_sector_kernels_match_generic_evolution_on_random_graphs():
             np.testing.assert_allclose(w.evolve(t, psi), want, rtol=0, atol=1e-12)
             np.testing.assert_allclose(batch[k], want, rtol=0, atol=1e-12)
         assert linalg.is_unitary(w.step_operator(float(rng.uniform(0, 7))), atol=1e-12)
+
+
+def per_sector_evolve(g: LabeledGraph, t, psi) -> np.ndarray:
+    """exp(-iHt) psi label by label: phase multiply, 2x2 rotations or one eigh per sector."""
+    t = np.asarray(t, dtype=float)
+    tcol = t.reshape(t.shape + (1,))
+    out = np.empty(t.shape + (len(g.labels), g.n), dtype=complex)
+    for c, lab in enumerate(g.labels):
+        x, S = psi[c * g.n:(c + 1) * g.n], subgraph_adjacency(g, lab)
+        hop = np.abs(S - np.diag(np.diag(S))) > 1e-14
+        if not hop.any():
+            out[..., c, :] = np.exp(-1j * np.diag(S).real * tcol) * x
+        elif (np.abs(np.diag(S)) <= 1e-14).all() and hop.sum(axis=1).max() <= 1:
+            p, q = np.nonzero(np.triu(hop))
+            cs, sn = np.cos(S[p, q].real * tcol), -1j * np.sin(S[p, q].real * tcol)
+            out[..., c, :] = x
+            out[..., c, p], out[..., c, q] = cs * x[p] + sn * x[q], sn * x[p] + cs * x[q]
+        else:
+            ew, V = linalg.hermitian_eig(S)
+            out[..., c, :] = (np.exp(-1j * ew * tcol) * (V.conj().T @ x)) @ V.T
+    return out.reshape(t.shape + (-1,))
+
+
+def test_fused_propagator_is_bit_identical_to_the_per_sector_kernels():
+    rng = np.random.default_rng(7)
+    ts = np.array([0.0, 0.37, 1.9, -2.6, 11.3, 3 * np.pi / 2])
+    for k in range(20):
+        base = random_properly_colored_graph(rng, max_n=40, max_colors=8)
+        n = base.n
+        # matchings mix repeated and distinct weights
+        hops = tuple(Edge(e.u, e.v, e.label, float(rng.choice([1.0, 0.5, rng.uniform(0.2, 2.0)])))
+                     for e in base.edges)
+        # every other graph has no self-loops, so the pass starts from a plain copy
+        looped = [v for v in range(n) if k % 2 and rng.random() < 0.6]
+        loops = tuple(Edge(v, v, "loops", float(rng.normal())) for v in looped)
+        hub = tuple(Edge(0, v, "hub", float(rng.uniform(0.2, 2.0))) for v in range(1, 4))
+        labels = base.labels + ("loops", "idle", "hub", "idle'")
+        g = LabeledGraph(n, hops + loops + hub, tuple(labels[i] for i in rng.permutation(len(labels))))
+        w = HybridWalk(g, coin="grover")
+        assert (w._phase is None) == (k % 2 == 0)
+        psi = rng.normal(size=w.dim) + 1j * rng.normal(size=w.dim)
+        for t in (*ts, ts):
+            got = w.evolve(t, psi)
+            assert np.array_equal(got, per_sector_evolve(g, t, psi))
+            for idle in ("idle", "idle'"):
+                c = g.labels.index(idle)
+                rows = got.reshape(np.shape(t) + (w.coin_dim, n))[..., c, :]
+                assert np.array_equal(rows, np.broadcast_to(psi[c * n:(c + 1) * n], rows.shape))
+    # 200 pairs and 200 times: the rotations run in several blocks of times
+    g = line3(100)
+    w = HybridWalk(g, coin="grover")
+    assert len(w._pairs[0]) * 200 > 2 * walk._PAIR_BLOCK
+    psi = rng.normal(size=w.dim) + 1j * rng.normal(size=w.dim)
+    grid = np.linspace(-3.0, 9.0, 200)
+    assert np.array_equal(w.evolve(grid, psi), per_sector_evolve(g, grid, psi))
 
 
 def test_one_step_on_a_long_line_allocates_no_dense_block():
