@@ -49,15 +49,6 @@ class LabeledGraph:
                 raise ValueError(f"duplicate edge for pair {key[:2]} under label {e.label!r}")
             seen.add(key)
 
-    def degrees(self) -> list[int]:
-        """Label-agnostic vertex degrees; self-loops excluded."""
-        deg = [0] * self.n
-        for e in self.edges:
-            if e.u != e.v:
-                deg[e.u] += 1
-                deg[e.v] += 1
-        return deg
-
 
 @dataclass(frozen=True)
 class ColoringReport:
@@ -116,12 +107,17 @@ def validate_proper_coloring(graph: LabeledGraph) -> ColoringReport:
     return ColoringReport(proper=not violations, violations=tuple(violations))
 
 
-def validate_regular(graph: LabeledGraph) -> int:
-    """Return the common degree d, or raise NotRegularError with all degrees."""
-    deg = graph.degrees()
+def common_degree(n: int, ends) -> int:
+    """Degree of every vertex 0..n-1 as counted in `ends`, or raise NotRegularError."""
+    deg = np.bincount(np.asarray(ends, dtype=np.int64), minlength=n).tolist()
     if len(set(deg)) != 1:
         raise NotRegularError(deg)
     return deg[0]
+
+
+def validate_regular(graph: LabeledGraph) -> int:
+    """Return the common degree d (self-loops excluded), or raise NotRegularError."""
+    return common_degree(graph.n, [x for e in graph.edges if e.u != e.v for x in (e.u, e.v)])
 
 
 def path_colors(graph: LabeledGraph, path: Iterable[int]) -> tuple[str, ...]:

@@ -7,10 +7,12 @@ vertex onto the uniform superposition of its neighbors (times -i), and a
 generalized CNOT then copies the new vertex into register l+1. Projecting
 the final state on register 1 = j and register K+1 = i leaves squared
 amplitude C_ij / (d_K ... d_1), because every surviving path contributes the
-0/1 product of its adjacency entries. A state is an int array of register
-values beside an array of amplitudes and may hold many columns j; the matrix is
-walked in blocks of at most 2^14 rows, each read by one `np.bincount`, which is
-O(n D) array work for D = d_1...d_K, not O(n^2 D).
+0/1 product of its adjacency entries. Each factor is validated once into an
+(n, d_l) neighbor table, O(K n d) memory in all. A state is an int array of
+register values beside an array of amplitudes and may hold many columns j; the
+matrix is walked in blocks of at most 2^14 rows, each read by one `np.bincount`:
+O(n D) array work for D = d_1...d_K, and besides the tables the block sets the
+peak memory. Only `product_matrix`'s output and the classical oracles are n x n.
 
 Exact projection is the default readout; a seeded binomial sampler stands in
 for hardware-style amplitude estimation: every entry point draws entry (i, j)
@@ -27,48 +29,52 @@ from functools import reduce
 
 import numpy as np
 
-from .graphs import LabeledGraph, NotRegularError, adjacency
+from .graphs import LabeledGraph, common_degree
 
 _PRUNE_ATOL = 1e-15
 _BLOCK_ROWS = 1 << 14  # amplitude rows per block of columns: bounds peak memory
 
 
-def _as_adjacency(g) -> np.ndarray:
-    """0/1 integer adjacency from a LabeledGraph or array-like."""
-    A = adjacency(g).real if isinstance(g, LabeledGraph) else np.asarray(g, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {A.shape}")
-    if np.abs(A - np.rint(A)).max(initial=0.0) > 1e-12 or A.min(initial=0.0) < 0 or A.max(initial=0.0) > 1:
-        raise ValueError("adjacency entries must be 0 or 1")
-    A = np.rint(A).astype(int)
-    if (np.diag(A) != 0).any():
+def _neighbor_table(g) -> np.ndarray:
+    """Ascending (n, d) neighbor table of a simple d-regular LabeledGraph or 0/1 array."""
+    if isinstance(g, LabeledGraph):
+        u, v = (np.array([e[i] for e in g.edges], dtype=np.int64) for i in (0, 1))
+        # a pair under two labels is no single 0/1 adjacency entry
+        doubled = len({(min(e.u, e.v), max(e.u, e.v)) for e in g.edges}) < len(g.edges)
+        if doubled or any(not 1.0 - 1e-12 <= e.weight <= 1.0 for e in g.edges):
+            raise ValueError("adjacency entries must be 0 or 1")
+        n, src, dst = g.n, np.concatenate([u, v]), np.concatenate([v, u])
+    else:
+        A = np.asarray(g, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {A.shape}")
+        if not ((np.abs(A - np.rint(A)) <= 1e-12) & (A >= 0) & (A <= 1)).all():
+            raise ValueError("adjacency entries must be 0 or 1")
+        A = np.rint(A)
+        if (A != A.T).any():
+            raise ValueError("adjacency must be symmetric")
+        n, (src, dst) = len(A), np.nonzero(A)
+    if (src == dst).any():
         raise ValueError("adjacency must have a zero diagonal")
-    if (A != A.T).any():
-        raise ValueError("adjacency must be symmetric")
-    return A
-
-
-def _regular_degree(A: np.ndarray) -> int:
-    row_sums = A.sum(axis=1)
-    if len(set(row_sums.tolist())) != 1:
-        raise NotRegularError(row_sums.tolist())
-    d = int(row_sums[0])
+    d = common_degree(n, src)
     if d < 1:
         raise ValueError("regular degree must be at least 1")
-    return d
+    return dst[np.lexsort((dst, src))].reshape(n, d)
 
 
 @dataclass(frozen=True)
 class RegularGraphSequence:
-    """Ordered factors A^(1)..A^(K), all d_l-regular on a common vertex set."""
+    """Factors A^(1)..A^(K) on a common vertex set as (n, d_l) neighbor tables, ascending."""
 
-    mats: tuple[np.ndarray, ...]
-    degrees: tuple[int, ...]
-    n: int
+    tables: tuple[np.ndarray, ...]
 
     @property
-    def K(self) -> int:
-        return len(self.mats)
+    def n(self) -> int:
+        return self.tables[0].shape[0]
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(t.shape[1] for t in self.tables)
 
     @property
     def degree_product(self) -> int:
@@ -76,14 +82,13 @@ class RegularGraphSequence:
 
 
 def regular_sequence(factors) -> RegularGraphSequence:
-    """Validate and package factor graphs (LabeledGraphs or 0/1 arrays)."""
-    mats = tuple(_as_adjacency(g) for g in factors)
-    if not mats:
+    """Validate factor graphs (LabeledGraphs or 0/1 arrays) into neighbor tables, once."""
+    tables = tuple(_neighbor_table(g) for g in factors)
+    if not tables:
         raise ValueError("need at least one factor graph")
-    n = mats[0].shape[0]
-    if any(A.shape[0] != n for A in mats):
-        raise ValueError(f"factor graphs disagree on vertex count: {[A.shape[0] for A in mats]}")
-    return RegularGraphSequence(mats=mats, degrees=tuple(_regular_degree(A) for A in mats), n=n)
+    if len({len(t) for t in tables}) > 1:
+        raise ValueError(f"factor graphs disagree on vertex count: {[len(t) for t in tables]}")
+    return RegularGraphSequence(tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +116,23 @@ def initial_state(n: int, K: int, j) -> MultiRegisterState:
     return MultiRegisterState(n=n, regs=regs, amps=np.ones(len(js), dtype=complex))
 
 
-def stage_walk(state: MultiRegisterState, l: int, A, d: int) -> MultiRegisterState:
-    """Walk the last register for time pi/(2 sqrt(d)), conditioned on register l.
+def stage_walk(state: MultiRegisterState, l: int, neighbors: np.ndarray) -> MultiRegisterState:
+    """Walk the last register for time pi/(2 sqrt(d)), conditioned on register l,
+    reading the (n, d) table `neighbors` that `regular_sequence` validated.
 
-    For coin value k the star-of-k block has the two nonzero eigenvalues
-    +-sqrt(d), so the quarter-period evolution has a closed form: the vertex
-    |k> itself maps to -i/sqrt(d) times the sum of its neighbors, and any
-    other vertex v picks up -i A_vk/sqrt(d) |k> minus A_vk/d times the
-    neighbor sum. The algorithm only ever hits the first branch.
+    For coin value k the star-of-k block has the two nonzero eigenvalues +-sqrt(d),
+    so the quarter-period evolution has a closed form: the vertex |k> itself maps to
+    -i/sqrt(d) times the sum of its neighbors, and any other vertex v ~ k picks up
+    -i/sqrt(d) |k> minus 1/d times that sum. The algorithm only hits the first branch.
     """
-    A = _as_adjacency(A)
-    if A.shape[0] != state.n:
-        raise ValueError(f"adjacency of size {A.shape[0]} does not match register base {state.n}")
+    n, d = neighbors.shape
+    if n != state.n:
+        raise ValueError(f"neighbor table of {n} vertices does not match register base {state.n}")
     if not 1 <= l < state.regs.shape[1]:
         raise ValueError(f"stage register {l} outside 1..{state.regs.shape[1] - 1}")
-    if _regular_degree(A) != d:
-        raise ValueError(f"adjacency is not {d}-regular")
-    neighbors = np.nonzero(A.T)[1].reshape(state.n, d)  # ascending per vertex
     scale = -1j / np.sqrt(d)
     k, v = state.regs[:, l - 1], state.regs[:, -1]
-    on, adj = v == k, A[v, k] == 1
+    on, adj = v == k, (neighbors[k] == v[:, None]).any(axis=1)
     src = on | adj
     regs = np.repeat(state.regs[src], d, axis=0)
     regs[:, -1] = neighbors[k[src]].ravel()
@@ -162,11 +164,12 @@ def generalized_cnot(state: MultiRegisterState, control: int, target: int) -> Mu
 def run_sequence(seq: RegularGraphSequence, j) -> MultiRegisterState:
     """Final state for column(s) j: stages 1..K, with the copy step after each
     stage except the last (register K+1 already holds the stage-K vertex)."""
-    state = initial_state(seq.n, seq.K, j)
-    for l in range(1, seq.K + 1):
-        state = stage_walk(state, l, seq.mats[l - 1], seq.degrees[l - 1])
-        if l < seq.K:
-            state = generalized_cnot(state, control=seq.K + 1, target=l + 1)
+    K = len(seq.tables)
+    state = initial_state(seq.n, K, j)
+    for l, table in enumerate(seq.tables, 1):
+        state = stage_walk(state, l, table)
+        if l < K:
+            state = generalized_cnot(state, control=K + 1, target=l + 1)
     return state
 
 
@@ -283,38 +286,38 @@ def product_trace(seq: RegularGraphSequence, mode: str = "exact",
 def triangles_at_vertex(g, k: int, mode: str = "exact",
                         shots: int | None = None, seed=None) -> int:
     """Triangles containing vertex k, as round((A^3)_kk) / 2."""
-    seq = regular_sequence([g] * 3)
+    seq = RegularGraphSequence(regular_sequence([g]).tables * 3)  # g validated once
     est = product_entry(seq, k, k, mode=mode, shots=shots, seed=seed)
     return int(round(est.value)) // 2
 
 
 def triangle_count(g, mode: str = "exact", shots: int | None = None, seed=None) -> int:
     """Total number of triangles, tr(A^3) / 6."""
-    seq = regular_sequence([g] * 3)
+    seq = RegularGraphSequence(regular_sequence([g]).tables * 3)
     tr = product_trace(seq, mode=mode, shots=shots, seed=seed)
     return int(round(tr / 6.0))
 
 
 # ---------------------------------------------------------------------------
-# Classical oracles
+# Classical oracles: the only n x n adjacency matrices, built from the tables
 
 
 def classical_product(seq: RegularGraphSequence) -> np.ndarray:
-    """Integer matrix product A^(K) @ ... @ A^(1); the verification baseline."""
-    return reduce(lambda acc, A: A @ acc, seq.mats, np.eye(seq.n, dtype=int))
+    """Integer matrix product A^(K) @ ... @ A^(1), each row of A @ C summing the rows
+    of C its table names; the verification baseline, and the adjacency for K = 1."""
+    return reduce(lambda C, table: C[table].sum(axis=1), seq.tables, np.eye(seq.n, dtype=int))
 
 
 def classical_triangles_at_vertex(g, k: int) -> int:
     """Enumerate neighbor pairs of k that are themselves adjacent."""
-    A = _as_adjacency(g)
+    A = classical_product(regular_sequence([g]))
     nbrs = np.nonzero(A[k])[0]
-    return sum(1 for x in range(len(nbrs)) for y in range(x + 1, len(nbrs))
-               if A[nbrs[x], nbrs[y]])
+    return int(A[np.ix_(nbrs, nbrs)].sum()) // 2
 
 
 def classical_triangle_count(g) -> int:
-    """Enumerate all vertex triples; O(n^3) but independent of everything above."""
-    A = _as_adjacency(g)
+    """Enumerate all vertex triples; O(n^3) and independent of the walk."""
+    A = classical_product(regular_sequence([g]))
     n = A.shape[0]
     return sum(1 for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)
                if A[a, b] and A[b, c] and A[a, c])

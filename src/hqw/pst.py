@@ -23,6 +23,7 @@ from .graphs import Edge, LabeledGraph, bfs_path, path_colors, segment_line, val
 from .walk import HybridWalk, coin_position_state, identity_coin, permutation_coin, position_distribution
 
 STEP_TIME = 3 * np.pi / 2
+AMP_CUTOFF = 1e-12  # transcript amplitudes at or below this magnitude are not written
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,12 @@ class PstTranscript:
             raise linalg.NumericalViolation(f"norm drifted to {nrm:.12g} at stage {name}")
         self.stages.append(PstStage(name, state.copy()))
 
-    def to_json_dict(self, amp_cutoff: float = 1e-12) -> dict:
+    def to_json_dict(self) -> dict:
         # "+ 0.0" turns -0.0 into 0.0, so computed amplitudes do not depend on
         # which kernel produced an exact zero; "expected" derives from alpha only
         stages = []
         for stage in self.stages:
-            keep = np.flatnonzero(np.abs(stage.state) > amp_cutoff)
+            keep = np.flatnonzero(np.abs(stage.state) > AMP_CUTOFF)
             amps = stage.state[keep]
             re, im = (amps.real + 0.0).tolist(), (amps.imag + 0.0).tolist()
             dump = {f"{self.coin_labels[k // self.pos_dim]}|{k % self.pos_dim}": [r, i]

@@ -458,6 +458,11 @@ def test_trajectory_step_column_is_an_integer_in_csv_and_json(tmp_path):
     (["dynamics", "--graph", "star:5", "--t", "1", "--init-coin", ""], "unknown coin init ''"),
     (["sweep", "--sweep", "q_time:0:1:3", "--steps", "4", "--coin", ""], "unknown coin ''"),
     (["sweep", "--sweep", "q_time:0:1:3", "--steps", "4", "--init-coin", ""], "unknown coin init ''"),
+    # factors that are not simple regular graphs on one vertex set
+    (["matmul", "--graph", "circle2:1,1"], "0 or 1"),
+    (["matmul", "--graph", "cycle:4", "--graph", "cycle:5"], "disagree"),
+    (["matmul", "--graph", "line2:2"], "not regular"),
+    (["triangles", "--graph", "star:4"], "not regular"),
 ])
 def test_malformed_entry_negative_seed_and_ignored_init_coin_are_rejected(tmp_path, capsys, argv, option):
     out = tmp_path / "x.out"

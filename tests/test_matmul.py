@@ -5,7 +5,7 @@ import pytest
 
 from _graphgen import random_regular_adjacency, random_regular_sequence
 from hqw import linalg
-from hqw.graphs import complete, cubic8, cycle, star
+from hqw.graphs import Edge, LabeledGraph, adjacency, circle2, complete, cubic8, cycle, star
 from hqw.matmul import (MultiRegisterState, classical_product, classical_triangle_count,
                         classical_triangles_at_vertex, generalized_cnot, initial_state,
                         product_entry, product_matrix, product_trace,
@@ -67,6 +67,28 @@ def test_regular_sequence_rejections():
         regular_sequence([2 * C4])
     with pytest.raises(ValueError, match="at least one"):
         regular_sequence([])
+    # a LabeledGraph is read from its edge list, with the messages of the array path
+    with pytest.raises(ValueError, match="0 or 1"):
+        regular_sequence([LabeledGraph(2, (Edge(0, 1, "0", 2.0),), ("0",))])
+    with pytest.raises(ValueError, match="0 or 1"):
+        regular_sequence([circle2(1, 1)])  # one pair under two labels
+    with pytest.raises(ValueError, match="zero diagonal"):
+        regular_sequence([LabeledGraph(3, (Edge(1, 1, "0"),), ("0",))])
+    with pytest.raises(ValueError, match="at least 1"):
+        regular_sequence([LabeledGraph(3, (), ("0",))])
+    # the dense sum reads these as the 4-cycle; the edge list takes unit weights only
+    for extra in ((Edge(0, 2, "0", 0.0),), (Edge(0, 2, "0"), Edge(0, 2, "1", -1.0))):
+        with pytest.raises(ValueError, match="0 or 1"):
+            regular_sequence([LabeledGraph(4, cycle(4).edges + extra, ("0", "1"))])
+
+
+def test_neighbor_tables_round_trip_to_the_dense_adjacency():
+    for g in (cycle(7), complete(6), cubic8()):
+        np.testing.assert_array_equal(classical_product(regular_sequence([g])), adjacency(g).real)
+    rng = np.random.default_rng(14)
+    for n, d in ((6, 3), (10, 4), (12, 5)):
+        A = random_regular_adjacency(rng, n, d)
+        np.testing.assert_array_equal(classical_product(regular_sequence([A])), A)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +101,7 @@ def test_stage_walk_column_matches_generic_evolution():
         A = random_regular_adjacency(rng, n, d) if d > 1 else np.kron(np.eye(n // 2, dtype=int), np.array([[0, 1], [1, 0]]))
         t = np.pi / (2 * np.sqrt(d))
         for k in range(n):
-            state = stage_walk(initial_state(n, 1, k), 1, A, d)
+            state = stage_walk(initial_state(n, 1, k), 1, regular_sequence([A]).tables[0])
             got = np.zeros(n, dtype=complex)
             for tup, amp in as_dict(state).items():
                 assert tup[0] == k
@@ -91,11 +113,11 @@ def test_stage_walk_column_matches_generic_evolution():
 def test_stage_walk_smallest_cases():
     # single edge (d = 1): quarter-period swap with a -i factor
     edge = np.array([[0, 1], [1, 0]], dtype=int)
-    out = as_dict(stage_walk(initial_state(2, 1, 0), 1, edge, 1))
+    out = as_dict(stage_walk(initial_state(2, 1, 0), 1, regular_sequence([edge]).tables[0]))
     assert set(out) == {(0, 1)}
     assert abs(out[(0, 1)] + 1j) < 1e-12
     # 4-cycle (d = 2), coin 0: |0> -> -i(|1> + |3>)/sqrt(2)
-    out = as_dict(stage_walk(initial_state(4, 1, 0), 1, C4, 2))
+    out = as_dict(stage_walk(initial_state(4, 1, 0), 1, regular_sequence([C4]).tables[0]))
     want = {(0, 1): -1j / np.sqrt(2), (0, 3): -1j / np.sqrt(2)}
     assert set(out) == set(want)
     for tup, amp in want.items():
@@ -112,7 +134,7 @@ def test_stage_walk_general_position_matches_generic_evolution():
     k = 2
     for v in range(6):
         state = make_state(6, {(k, v): 1.0 + 0j})
-        out = stage_walk(state, 1, A, d)
+        out = stage_walk(state, 1, regular_sequence([A]).tables[0])
         got = np.zeros(6, dtype=complex)
         for tup, amp in as_dict(out).items():
             got[tup[1]] = amp
@@ -120,15 +142,15 @@ def test_stage_walk_general_position_matches_generic_evolution():
         np.testing.assert_allclose(got, want, atol=1e-10)
     # unitarity on a superposed input
     sup = make_state(6, {(k, v): 1 / np.sqrt(6) for v in range(6)})
-    assert abs(stage_walk(sup, 1, A, d).norm() - 1.0) < 1e-12
+    assert abs(stage_walk(sup, 1, regular_sequence([A]).tables[0]).norm() - 1.0) < 1e-12
 
 
 def test_stage_walk_register_bounds():
     state = initial_state(4, 2, 0)
     with pytest.raises(ValueError, match="stage register"):
-        stage_walk(state, 3, C4, 2)
-    with pytest.raises(ValueError, match="not 3-regular"):
-        stage_walk(state, 1, C4, 3)
+        stage_walk(state, 3, regular_sequence([C4]).tables[0])
+    with pytest.raises(ValueError, match="does not match register base"):
+        stage_walk(state, 1, regular_sequence([K3]).tables[0])
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +298,27 @@ def test_product_matrix_memory_is_bounded_by_the_block():
     assert peak < 4e6, peak
 
 
+def test_sequence_and_product_hold_no_dense_adjacency():
+    # three copies of a relabeled 8-regular circulant on 2,048 vertices: a single
+    # n x n float array is 33.5 MB, so the 8 MB bound leaves no room for one
+    n = 2048
+    perm = np.random.default_rng(15).permutation(n).tolist()
+    g = LabeledGraph(n, tuple(Edge(perm[v], perm[(v + s) % n], "0") for v in range(n) for s in (1, 2, 3, 4)),
+                     ("0",))
+    tracemalloc.start()
+    try:
+        seq = regular_sequence([g, g, g])
+        trace = product_trace(seq)
+        entry = product_entry(seq, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    # 36 closed 3-walks per vertex: ordered offset pairs (a, b) with a + b also an offset
+    assert abs(trace - 36 * n) < 1e-6
+    assert abs(entry.value - 36) < 1e-9
+
+
 def test_product_trace_cases():
     assert abs(product_trace(regular_sequence([K3] * 3)) - 6.0) < 1e-9
     assert abs(product_trace(regular_sequence([C4] * 3))) < 1e-9  # bipartite: no odd closed walks
@@ -360,7 +403,7 @@ def test_run_sequence_matches_dense_statevector():
 def test_projection_probabilities_count_paths():
     # |Pi_ij Psi_f|^2 * D equals the number of 0/1 paths j -> i, enumerated here
     seq = regular_sequence([cubic8()] * 3)
-    A = seq.mats[0]
+    A = adjacency(cubic8()).real
     state = run_sequence(seq, 0)
     n = seq.n
     for i in range(n):
