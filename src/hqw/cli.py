@@ -435,7 +435,9 @@ def _emit_result(args, obj: dict):
 def cmd_matmul(args) -> int:
     if sum((args.entry is not None, args.matrix, args.trace)) > 1:
         raise ValueError("pick one of --entry, --matrix, --trace")
-    seq = matmul.regular_sequence([parse_graph_spec(s).make() for s in args.graph])
+    # each distinct spec is read once; a repeated one passes the same graph again
+    factors = {s: parse_graph_spec(s).make() for s in dict.fromkeys(args.graph)}
+    seq = matmul.regular_sequence([factors[s] for s in args.graph])
     mode, shots, seed = args.mode, args.shots, args.seed
     if args.entry is not None:
         try:

@@ -59,8 +59,9 @@ class ColoringReport:
 class NotRegularError(ValueError):
     def __init__(self, degrees: list[int]):
         self.degrees = degrees
-        listing = ", ".join(f"{v}:{d}" for v, d in enumerate(degrees))
-        super().__init__(f"graph is not regular; per-vertex degrees: {listing}")
+        lo, hi = min(degrees), max(degrees)
+        super().__init__(f"graph is not regular: {len(degrees)} vertices, degree {lo} at vertex "
+                         f"{degrees.index(lo)} and {hi} at vertex {degrees.index(hi)}")
 
 
 def subgraph_adjacency(graph: LabeledGraph, label: str) -> np.ndarray:
@@ -109,6 +110,8 @@ def validate_proper_coloring(graph: LabeledGraph) -> ColoringReport:
 
 def common_degree(n: int, ends) -> int:
     """Degree of every vertex 0..n-1 as counted in `ends`, or raise NotRegularError."""
+    if n < 1:
+        raise ValueError(f"graph needs at least one vertex, got n={n}")
     deg = np.bincount(np.asarray(ends, dtype=np.int64), minlength=n).tolist()
     if len(set(deg)) != 1:
         raise NotRegularError(deg)
@@ -123,20 +126,20 @@ def validate_regular(graph: LabeledGraph) -> int:
 def path_colors(graph: LabeledGraph, path: Iterable[int]) -> tuple[str, ...]:
     """Labels of the edges along a path, in order.
 
-    Requires a proper coloring, consecutive vertices to be adjacent, and each
-    path edge to carry exactly one label.
+    Requires consecutive vertices to be adjacent and each path edge to carry
+    exactly one label. Only the path's own vertex pairs are collected; that the
+    coloring is proper is the caller's check (`validate_proper_coloring`).
     """
-    report = validate_proper_coloring(graph)
-    if not report.proper:
-        raise ValueError(f"graph is not properly colored: {len(report.violations)} violation(s)")
-    by_pair: dict[tuple[int, int], list[str]] = {}
-    for e in graph.edges:
-        if e.u != e.v:
-            by_pair.setdefault((min(e.u, e.v), max(e.u, e.v)), []).append(e.label)
     path = list(path)
+    steps = list(zip(path, path[1:]))
+    by_pair: dict[tuple[int, int], list[str]] = {(min(u, v), max(u, v)): [] for u, v in steps}
+    for e in graph.edges:
+        labels = by_pair.get((e.u, e.v) if e.u < e.v else (e.v, e.u))
+        if labels is not None and e.u != e.v:
+            labels.append(e.label)
     colors = []
-    for u, v in zip(path, path[1:]):
-        labels = by_pair.get((min(u, v), max(u, v)), [])
+    for u, v in steps:
+        labels = by_pair[(min(u, v), max(u, v))]
         if not labels:
             raise ValueError(f"path vertices {u} and {v} are not adjacent")
         if len(labels) > 1:

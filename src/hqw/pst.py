@@ -8,6 +8,11 @@ time along a fixed path using swap coins between walk steps of duration
 3*pi/2. Each traversed edge multiplies the moving component by exactly i,
 so after M edges every component carries the same global factor i^M.
 
+Every coin of the protocol permutes the 2N coin rows: it is held as gather
+indices (new row r is old row src[r]), exact as a product with its 0/1 matrix.
+A stage has at most N amplitudes above AMP_CUTOFF, and the transcript keeps
+only those (index, amplitude) pairs, not the 2N*n-dim state.
+
 The segment-line demo at the end runs the simpler switching walk in which
 alternating swap coins emulate turning line segments on and off.
 """
@@ -51,7 +56,7 @@ class PstPlan:
 
 @dataclass(frozen=True)
 class PstOperators:
-    """Coin-space permutations: prime swap P, path swaps C_k, shuttles D_l / E_l."""
+    """Coin-row gather indices: prime swap P, path swaps C_k, shuttles D_l / E_l."""
 
     P: np.ndarray
     C: tuple[np.ndarray, ...]
@@ -61,12 +66,18 @@ class PstOperators:
 
 @dataclass
 class PstStage:
+    """The amplitudes of a stage above AMP_CUTOFF, at their flat state indices."""
+
     name: str
-    state: np.ndarray
+    index: np.ndarray
+    amplitude: np.ndarray
 
 
 @dataclass
 class PstTranscript:
+    """Each stage as its (index, amplitude) pairs above AMP_CUTOFF, all that the
+    artifact writes (`record` checks the full state's norm first), and the phase ledger."""
+
     coin_labels: tuple[str, ...]
     pos_dim: int
     stages: list[PstStage] = field(default_factory=list)
@@ -78,18 +89,18 @@ class PstTranscript:
         nrm = np.linalg.norm(state)
         if abs(nrm - 1.0) > 1e-9:
             raise linalg.NumericalViolation(f"norm drifted to {nrm:.12g} at stage {name}")
-        self.stages.append(PstStage(name, state.copy()))
+        keep = np.flatnonzero(np.abs(state) > AMP_CUTOFF)
+        self.stages.append(PstStage(name, keep, state[keep]))
 
     def to_json_dict(self) -> dict:
         # "+ 0.0" turns -0.0 into 0.0, so computed amplitudes do not depend on
         # which kernel produced an exact zero; "expected" derives from alpha only
         stages = []
         for stage in self.stages:
-            keep = np.flatnonzero(np.abs(stage.state) > AMP_CUTOFF)
-            amps = stage.state[keep]
+            amps = stage.amplitude
             re, im = (amps.real + 0.0).tolist(), (amps.imag + 0.0).tolist()
             dump = {f"{self.coin_labels[k // self.pos_dim]}|{k % self.pos_dim}": [r, i]
-                    for k, r, i in zip(keep.tolist(), re, im)}
+                    for k, r, i in zip(stage.index.tolist(), re, im)}
             stages.append({"name": stage.name, "state": dump})
         return {
             "stages": stages,
@@ -149,16 +160,25 @@ def make_plan(graph: LabeledGraph, source: int, target: int, path=None) -> PstPl
 
 
 def build_operators(plan: PstPlan) -> PstOperators:
-    """Coin-space unitaries of the protocol, as 2N x 2N permutations."""
+    """Coin-space unitaries of the protocol, as gather indices of the 2N coin rows.
+
+    Each is built and checked once by `permutation_coin` (disjoint swaps, so a
+    permutation of range(2N)); row r of its 0/1 matrix has its 1 at column
+    src[r], the old row that the gather moves into row r.
+    """
     N = plan.num_colors
     dim = plan.coin_dim
+
+    def swaps(pairs):
+        return permutation_coin(dim, pairs).argmax(axis=1)
+
     idx = {lab: i for i, lab in enumerate(plan.labels)}
     path_idx = [idx[lab] for lab in plan.path_labels]
-    P = permutation_coin(dim, [(i, N + i) for i in range(N)])
-    C = tuple(permutation_coin(dim, [(path_idx[k], path_idx[k + 1])])
+    P = swaps([(i, N + i) for i in range(N)])
+    C = tuple(swaps([(path_idx[k], path_idx[k + 1])])
               for k in range(len(path_idx) - 1))
-    D = tuple(permutation_coin(dim, [(path_idx[0], N + l)]) for l in range(N))
-    E = tuple(permutation_coin(dim, [(path_idx[-1], N + l)]) for l in range(N))
+    D = tuple(swaps([(path_idx[0], N + l)]) for l in range(N))
+    E = tuple(swaps([(path_idx[-1], N + l)]) for l in range(N))
     return PstOperators(P=P, C=C, D=D, E=E)
 
 
@@ -173,8 +193,8 @@ def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
     """Execute the transfer protocol on the coin amplitudes `alpha`.
 
     Returns the final state over the doubled coin space and a transcript with
-    every intermediate state plus the per-component phase bookkeeping. The
-    final state equals i^M * sum_i alpha_i |c_i>|b> up to float error.
+    every intermediate state above the cutoff plus the per-component phase
+    bookkeeping. The final state equals i^M * sum_i alpha_i |c_i>|b> up to float error.
     """
     N = plan.num_colors
     M = plan.num_edges
@@ -190,6 +210,9 @@ def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
     ops = build_operators(plan)
     coin_dim = plan.coin_dim
 
+    def coin(state, src):
+        return state.reshape(coin_dim, n)[src].reshape(-1)
+
     state = np.zeros(coin_dim * n, dtype=complex)
     for i in range(N):
         state[i * n + plan.source] = alpha[i]
@@ -199,19 +222,20 @@ def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
         pos_dim=n,
         expected_phase=1j**M,
     )
-    state = walk.apply_coin(state, ops.P)
+    state = coin(state, ops.P)
     transcript.record("P", state)
+    # a walk step applies the walk's own identity coin after the gathered one
     for l in range(N):
-        state = walk.step(STEP_TIME, state, coin=ops.D[l])
+        state = walk.step(STEP_TIME, coin(state, ops.D[l]))
         transcript.record(f"iter{l + 1}.D", state)
         for k in range(M - 1):
-            state = walk.step(STEP_TIME, state, coin=ops.C[k])
+            state = walk.step(STEP_TIME, coin(state, ops.C[k]))
             transcript.record(f"iter{l + 1}.C{k + 1}", state)
-        state = walk.apply_coin(state, ops.E[l])
+        state = coin(state, ops.E[l])
         transcript.record(f"iter{l + 1}.E", state)
         measured = state.reshape(coin_dim, n)[N + l, plan.target]
         transcript.phase_checks.append((l, measured, transcript.expected_phase * alpha[l]))
-    state = walk.apply_coin(state, ops.P)
+    state = coin(state, ops.P)
     transcript.record("P.final", state)
     transcript.fidelity = verify_pst(plan, state, alpha)
     return state, transcript

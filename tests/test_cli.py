@@ -463,6 +463,8 @@ def test_trajectory_step_column_is_an_integer_in_csv_and_json(tmp_path):
     (["matmul", "--graph", "cycle:4", "--graph", "cycle:5"], "disagree"),
     (["matmul", "--graph", "line2:2"], "not regular"),
     (["triangles", "--graph", "star:4"], "not regular"),
+    # a long irregular graph: the message names two vertices, not every degree
+    (["triangles", "--graph", "line2:20000"], "not regular"),
 ])
 def test_malformed_entry_negative_seed_and_ignored_init_coin_are_rejected(tmp_path, capsys, argv, option):
     out = tmp_path / "x.out"
@@ -471,7 +473,29 @@ def test_malformed_entry_negative_seed_and_ignored_init_coin_are_rejected(tmp_pa
     assert option in err
     if option == "--entry":
         assert "i,j" in err
+    if option == "not regular":
+        assert len(err.encode()) < 300, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["--matrix", "--trace"])
+def test_matmul_reads_a_repeated_graph_file_once(tmp_path, monkeypatch, mode):
+    from hqw import graphs
+
+    text = save_json(cycle(6))
+    files = [tmp_path / f"c{k}.json" for k in range(3)]
+    for f in files:
+        f.write_text(text)
+    calls = []
+    load = graphs.load_json_file
+    monkeypatch.setattr(graphs, "load_json_file", lambda path: calls.append(path) or load(path))
+    same, distinct = tmp_path / "same.out", tmp_path / "distinct.out"
+    argv = ["matmul", mode]
+    assert main(argv + [a for f in [files[0]] * 3 for a in ("--graph", str(f))] + ["--out", str(same)]) == 0
+    assert len(calls) == 1
+    assert main(argv + [a for f in files for a in ("--graph", str(f))] + ["--out", str(distinct)]) == 0
+    assert len(calls) == 4
+    assert read(same) == read(distinct)
 
 
 def test_sweep_q_time_honours_init_coin(tmp_path):

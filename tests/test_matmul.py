@@ -67,6 +67,8 @@ def test_regular_sequence_rejections():
         regular_sequence([2 * C4])
     with pytest.raises(ValueError, match="at least one"):
         regular_sequence([])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        regular_sequence([np.zeros((0, 0))])
     # a LabeledGraph is read from its edge list, with the messages of the array path
     with pytest.raises(ValueError, match="0 or 1"):
         regular_sequence([LabeledGraph(2, (Edge(0, 1, "0", 2.0),), ("0",))])

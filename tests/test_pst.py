@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,25 @@ from hqw.pst import (STEP_TIME, PstTranscript, build_operators, demo_tree, make_
 
 def three_vertex_path():
     return LabeledGraph(3, (Edge(0, 1, "0"), Edge(1, 2, "1")), ("0", "1"))
+
+
+def hypercube(dim):
+    """Q_dim, edge v ~ v ^ 2^k colored k: a proper dim-coloring."""
+    n = 2**dim
+    edges = tuple(Edge(v, v ^ (1 << k), str(k)) for v in range(n) for k in range(dim) if v < v ^ (1 << k))
+    return LabeledGraph(n, edges, tuple(str(k) for k in range(dim)))
+
+
+def dense_state(stage, plan):
+    """A transcript stage as the (coin, position) matrix its (index, amplitude) pairs stand for."""
+    vec = np.zeros(plan.coin_dim * plan.graph.n, dtype=complex)
+    vec[stage.index] = stage.amplitude
+    return vec.reshape(plan.coin_dim, plan.graph.n)
+
+
+def coin_matrix(src):
+    """The 0/1 matrix of the coin that gathers row src[r] into row r."""
+    return np.eye(len(src))[src]
 
 
 def test_plan_defaults_to_bfs_path():
@@ -41,10 +62,10 @@ def test_plan_validations():
 def test_operators_are_unitary_permutations():
     plan = make_plan(three_vertex_path(), 0, 2)
     ops = build_operators(plan)
-    stack = [ops.P, *ops.C, *ops.D, *ops.E]
+    stack = [coin_matrix(src) for src in (ops.P, *ops.C, *ops.D, *ops.E)]
     for U in stack:
         assert np.abs(U.conj().T @ U - np.eye(plan.coin_dim)).max() <= 1e-12
-    np.testing.assert_allclose(ops.P @ ops.P, np.eye(plan.coin_dim), atol=1e-14)
+    np.testing.assert_allclose(stack[0] @ stack[0], np.eye(plan.coin_dim), atol=1e-14)
 
 
 def test_operator_actions_on_basis():
@@ -55,11 +76,12 @@ def test_operator_actions_on_basis():
     i1 = plan.labels.index(plan.path_labels[0])
     i2 = plan.labels.index(plan.path_labels[1])
     e = np.eye(plan.coin_dim)
-    np.testing.assert_allclose(ops.C[0] @ e[i1], e[i2])
+    C0, D0 = coin_matrix(ops.C[0]), coin_matrix(ops.D[0])
+    np.testing.assert_allclose(C0 @ e[i1], e[i2])
     for l in range(N):
-        np.testing.assert_allclose(ops.C[0] @ e[N + l], e[N + l])
+        np.testing.assert_allclose(C0 @ e[N + l], e[N + l])
     # D_1 maps the first primed label onto the first path color
-    np.testing.assert_allclose(ops.D[0] @ e[N + 0], e[i1])
+    np.testing.assert_allclose(D0 @ e[N + 0], e[i1])
 
 
 def test_transfer_single_component_and_phase():
@@ -84,7 +106,7 @@ def test_intermediate_state_supports():
     alpha /= np.linalg.norm(alpha)
     _, transcript = run_pst(plan, alpha)
     stage = next(s for s in transcript.stages if s.name == "iter1.E")
-    mat = stage.state.reshape(plan.coin_dim, g.n)
+    mat = dense_state(stage, plan)
     assert abs(abs(mat[N + 0, plan.target]) - abs(alpha[0])) < 1e-9
     for i in (1, 2):
         assert abs(abs(mat[N + i, plan.source]) - abs(alpha[i])) < 1e-9
@@ -99,7 +121,7 @@ def test_parked_components_are_frozen_during_walks():
     _, transcript = run_pst(plan, alpha)
     for stage in transcript.stages:
         if ".C" in stage.name or ".D" in stage.name:
-            mat = stage.state.reshape(plan.coin_dim, plan.graph.n)
+            mat = dense_state(stage, plan)
             active = np.abs(mat[:N]) ** 2
             # exactly one unprimed sector carries amplitude during a walk phase
             sector_mass = active.sum(axis=1)
@@ -175,8 +197,8 @@ def test_run_pst_matches_literal_dense_composition():
     w, V = linalg.hermitian_eig(H)
     U = (V * np.exp(-1j * w * STEP_TIME)) @ V.conj().T
 
-    def lift(op):
-        return np.kron(op, np.eye(n))
+    def lift(src):
+        return np.kron(coin_matrix(src), np.eye(n))
 
     total = lift(ops.P)
     for l in range(N):
@@ -197,9 +219,25 @@ def test_norm_preserved_at_every_stage():
     rng = np.random.default_rng(1)
     g = random_properly_colored_graph(rng, max_n=9)
     a, b, path, alpha = random_transfer_case(rng, g)
-    _, transcript = run_pst(make_plan(g, a, b, path=path), alpha)
+    plan = make_plan(g, a, b, path=path)
+    _, transcript = run_pst(plan, alpha)
     for stage in transcript.stages:
-        assert abs(np.linalg.norm(stage.state) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(dense_state(stage, plan)) - 1.0) < 1e-10
+
+
+def test_transcript_keeps_only_above_cutoff_amplitudes():
+    # Q11 to the antipode: 134 stages of a 45,056-dim state, 94 MB as full copies
+    plan = make_plan(hypercube(11), 0, 2**11 - 1)
+    alpha = np.ones(11, dtype=complex) / np.sqrt(11)
+    tracemalloc.start()
+    try:
+        _, transcript = run_pst(plan, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert transcript.fidelity > 1 - 1e-9
+    assert max(len(stage.index) for stage in transcript.stages) <= plan.num_colors
+    assert peak < 16 * 2**20, f"run_pst traced peak {peak / 2**20:.1f} MB"
 
 
 def test_transcript_json_dump():
