@@ -5,13 +5,17 @@ edges tagged with a string label and a real weight. Self-loops are allowed
 (their weight lands once on the diagonal); parallel edges between the same
 vertex pair are allowed only under distinct labels. Each label selects a
 subgraph whose weighted adjacency matrix becomes one Hamiltonian block.
+
+Construction validates the edges once into read-only numpy columns, in edge order, that
+every graph consumer reads: `u`, `v` (int64 endpoints), `c` (label index), `w` (weight).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -33,21 +37,42 @@ class LabeledGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={self.n}")
+        if self.n > np.iinfo(np.int64).max:
+            raise ValueError(f"graph has n={self.n} vertices, beyond the int64 range")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("label set contains duplicates")
-        known = set(self.labels)
-        seen: set[tuple[int, int, str]] = set()
-        for e in self.edges:
-            if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-                raise ValueError(f"edge {e} has endpoint outside 0..{self.n - 1}")
-            if e.label not in known:
-                raise ValueError(f"edge {e} uses unknown label {e.label!r}")
-            if not math.isfinite(e.weight):
-                raise ValueError(f"edge {e} has a non-finite weight")
-            key = (min(e.u, e.v), max(e.u, e.v), e.label)
-            if key in seen:
-                raise ValueError(f"duplicate edge for pair {key[:2]} under label {e.label!r}")
-            seen.add(key)
+        m, index = len(self.edges), {lab: c for c, lab in enumerate(self.labels)}
+        try:
+            u, v = (np.array(list(map(itemgetter(k), self.edges)), dtype=np.int64) for k in (0, 1))
+        except OverflowError:  # an endpoint beyond int64 is outside 0..n-1
+            u, v = (np.array([x if 0 <= x < self.n else -1 for x in map(itemgetter(k), self.edges)], np.int64)
+                    for k in (0, 1))
+        c = np.fromiter(map(index.get, map(itemgetter(2), self.edges), repeat(-1)), dtype=np.intp, count=m)
+        w = np.fromiter(map(itemgetter(3), self.edges), dtype=float, count=m)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        key = np.lexsort((hi, lo, c))  # stable: edges with one key stay in edge order
+        dup = np.zeros(m, dtype=bool)
+        dup[key[1:]] = (np.diff(c[key]) == 0) & (np.diff(lo[key]) == 0) & (np.diff(hi[key]) == 0)
+        checks = [((lo < 0) | (hi >= self.n), "edge {e} has endpoint outside 0..%d" % (self.n - 1)),
+                  (c < 0, "edge {e} uses unknown label {e.label!r}"),
+                  (~np.isfinite(w), "edge {e} has a non-finite weight"),
+                  (dup, "duplicate edge for pair {pair} under label {e.label!r}")]
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():  # the first bad edge: every edge before it is valid and unrepeated
+            e, text = self.edges[bad.argmax()], next(text for mask, text in checks if mask[bad.argmax()])
+            raise ValueError(text.format(e=e, pair=(min(e.u, e.v), max(e.u, e.v))))
+        for name, col in zip("uvcw", (u, v, c, w)):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def with_extra_labels(self, extra) -> LabeledGraph:
+        """This graph with edgeless labels appended: no label index moves, so the columns carry over."""
+        labels = self.labels + tuple(extra)
+        if len(set(labels)) != len(labels):
+            raise ValueError("label set contains duplicates")
+        g = object.__new__(LabeledGraph)
+        g.__dict__.update(self.__dict__, labels=labels)
+        return g
 
 
 @dataclass(frozen=True)
@@ -72,15 +97,13 @@ def subgraph_adjacency(graph: LabeledGraph, label: str) -> np.ndarray:
     """
     if label not in graph.labels:
         raise ValueError(f"unknown label {label!r}; graph labels are {graph.labels}")
+    on = graph.c == graph.labels.index(label)
+    u, v, w = graph.u[on], graph.v[on], graph.w[on]
+    hop = u != v
+    # no (u, v) cell repeats within a label, so each += adds one weight to 0
     S = np.zeros((graph.n, graph.n), dtype=complex)
-    for e in graph.edges:
-        if e.label != label:
-            continue
-        if e.u == e.v:
-            S[e.u, e.u] += e.weight
-        else:
-            S[e.u, e.v] += e.weight
-            S[e.v, e.u] += e.weight
+    S[u, v] += w
+    S[v[hop], u[hop]] += w[hop]
     return S
 
 
@@ -93,18 +116,17 @@ def adjacency(graph: LabeledGraph) -> np.ndarray:
 
 
 def validate_proper_coloring(graph: LabeledGraph) -> ColoringReport:
-    """Check that no vertex has two incident non-loop edges sharing a label."""
-    incident: dict[tuple[int, str], Edge] = {}
+    """Check that no vertex has two incident non-loop edges sharing a label; violations in edge-scan order."""
+    hop = np.flatnonzero(graph.u != graph.v)
+    vertex = np.column_stack([graph.u[hop], graph.v[hop]]).reshape(-1)  # 2k + j: endpoint j of edge hop[k]
+    # return_index makes np.unique sort stably: no first-use page-in of another sort kernel
+    key = np.unique(vertex, return_index=True, return_inverse=True)[2] * len(graph.labels)
+    _, first, inverse = np.unique(key + np.repeat(graph.c[hop], 2), return_index=True, return_inverse=True)
+    first = first[inverse]  # the first incidence with each incidence's (vertex, label)
     violations = []
-    for e in graph.edges:
-        if e.u == e.v:
-            continue
-        for vertex in (e.u, e.v):
-            key = (vertex, e.label)
-            if key in incident:
-                violations.append((vertex, e.label, incident[key], e))
-            else:
-                incident[key] = e
+    for i in np.flatnonzero(first != np.arange(len(key))).tolist():
+        e = graph.edges[hop[i // 2]]
+        violations.append((e[i % 2], e.label, graph.edges[hop[first[i] // 2]], e))
     return ColoringReport(proper=not violations, violations=tuple(violations))
 
 
@@ -120,26 +142,23 @@ def common_degree(n: int, ends) -> int:
 
 def validate_regular(graph: LabeledGraph) -> int:
     """Return the common degree d (self-loops excluded), or raise NotRegularError."""
-    return common_degree(graph.n, [x for e in graph.edges if e.u != e.v for x in (e.u, e.v)])
+    hop = graph.u != graph.v
+    return common_degree(graph.n, np.concatenate([graph.u[hop], graph.v[hop]]))
 
 
 def path_colors(graph: LabeledGraph, path: Iterable[int]) -> tuple[str, ...]:
     """Labels of the edges along a path, in order.
 
     Requires consecutive vertices to be adjacent and each path edge to carry
-    exactly one label. Only the path's own vertex pairs are collected; that the
-    coloring is proper is the caller's check (`validate_proper_coloring`).
+    exactly one label. That the coloring is proper is the caller's check
+    (`validate_proper_coloring`).
     """
     path = list(path)
-    steps = list(zip(path, path[1:]))
-    by_pair: dict[tuple[int, int], list[str]] = {(min(u, v), max(u, v)): [] for u, v in steps}
-    for e in graph.edges:
-        labels = by_pair.get((e.u, e.v) if e.u < e.v else (e.v, e.u))
-        if labels is not None and e.u != e.v:
-            labels.append(e.label)
+    lo, hi = np.minimum(graph.u, graph.v), np.maximum(graph.u, graph.v)
     colors = []
-    for u, v in steps:
-        labels = by_pair[(min(u, v), max(u, v))]
+    for u, v in zip(path, path[1:]):
+        on = (lo == min(u, v)) & (hi == max(u, v)) & (lo != hi)
+        labels = [graph.edges[i].label for i in np.flatnonzero(on).tolist()]
         if not labels:
             raise ValueError(f"path vertices {u} and {v} are not adjacent")
         if len(labels) > 1:
@@ -149,29 +168,33 @@ def path_colors(graph: LabeledGraph, path: Iterable[int]) -> tuple[str, ...]:
 
 
 def bfs_path(graph: LabeledGraph, source: int, target: int) -> tuple[int, ...]:
-    """Shortest path by breadth-first search; raises if disconnected."""
+    """Shortest path by breadth-first search; raises if disconnected. Level by level over
+    a CSR neighbor array, frontier vertices in order claim their unvisited neighbors, ascending."""
     if not (0 <= source < graph.n and 0 <= target < graph.n):
         raise ValueError(f"path endpoints ({source},{target}) outside 0..{graph.n - 1}")
-    nbrs: dict[int, set[int]] = {v: set() for v in range(graph.n)}
-    for e in graph.edges:
-        if e.u != e.v:
-            nbrs[e.u].add(e.v)
-            nbrs[e.v].add(e.u)
-    prev = {source: source}
-    frontier = [source]
-    while frontier and target not in prev:
-        nxt = []
-        for u in frontier:
-            for v in sorted(nbrs[u]):
-                if v not in prev:
-                    prev[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    if target not in prev:
+    hop = graph.u != graph.v
+    src, dst = np.concatenate([graph.u[hop], graph.v[hop]]), np.concatenate([graph.v[hop], graph.u[hop]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    start = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=graph.n))])  # f: dst[start[f]:start[f + 1]]
+    prev = np.full(graph.n, -1, dtype=np.int64)
+    prev[source] = source
+    frontier = np.array([source], dtype=np.int64)
+    while frontier.size and prev[target] < 0:
+        lo, count = start[frontier], start[frontier + 1] - start[frontier]
+        at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())  # slices end to end
+        nbr, parent = dst[at], np.repeat(frontier, count)
+        new = prev[nbr] < 0
+        nbr, parent = nbr[new], parent[new]
+        # a repeated neighbor (several frontier parents or labels) goes to its first parent
+        first = np.sort(np.unique(nbr, return_index=True)[1], kind="stable")
+        frontier = nbr[first]
+        prev[frontier] = parent[first]
+    if prev[target] < 0:
         raise ValueError(f"vertices {source} and {target} are not connected")
     path = [target]
     while path[-1] != source:
-        path.append(prev[path[-1]])
+        path.append(int(prev[path[-1]]))
     return tuple(reversed(path))
 
 
@@ -328,19 +351,23 @@ def load_json(text: str) -> LabeledGraph:
         raise ValueError(f'"n" must be an integer, got {n!r}')
     if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
         raise ValueError('"labels" must be a list of strings')
+    if not isinstance(raw_edges, list):
+        raise ValueError(f'"edges" must be a list of edge records; expected {_SCHEMA_HINT}')
     edges = []
-    for rec in raw_edges:
-        if not isinstance(rec, list) or len(rec) not in (3, 4):
+    for rec in raw_edges:  # exact type tests: JSON gives int, float, bool, str, None, list or dict
+        if type(rec) is not list or not 3 <= len(rec) <= 4:
             raise ValueError(f"edge record {rec!r} is not [u, v, label] or [u, v, label, weight]")
-        u, v, label = rec[0], rec[1], rec[2]
-        weight = rec[3] if len(rec) == 4 else 1.0
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v)):
+        u, v, label, weight = rec if len(rec) == 4 else (*rec, 1.0)
+        if type(u) is not int or type(v) is not int:
             raise ValueError(f"edge record {rec!r} has non-integer endpoints")
-        if not isinstance(label, str):
+        if type(label) is not str:
             raise ValueError(f"edge record {rec!r} has a non-string label")
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool):
+        if type(weight) is not float and type(weight) is not int:
             raise ValueError(f"edge record {rec!r} has a non-numeric weight")
-        edges.append(Edge(u, v, label, float(weight)))
+        try:  # tuple.__new__: an Edge without the NamedTuple's Python-level __new__
+            edges.append(tuple.__new__(Edge, (u, v, label, float(weight))))
+        except OverflowError:
+            raise ValueError(f"edge record {rec!r} has a weight beyond the float range") from None
     return LabeledGraph(n, tuple(edges), tuple(labels))
 
 

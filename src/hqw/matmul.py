@@ -38,12 +38,13 @@ _BLOCK_ROWS = 1 << 14  # amplitude rows per block of columns: bounds peak memory
 def _neighbor_table(g) -> np.ndarray:
     """Ascending (n, d) neighbor table of a simple d-regular LabeledGraph or 0/1 array."""
     if isinstance(g, LabeledGraph):
-        u, v = (np.array([e[i] for e in g.edges], dtype=np.int64) for i in (0, 1))
+        lo, hi = np.minimum(g.u, g.v), np.maximum(g.u, g.v)
+        pair = np.lexsort((hi, lo))
         # a pair under two labels is no single 0/1 adjacency entry
-        doubled = len({(min(e.u, e.v), max(e.u, e.v)) for e in g.edges}) < len(g.edges)
-        if doubled or any(not 1.0 - 1e-12 <= e.weight <= 1.0 for e in g.edges):
+        doubled = ((np.diff(lo[pair]) == 0) & (np.diff(hi[pair]) == 0)).any()
+        if doubled or not ((1.0 - 1e-12 <= g.w) & (g.w <= 1.0)).all():
             raise ValueError("adjacency entries must be 0 or 1")
-        n, src, dst = g.n, np.concatenate([u, v]), np.concatenate([v, u])
+        n, src, dst = g.n, np.concatenate([g.u, g.v]), np.concatenate([g.v, g.u])
     else:
         A = np.asarray(g, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:

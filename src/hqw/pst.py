@@ -128,9 +128,9 @@ def make_plan(graph: LabeledGraph, source: int, target: int, path=None) -> PstPl
             f"coloring is not proper ({len(report.violations)} violation(s)); "
             f"e.g. vertex {v} meets label {lab!r} on edges {tuple(e1[:2])} and {tuple(e2[:2])}"
         )
-    bad = [e for e in graph.edges if abs(e.weight - 1.0) > 1e-12]
-    if bad:
-        raise ValueError(f"transfer protocol requires unit edge weights; offending edge: {bad[0]}")
+    bad = np.flatnonzero(np.abs(graph.w - 1.0) > 1e-12)
+    if bad.size:
+        raise ValueError(f"transfer protocol requires unit edge weights; offending edge: {graph.edges[bad[0]]}")
     if source == target:
         raise ValueError("source and target must be distinct vertices")
     if path is None:
@@ -182,13 +182,6 @@ def build_operators(plan: PstPlan) -> PstOperators:
     return PstOperators(P=P, C=C, D=D, E=E)
 
 
-def _extended_walk(plan: PstPlan) -> HybridWalk:
-    # Primed labels enter the label set with no edges, so their Hamiltonian
-    # blocks are structurally zero and the evolution leaves them alone.
-    extended = LabeledGraph(plan.graph.n, plan.graph.edges, plan.labels + plan.primed_labels)
-    return HybridWalk(extended, coin="identity")
-
-
 def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
     """Execute the transfer protocol on the coin amplitudes `alpha`.
 
@@ -206,7 +199,9 @@ def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"alpha is not normalized: ||alpha|| = {nrm:.12g}")
 
-    walk = _extended_walk(plan)
+    # Primed labels enter the label set with no edges, so their Hamiltonian
+    # blocks are structurally zero and the evolution leaves them alone.
+    walk = HybridWalk(plan.graph.with_extra_labels(plan.primed_labels), coin="identity")
     ops = build_operators(plan)
     coin_dim = plan.coin_dim
 
@@ -224,7 +219,6 @@ def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
     )
     state = coin(state, ops.P)
     transcript.record("P", state)
-    # a walk step applies the walk's own identity coin after the gathered one
     for l in range(N):
         state = walk.step(STEP_TIME, coin(state, ops.D[l]))
         transcript.record(f"iter{l + 1}.D", state)

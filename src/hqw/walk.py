@@ -150,9 +150,7 @@ class HybridWalk:
         self.pos_dim = graph.n
         self.dim = self.coin_dim * self.pos_dim
         self.coin = make_coin(coin, self.coin_dim)
-        by_label = {lab: [] for lab in graph.labels}
-        for e in graph.edges:
-            by_label[e.label].append(e)
+        self._identity_coin = np.array_equal(self.coin, np.eye(self.coin_dim))
         # The propagator, over flat indices c * n + v: the self-loop phases of
         # the diagonal sectors; the pairs (p, q) of every matching sector, with
         # their distinct weights and each pair's index into them, so cos and sin
@@ -160,10 +158,8 @@ class HybridWalk:
         n = self.pos_dim
         phase, pairs, self._dense = np.zeros(self.dim), [], []
         for c, lab in enumerate(graph.labels):
-            edges = by_label[lab]
-            u = np.array([e.u for e in edges], dtype=np.intp)
-            v = np.array([e.v for e in edges], dtype=np.intp)
-            w = np.array([e.weight for e in edges], dtype=float)
+            on = graph.c == c
+            u, v, w = graph.u[on], graph.v[on], graph.w[on]
             loop = u == v
             hop = ~loop & (np.abs(w) > _MATCHING_ZERO_ATOL)
             if not hop.any():
@@ -234,7 +230,9 @@ class HybridWalk:
         return out
 
     def step(self, t: float, psi, coin=None) -> np.ndarray:
-        """One walk step at a single time t: coin first, then exp(-iHt)."""
+        """One walk step at a single time t: coin first (an identity walk coin is skipped), then exp(-iHt)."""
+        if coin is None and self._identity_coin:
+            return self.evolve(float(t), psi)
         return self.evolve(float(t), self.apply_coin(psi, coin))
 
     def step_operator(self, t: float, coin=None) -> np.ndarray:

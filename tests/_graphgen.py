@@ -5,7 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from hqw.graphs import Edge, LabeledGraph, bfs_path
+from hqw.graphs import ColoringReport, Edge, LabeledGraph, bfs_path
 from hqw.matmul import RegularGraphSequence, regular_sequence
 
 
@@ -79,3 +79,70 @@ def random_regular_sequence(rng, max_n: int = 8, max_k: int = 3, max_d: int = 3)
     valid_d = [d for d in range(1, min(max_d, n - 1) + 1) if (d * n) % 2 == 0]
     mats = [random_regular_adjacency(rng, n, int(rng.choice(valid_d))) for _ in range(K)]
     return regular_sequence(mats)
+
+
+def random_labeled_graph(rng, max_n: int = 12, max_labels: int = 3, max_edges: int = 30) -> LabeledGraph:
+    """Random edges under few labels: self-loops, parallel edges under distinct
+    labels, usually an improper coloring and sometimes a disconnected graph."""
+    n = int(rng.integers(2, max_n + 1))
+    labels = tuple("abcdefgh"[:int(rng.integers(1, max_labels + 1))])
+    edges, keys = [], set()
+    for _ in range(int(rng.integers(0, max_edges + 1))):
+        u, v = (int(x) for x in rng.integers(n, size=2))
+        label = labels[int(rng.integers(len(labels)))]
+        if (min(u, v), max(u, v), label) not in keys:
+            keys.add((min(u, v), max(u, v), label))
+            edges.append(Edge(u, v, label, float(rng.choice([1.0, 0.5, -2.0]))))
+    return LabeledGraph(n, tuple(edges), labels)
+
+
+def hypercube(d: int) -> LabeledGraph:
+    """Q_d with each edge colored by the bit it flips."""
+    n = 1 << d
+    return LabeledGraph(n, tuple(Edge(v, v ^ (1 << b), str(b)) for v in range(n) for b in range(d)
+                                 if v < v ^ (1 << b)), tuple(str(b) for b in range(d)))
+
+
+# Per-edge reference versions of the column-based graph functions, compared
+# against them in test_graphs.py.
+
+
+def reference_bfs_path(graph: LabeledGraph, source: int, target: int) -> tuple[int, ...]:
+    if not (0 <= source < graph.n and 0 <= target < graph.n):
+        raise ValueError(f"path endpoints ({source},{target}) outside 0..{graph.n - 1}")
+    nbrs: dict[int, set[int]] = {v: set() for v in range(graph.n)}
+    for e in graph.edges:
+        if e.u != e.v:
+            nbrs[e.u].add(e.v)
+            nbrs[e.v].add(e.u)
+    prev = {source: source}
+    frontier = [source]
+    while frontier and target not in prev:
+        nxt = []
+        for u in frontier:
+            for v in sorted(nbrs[u]):
+                if v not in prev:
+                    prev[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    if target not in prev:
+        raise ValueError(f"vertices {source} and {target} are not connected")
+    path = [target]
+    while path[-1] != source:
+        path.append(prev[path[-1]])
+    return tuple(reversed(path))
+
+
+def reference_validate_proper_coloring(graph: LabeledGraph) -> ColoringReport:
+    incident: dict[tuple[int, str], Edge] = {}
+    violations = []
+    for e in graph.edges:
+        if e.u == e.v:
+            continue
+        for vertex in (e.u, e.v):
+            key = (vertex, e.label)
+            if key in incident:
+                violations.append((vertex, e.label, incident[key], e))
+            else:
+                incident[key] = e
+    return ColoringReport(proper=not violations, violations=tuple(violations))

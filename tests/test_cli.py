@@ -1,11 +1,15 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from _graphgen import hypercube
 
+import hqw
 from hqw.cli import _table_text, main
 from hqw.graphs import complete, cycle, line3, save_json, star
 
@@ -261,6 +265,10 @@ def test_non_finite_times_are_validation_errors(tmp_path, capsys):
 def test_non_finite_weights_and_malformed_coins_are_validation_errors(tmp_path, capsys):
     graph = tmp_path / "nan.json"
     graph.write_text('{"n": 2, "labels": ["a"], "edges": [[0, 1, "a", NaN]]}')
+    malformed = []
+    for k, edges in enumerate(("5", "null", '{"a": 1}', '[[0, 1, "0", 1%s]]' % ("0" * 400))):
+        malformed.append(str(tmp_path / f"edges{k}.json"))
+        Path(malformed[-1]).write_text('{"n": 2, "labels": ["0"], "edges": %s}' % edges)
     coins = []
     for k, text in enumerate(("[[1,2]]", '{"a":1}')):
         coins.append(tmp_path / f"coin{k}.json")
@@ -269,6 +277,10 @@ def test_non_finite_weights_and_malformed_coins_are_validation_errors(tmp_path, 
     for argv in (["dynamics", "--graph", "circle2:inf,1", "--t", "1"],
                  ["dynamics", "--graph", "circle2:nan,1", "--t", "1"],
                  ["dynamics", "--graph", str(graph), "--t", "1"],
+                 *(["dynamics", "--graph", g, "--t", "1"] for g in malformed),
+                 # an integer weight beyond the float range
+                 ["pst", "--graph", malformed[3], "--source", "0", "--target", "1"],
+                 ["triangles", "--graph", malformed[3]],
                  *(["dynamics", "--graph", "star:3", "--coin", f"custom:{c}", "--t", "1"]
                    for c in coins)):
         assert main(argv + ["--out", out]) == 1, argv
@@ -280,6 +292,8 @@ def test_non_finite_weights_and_malformed_coins_are_validation_errors(tmp_path, 
 
 def test_non_finite_amplitudes_huge_counts_and_overflowing_weights_are_validation_errors(tmp_path, capsys):
     out = str(tmp_path / "x.out")
+    huge = tmp_path / "huge.json"  # a vertex count beyond int64
+    huge.write_text('{"n": 1180591620717411303424, "labels": ["0"], "edges": [[0, 1, "0"]]}')
     for argv in (["dynamics", "--graph", "star:3", "--init-coin", "amp:[nan,0;1,0;0,0]", "--t", "1"],
                  ["pst", "--graph", "line2:2", "--source", "0", "--target", "4", "--alpha", "[nan,0;1,0]"],
                  ["matmul", "--graph", "cubic8", "--graph", "cubic8", "--entry", "0,0", "--mode", "shots",
@@ -288,12 +302,31 @@ def test_non_finite_amplitudes_huge_counts_and_overflowing_weights_are_validatio
                   "--shots", "100000000000000000000", "--seed", "1"],
                  ["dynamics", "--graph", "circle2:2w,2w+1", "--t", "0:1:3", "--sweep", "omega:0:1e308:3"],
                  # a state stack beyond any address space: refused before a step runs
-                 ["dynamics", "--graph", "star:3", "--steps", str(10**13), "--t", "1"]):
+                 ["dynamics", "--graph", "star:3", "--steps", str(10**13), "--t", "1"],
+                 ["pst", "--graph", str(huge), "--source", "0", "--target", "1"],
+                 ["triangles", "--graph", str(huge)]):
         assert main(argv + ["--out", out]) == 1, argv
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1, err
     assert not os.path.exists(out)
+
+
+def test_cli_paths_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma loads lazily (about 15 ms and 0.6 MB per process), e.g. on a plain np.unique
+    q4 = tmp_path / "q4.json"
+    q4.write_text(save_json(hypercube(4)))
+    runs = [["dynamics", "--graph", "star:5", "--t", "0:1:3"],
+            ["pst", "--graph", str(q4), "--source", "0", "--target", "15"],
+            ["matmul", "--graph", "cycle:6", "--graph", "cycle:6", "--matrix"]]
+    script = ("import sys\nfrom hqw.cli import main\n"
+              f"codes = [main(argv + ['--out', {str(tmp_path)!r} + '/%d.out' % k]) for k, argv in enumerate({runs!r})]\n"
+              "print(codes, 'numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(hqw.__file__))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "[0, 0, 0] False", res.stdout
 
 
 def test_pst_norm_drift_is_a_numerical_violation(tmp_path, capsys, monkeypatch):

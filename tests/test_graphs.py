@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from _graphgen import (hypercube, random_labeled_graph, random_properly_colored_graph,
+                       reference_bfs_path, reference_validate_proper_coloring)
 
 from hqw import graphs
 from hqw.graphs import (Edge, LabeledGraph, NotRegularError, adjacency, bfs_path,
@@ -81,6 +83,9 @@ def test_path_colors():
         path_colors(graphs.line2(2), [0, 2])
     with pytest.raises(ValueError, match="ambiguous"):
         path_colors(graphs.circle2(1, 2), [0, 1])
+    for far in (99, -1, 10**30):  # not vertices, so not adjacent
+        with pytest.raises(ValueError, match="not adjacent"):
+            path_colors(graphs.line2(2), [0, far])
 
 
 def test_bfs_path():
@@ -88,6 +93,41 @@ def test_bfs_path():
     two_parts = LabeledGraph(4, (Edge(0, 1, "0"), Edge(2, 3, "0")), ("0",))
     with pytest.raises(ValueError, match="not connected"):
         bfs_path(two_parts, 0, 3)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_bfs_path_matches_the_per_edge_reference():
+    rng = np.random.default_rng(41)
+    cases = [random_properly_colored_graph(rng, max_n=16) for _ in range(15)]
+    cases += [random_labeled_graph(rng) for _ in range(30)]  # loops, parallel edges, disconnected
+    for g in cases:
+        for s in range(g.n):
+            for t in range(g.n):
+                assert _outcome(bfs_path, g, s, t) == _outcome(reference_bfs_path, g, s, t), (g, s, t)
+    for d in range(2, 9):
+        g = hypercube(d)
+        sources = range(g.n) if d <= 4 else [0, g.n - 1, *rng.integers(g.n, size=2).tolist()]
+        for s in sources:
+            targets = range(g.n) if d <= 5 else [s ^ (g.n - 1), *rng.integers(g.n, size=6).tolist()]
+            for t in targets:
+                assert bfs_path(g, s, t) == reference_bfs_path(g, s, t), (d, s, t)
+
+
+def test_coloring_violations_match_the_per_edge_reference():
+    rng = np.random.default_rng(43)
+    improper = 0
+    for _ in range(300):
+        g = random_labeled_graph(rng)
+        report = validate_proper_coloring(g)
+        assert report == reference_validate_proper_coloring(g), g  # order included
+        improper += not report.proper
+    assert improper > 150
 
 
 def test_label_partition_recovers_adjacency():
@@ -128,6 +168,54 @@ def test_graph_validation():
         LabeledGraph(3, (Edge(0, 1, "9"),), ("0",))
     with pytest.raises(ValueError, match="duplicate"):
         LabeledGraph(3, (Edge(0, 1, "0"), Edge(1, 0, "0")), ("0",))
+
+
+# one bad edge of each kind for a 4-vertex graph over labels a, b holding Edge(0, 1, "a")
+BAD_EDGES = {
+    "outside": (Edge(0, 7, "a"), "edge Edge(u=0, v=7, label='a', weight=1.0) has endpoint outside 0..3"),
+    "beyond-int64": (Edge(2**70, 1, "b"),
+                     "edge Edge(u=1180591620717411303424, v=1, label='b', weight=1.0) has endpoint outside 0..3"),
+    "unknown": (Edge(1, 2, "z"), "edge Edge(u=1, v=2, label='z', weight=1.0) uses unknown label 'z'"),
+    "non-finite": (Edge(2, 3, "a", float("inf")), "edge Edge(u=2, v=3, label='a', weight=inf) has a non-finite weight"),
+    "duplicate": (Edge(1, 0, "a"), "duplicate edge for pair (0, 1) under label 'a'"),
+}
+
+
+@pytest.mark.parametrize("first, second", [(a, b) for a in BAD_EDGES for b in BAD_EDGES if a != b])
+def test_graph_validation_names_the_first_of_two_bad_edges(first, second):
+    edges = (Edge(0, 1, "a"), Edge(2, 3, "b"), BAD_EDGES[first][0], Edge(0, 3, "b"), BAD_EDGES[second][0])
+    with pytest.raises(ValueError) as exc:
+        LabeledGraph(4, edges, ("a", "b"))
+    assert str(exc.value) == BAD_EDGES[first][1]
+
+
+def test_graph_validation_checks_an_edge_in_order():
+    # outside before unknown label before non-finite weight
+    with pytest.raises(ValueError, match="outside"):
+        LabeledGraph(4, (Edge(0, 9, "z", float("nan")),), ("a",))
+    with pytest.raises(ValueError, match="unknown label"):
+        LabeledGraph(4, (Edge(0, 1, "z", float("nan")),), ("a",))
+
+
+def test_vertex_count_beyond_int64_is_refused():
+    with pytest.raises(ValueError, match="beyond the int64 range"):
+        LabeledGraph(2**70, (Edge(0, 1, "0"),), ("0",))
+
+
+def test_edge_columns_and_extra_labels():
+    g = graphs.fock_g0(2)
+    np.testing.assert_array_equal(g.u, [e.u for e in g.edges])
+    np.testing.assert_array_equal(g.c, [g.labels.index(e.label) for e in g.edges])
+    np.testing.assert_array_equal(g.w, [e.weight for e in g.edges])
+    with pytest.raises(ValueError, match="read-only"):
+        g.w[0] = 2.0
+    ext = g.with_extra_labels(("0'", "1'"))
+    ref = LabeledGraph(g.n, g.edges, g.labels + ("0'", "1'"))
+    assert ext == ref and hash(ext) == hash(ref)
+    for name in "uvcw":
+        np.testing.assert_array_equal(getattr(ext, name), getattr(ref, name))
+    with pytest.raises(ValueError, match="duplicates"):
+        g.with_extra_labels(("1",))
 
 
 def test_json_schema_instance():

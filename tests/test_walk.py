@@ -233,6 +233,21 @@ def test_step_t_zero_identity_coin():
     np.testing.assert_allclose(w.step(0.0, psi), psi, atol=1e-14)
 
 
+def test_identity_coin_step_is_evolve():
+    rng = np.random.default_rng(8)
+    graphs = (circle2(1, 2), fock_g0(3), cubic8(), random_properly_colored_graph(rng))
+    for g in graphs:  # phase, matching and dense sectors
+        w = HybridWalk(g, coin="identity")
+        psi = rng.normal(size=w.dim) + 1j * rng.normal(size=w.dim)
+        psi[::3] = -0.0
+        before = psi.copy()
+        got = w.step(0.7, psi)
+        assert got.tobytes() == w.evolve(0.7, psi).tobytes()  # exactly, signs of zeros included
+        assert psi.tobytes() == before.tobytes()  # evolve never writes into psi
+        # == ignores the sign of zeros, which the coin product can flip
+        np.testing.assert_array_equal(got, w.step(0.7, psi, coin=walk.identity_coin(w.coin_dim)))
+
+
 def test_star_step_closed_form():
     N = 10
     w = HybridWalk(star(N), coin="fourier")
