@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import os
 import re
@@ -28,6 +27,7 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 PROB_SUM_ATOL = 1e-9
+TABLE_CHUNK_CELLS = 1 << 14  # cells per chunk of a written table
 
 
 # ---------------------------------------------------------------------------
@@ -226,41 +226,59 @@ def _emit(args, ext: str, text: str):
     print(f"wrote {path}")
 
 
-def _table_text(header, rows, fmt: str) -> str:
-    """CSV (or `--format json`) text of a table. One format string, typed from the
-    first row, writes every row: "%d" for integer columns, "%.12g" for floats."""
-    rows = iter(rows)
-    first = next(rows, None)
-    kinds, lines = [], []
-    if first is not None:
-        kinds = ["%d" if isinstance(x, (int, np.integer)) else "%.12g" for x in first]
-        line = ",".join(kinds)
-        lines = [line % tuple(row) for row in itertools.chain([first], rows)]
+def _table_text(header, blocks, fmt: str) -> str:
+    """CSV (or `--format json`) text of a table whose columns are those of
+    `blocks`, row-aligned 2-D numeric arrays, left to right.
+
+    An integer block writes "%d" and a float block "%.12g" (JSON: the int or
+    float that text reads as). Rows go in chunks of at most TABLE_CHUNK_CELLS
+    cells, which bound the temporaries. In a chunk, each block's distinct
+    values are formatted once, keyed by bit pattern for floats so that -0.0,
+    0.0 and NaN payloads stay apart, and mapped back to their cells.
+    """
+    step = max(1, TABLE_CHUNK_CELLS // sum(block.shape[1] for block in blocks))
+    lines, records = [",".join(header)], []
+    for lo in range(0, len(blocks[0]), step):
+        cols = []
+        for block in blocks:
+            chunk = block[lo:lo + step]
+            flat = chunk.reshape(-1)
+            kind = "%.12g" if flat.dtype.kind == "f" else "%d"
+            key = flat.view(f"i{flat.itemsize}") if kind == "%.12g" else flat
+            # with return_index: a plain np.unique imports numpy.ma on its first call
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            text = [kind % x for x in flat[first].tolist()]
+            if fmt == "json":
+                text = list(map(int if kind == "%d" else float, text))
+            cols += np.array(text, dtype=object)[inverse.reshape(chunk.shape)].T.tolist()
+        if fmt == "json":
+            records += zip(*cols)
+        else:
+            lines.append("\n".join(map(",".join, zip(*cols))))
     if fmt == "json":
-        parse = [int if kind == "%d" else float for kind in kinds]
-        payload = {"columns": header,
-                   "rows": [[f(x) for f, x in zip(parse, text.split(","))] for text in lines]}
-        return json.dumps(payload, indent=2) + "\n"
-    return "\n".join([",".join(header), *lines]) + "\n"
+        return json.dumps({"columns": header, "rows": records}, indent=2) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _write_observables(args, lead_names, leads, trajs):
     """Write rows [*lead, P..., sigma, entropy], one per state of `trajs` in order.
 
-    `leads` holds the leading values of every row, across all trajectories.
+    `leads` is the (rows, len(lead_names)) block of leading values across all
+    trajectories; the table's other blocks are the trajectories' stacked
+    distributions and their (sigma, entropy) columns.
     """
     coords = trajs[0].coords.tolist()
     header = [*lead_names, *(f"P({int(c)})" if c.is_integer() else "P(%.12g)" % c for c in coords),
               "sigma", "entropy"]
     for traj in trajs:
         totals = traj.distributions.sum(axis=-1)
-        bad = np.flatnonzero(np.abs(totals - 1.0) > PROB_SUM_ATOL)
+        bad = np.flatnonzero(~(np.abs(totals - 1.0) <= PROB_SUM_ATOL))
         if bad.size:
             raise linalg.NumericalViolation(f"probability columns sum to {totals[bad[0]]:.12g}, not 1")
-    obs = (o for traj in trajs for o in
-           zip(traj.distributions.tolist(), traj.sigmas.tolist(), traj.entropies.tolist()))
-    rows = ((*lead, *P, sigma, entropy) for lead, (P, sigma, entropy) in zip(leads, obs))
-    _emit(args, args.format, _table_text(header, rows, args.format))
+    dists = trajs[0].distributions if len(trajs) == 1 else np.concatenate([t.distributions for t in trajs])
+    tail = np.column_stack([np.concatenate([t.sigmas for t in trajs]),
+                            np.concatenate([t.entropies for t in trajs])])
+    _emit(args, args.format, _table_text(header, [leads, dists, tail], args.format))
 
 
 def _check_line_guard(distributions):
@@ -268,7 +286,7 @@ def _check_line_guard(distributions):
     # one site per step, so any mass in the outer two sites means the
     # truncation was too small for the requested step count
     band = float(np.asarray(distributions)[:, [0, 1, -2, -1]].sum(axis=1).max())
-    if band > 1e-12:
+    if not band <= 1e-12:
         raise linalg.NumericalViolation(
             f"boundary band carries probability {band:.3e}; enlarge the line truncation")
 
@@ -301,13 +319,13 @@ def cmd_dynamics(args) -> int:
         traj = w.run(t, args.steps, psi0, coords=_coords_for(spec.family, g.n))
         if spec.family in ("line2", "line3") and g.n >= 5:
             _check_line_guard(traj.distributions)
-        _write_observables(args, ["step"], ([k] for k in range(args.steps + 1)), [traj])
+        _write_observables(args, ["step"], np.arange(args.steps + 1).reshape(-1, 1), [traj])
         return EXIT_OK
 
     if args.t is None:
         raise ValueError("dynamics needs --t (single value or start:stop:points grid)")
     ts = _parse_grid(args.t, "--t") if ":" in args.t else np.array([_parse_finite(args.t, "--t")])
-    lead_names, omegas = ["t"], [None]
+    lead_names, omegas, leads = ["t"], [None], ts.reshape(-1, 1)
     if args.sweep:
         name, grid = _parse_sweep(args.sweep)
         if name != "omega":
@@ -316,8 +334,8 @@ def cmd_dynamics(args) -> int:
             raise ValueError("--sweep omega needs circle2 weights that reference w, e.g. circle2:2w,2w+1")
         # Python floats: an overflowing weight becomes inf without a numpy warning
         lead_names, omegas = ["omega", "t"], grid.tolist()
+        leads = np.column_stack([np.repeat(grid, len(ts)), np.tile(ts, len(grid))])
     trajs = [_grid_trajectory(args, spec, coin_spec, ts, omega) for omega in omegas]
-    leads = ([t] if omega is None else [omega, t] for omega in omegas for t in ts.tolist())
     _write_observables(args, lead_names, leads, trajs)
     return EXIT_OK
 
@@ -362,16 +380,15 @@ def cmd_sweep(args) -> int:
     coords = _coords_for("line3", g.n)
     base_coin, pos_vec = _initial_state(args, "line3", g)
     w = walk.HybridWalk(g, coin=_resolve_coin("grover" if args.coin is None else args.coin, len(g.labels)))
-    qs = qs.tolist()
     finals = np.empty((len(qs), w.dim), dtype=complex)
-    for k, q in enumerate(qs):
+    for k, q in enumerate(qs.tolist()):
         psi0 = walk.product_state(_sweep_initial_coin(name, q, base_coin), pos_vec)
         t = q * np.pi if name == "q_time" else 3 * np.pi / 2
         traj = w.run(t, steps, psi0, coords=coords)
         _check_line_guard(traj.distributions)
         finals[k] = traj.states[-1]
     final = walk.Trajectory.from_states(finals, w.coin_dim, w.pos_dim, coords)
-    _write_observables(args, ["q"], ([q] for q in qs), [final])
+    _write_observables(args, ["q"], qs.reshape(-1, 1), [final])
     return EXIT_OK
 
 
@@ -453,8 +470,8 @@ def cmd_matmul(args) -> int:
         print("trace = %.12g" % value)
     else:
         C = matmul.product_matrix(seq, mode=mode, shots=shots, seed=seed)
-        rows = ((i, j, v) for i, row in enumerate(C.tolist()) for j, v in enumerate(row))
-        _emit(args, "csv", _table_text(["i", "j", "value"], rows, "csv"))
+        ij = np.indices(C.shape).reshape(2, -1).T
+        _emit(args, "csv", _table_text(["i", "j", "value"], [ij, C.reshape(-1, 1)], "csv"))
     return EXIT_OK
 
 

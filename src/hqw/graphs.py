@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -35,6 +34,8 @@ class LabeledGraph:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"graph needs an integer vertex count, got n={self.n!r}")
         if self.n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={self.n}")
         if self.n > np.iinfo(np.int64).max:
@@ -42,25 +43,35 @@ class LabeledGraph:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("label set contains duplicates")
         m, index = len(self.edges), {lab: c for c, lab in enumerate(self.labels)}
+        us, vs, names, weights = tuple(zip(*self.edges)) or ((),) * 4
+        ends, nonint = [us, vs], np.zeros(m, dtype=bool)
+        types = set(map(type, us))
+        types.update(map(type, vs))
+        if not types <= {int}:  # a float, bool or other non-integer endpoint names no vertex
+            for k, col in enumerate(ends):
+                ok = [isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in col]
+                nonint |= ~np.array(ok, dtype=bool)
+                ends[k] = [x if y else -1 for x, y in zip(col, ok)]
         try:
-            u, v = (np.array(list(map(itemgetter(k), self.edges)), dtype=np.int64) for k in (0, 1))
+            u, v = (np.fromiter(col, dtype=np.int64, count=m) for col in ends)
         except OverflowError:  # an endpoint beyond int64 is outside 0..n-1
-            u, v = (np.array([x if 0 <= x < self.n else -1 for x in map(itemgetter(k), self.edges)], np.int64)
-                    for k in (0, 1))
-        c = np.fromiter(map(index.get, map(itemgetter(2), self.edges), repeat(-1)), dtype=np.intp, count=m)
-        w = np.fromiter(map(itemgetter(3), self.edges), dtype=float, count=m)
+            u, v = (np.array([x if 0 <= x < self.n else -1 for x in col], np.int64) for col in ends)
+        c = np.fromiter(map(index.get, names, repeat(-1)), dtype=np.intp, count=m)
+        w = np.fromiter(weights, dtype=float, count=m)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         key = np.lexsort((hi, lo, c))  # stable: edges with one key stay in edge order
         dup = np.zeros(m, dtype=bool)
         dup[key[1:]] = (np.diff(c[key]) == 0) & (np.diff(lo[key]) == 0) & (np.diff(hi[key]) == 0)
-        checks = [((lo < 0) | (hi >= self.n), "edge {e} has endpoint outside 0..%d" % (self.n - 1)),
+        checks = [(nonint, "edge {e} has non-integer endpoints"),
+                  ((lo < 0) | (hi >= self.n), "edge {e} has endpoint outside 0..%d" % (self.n - 1)),
                   (c < 0, "edge {e} uses unknown label {e.label!r}"),
                   (~np.isfinite(w), "edge {e} has a non-finite weight"),
                   (dup, "duplicate edge for pair {pair} under label {e.label!r}")]
         bad = np.logical_or.reduce([mask for mask, _ in checks])
         if bad.any():  # the first bad edge: every edge before it is valid and unrepeated
-            e, text = self.edges[bad.argmax()], next(text for mask, text in checks if mask[bad.argmax()])
-            raise ValueError(text.format(e=e, pair=(min(e.u, e.v), max(e.u, e.v))))
+            i = bad.argmax()
+            text = next(text for mask, text in checks if mask[i])
+            raise ValueError(text.format(e=self.edges[i], pair=(int(lo[i]), int(hi[i]))))
         for name, col in zip("uvcw", (u, v, c, w)):
             col.flags.writeable = False
             object.__setattr__(self, name, col)

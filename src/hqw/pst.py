@@ -87,7 +87,7 @@ class PstTranscript:
 
     def record(self, name: str, state: np.ndarray):
         nrm = np.linalg.norm(state)
-        if abs(nrm - 1.0) > 1e-9:
+        if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
             raise linalg.NumericalViolation(f"norm drifted to {nrm:.12g} at stage {name}")
         keep = np.flatnonzero(np.abs(state) > AMP_CUTOFF)
         self.stages.append(PstStage(name, keep, state[keep]))
@@ -196,7 +196,7 @@ def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
     if alpha.shape != (N,):
         raise ValueError(f"alpha must supply {N} coin amplitudes, got shape {alpha.shape}")
     nrm = np.linalg.norm(alpha)
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError(f"alpha is not normalized: ||alpha|| = {nrm:.12g}")
 
     # Primed labels enter the label set with no edges, so their Hamiltonian

@@ -24,6 +24,7 @@ O(n^2). `HybridWalk.evolve` takes an array of times in the same pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,9 @@ class HybridWalk:
             else:
                 ew, V = linalg.hermitian_eig(subgraph_adjacency(graph, lab))
                 self._dense.append((slice(c * n, (c + 1) * n), ew, V, V.conj().T))
+        # the largest |w| of any phase w*t: self-loop weights, matching weights, dense eigenvalues
+        self._rate = max(float(np.abs(x).max(initial=0.0))
+                         for x in [phase, *(w for _, _, w in pairs), *(ew for _, ew, _, _ in self._dense)])
         self._phase = phase if phase.any() else None
         self._pairs = None
         if pairs:
@@ -202,10 +206,15 @@ class HybridWalk:
         """Apply exp(-iHt) only (no coin).
 
         `t` is a scalar or a 1-D array of times; an array gives one state per
-        time, stacked along a leading axis.
+        time, stacked along a leading axis. A time whose phase w*t is not
+        finite is refused before any exp, cos or sin.
         """
         psi = self._check_dim(psi)
         t = np.asarray(t, dtype=float)
+        bad = [x for x in t.reshape(-1).tolist() if not math.isfinite(self._rate * x)]  # Python floats: no warning
+        if bad:
+            raise ValueError(f"evolution time t = {bad[0]:.12g} gives a non-finite phase w*t "
+                             f"(largest |w| = {self._rate:.12g})")
         tcol = t.reshape(t.shape + (1,))
         out = np.empty(t.shape + psi.shape, dtype=complex)
         if self._phase is None:
@@ -243,7 +252,7 @@ class HybridWalk:
         """Repeat the step `steps` times, recording observables along the way."""
         psi = self._check_dim(psi0)
         nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > 1e-9:
+        if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
             raise ValueError(f"initial state is not normalized: ||psi0|| = {nrm:.12g}")
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")

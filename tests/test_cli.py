@@ -312,13 +312,43 @@ def test_non_finite_amplitudes_huge_counts_and_overflowing_weights_are_validatio
     assert not os.path.exists(out)
 
 
+def test_a_time_with_a_non_finite_phase_is_one_validation_line(tmp_path, capsys):
+    # w*t overflows: 10 * 1e308 on the circle, pi * 1e308 as the sweep's step time
+    out = str(tmp_path / "x.csv")
+    for argv, t in ((["dynamics", "--graph", "circle2:10,1", "--t", "1e308"], "t = 1e+308"),
+                    (["sweep", "--sweep", "q_time:0:1e308:2", "--steps", "3"], "t = inf")):
+        assert main(argv + ["--out", out]) == 1, argv
+        assert t in one_line_error(capsys)
+    assert not os.path.exists(out)
+
+
+def test_nan_probabilities_fail_the_sum_check_and_the_line_guard(tmp_path):
+    from argparse import Namespace
+
+    from hqw.cli import _check_line_guard, _write_observables
+    from hqw.linalg import NumericalViolation
+    from hqw.walk import Trajectory
+
+    P = np.full((2, 7), 1 / 7)
+    P[1, 3] = np.nan
+    with pytest.raises(NumericalViolation, match="boundary band carries probability nan"):
+        _check_line_guard(np.full((2, 7), np.nan))
+    traj = Trajectory(coords=np.arange(7.0), states=np.zeros((2, 7)), distributions=P,
+                      sigmas=np.zeros(2), entropies=np.zeros(2))
+    args = Namespace(format="csv", out=str(tmp_path / "x.csv"), command="dynamics")
+    with pytest.raises(NumericalViolation, match="sum to nan"):
+        _write_observables(args, ["step"], np.arange(2).reshape(-1, 1), [traj])
+    assert not os.path.exists(args.out)
+
+
 def test_cli_paths_do_not_import_numpy_ma(tmp_path):
     # numpy.ma loads lazily (about 15 ms and 0.6 MB per process), e.g. on a plain np.unique
     q4 = tmp_path / "q4.json"
     q4.write_text(save_json(hypercube(4)))
     runs = [["dynamics", "--graph", "star:5", "--t", "0:1:3"],
             ["pst", "--graph", str(q4), "--source", "0", "--target", "15"],
-            ["matmul", "--graph", "cycle:6", "--graph", "cycle:6", "--matrix"]]
+            ["matmul", "--graph", "cycle:6", "--graph", "cycle:6", "--matrix"],
+            ["dynamics", "--graph", "line3:8", "--steps", "3", "--t", "0.5", "--format", "json"]]
     script = ("import sys\nfrom hqw.cli import main\n"
               f"codes = [main(argv + ['--out', {str(tmp_path)!r} + '/%d.out' % k]) for k, argv in enumerate({runs!r})]\n"
               "print(codes, 'numpy.ma' in sys.modules)\n")
@@ -326,7 +356,7 @@ def test_cli_paths_do_not_import_numpy_ma(tmp_path):
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src))
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip().splitlines()[-1] == "[0, 0, 0] False", res.stdout
+    assert res.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] False", res.stdout
 
 
 def test_pst_norm_drift_is_a_numerical_violation(tmp_path, capsys, monkeypatch):
@@ -442,6 +472,12 @@ def adversarial_floats():
     return special + edges + [-x for x in edges] + patterns.tolist()
 
 
+def as_blocks(rows, *widths):
+    """The columns of `rows`, left to right, as row-aligned 2-D arrays of the given widths."""
+    ends = np.cumsum((0, *widths)).tolist()
+    return [np.array([row[a:b] for row in rows]).reshape(len(rows), b - a) for a, b in zip(ends, ends[1:])]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_writer_matches_per_value_formatting(fmt):
     values = adversarial_floats()
@@ -449,15 +485,42 @@ def test_table_writer_matches_per_value_formatting(fmt):
     values += [0.0] * (-len(values) % width)
     header = ["step", *(f"c{k}" for k in range(width))]
     rows = [(k, *values[k * width:(k + 1) * width]) for k in range(len(values) // width)]
-    assert _table_text(header, iter(rows), fmt) == per_value_table(header, rows, fmt)
+    assert _table_text(header, as_blocks(rows, 1, width), fmt) == per_value_table(header, rows, fmt)
     # the matmul --matrix layout: two integer columns, then a float
     mat = [(i, j, values[(31 * i + j) % len(values)]) for i in range(40) for j in range(40)]
-    assert _table_text(["i", "j", "value"], iter(mat), fmt) == per_value_table(["i", "j", "value"], mat, fmt)
+    assert _table_text(["i", "j", "value"], as_blocks(mat, 2, 1), fmt) == per_value_table(["i", "j", "value"], mat, fmt)
     # an integer column stays an integer however large; -0.0 keeps its sign
     big = [(2 ** 70, -0.0), (-3, 2.0)]
-    assert _table_text(["n", "x"], big, fmt) == per_value_table(["n", "x"], big, fmt)
+    assert _table_text(["n", "x"], as_blocks(big, 1, 1), fmt) == per_value_table(["n", "x"], big, fmt)
     # a table without rows is its header alone
-    assert _table_text(["t", "x"], iter([]), fmt) == per_value_table(["t", "x"], [], fmt)
+    assert _table_text(["t", "x"], as_blocks([], 1, 1), fmt) == per_value_table(["t", "x"], [], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cells", [1, 10, 64, None])
+def test_table_writer_spans_chunks(monkeypatch, fmt, cells):
+    import hqw.cli as cli
+
+    if cells is not None:
+        monkeypatch.setattr(cli, "TABLE_CHUNK_CELLS", cells)
+    rows_per_chunk = max(1, cli.TABLE_CHUNK_CELLS // 5)
+    n = 3 * rows_per_chunk + 7  # four chunks, the last one short
+    rng = np.random.default_rng(11)
+    pool = [0.0, -0.0, float("nan"), 0.1, 1 / 3, -2.5e-300, 1e12, float("inf")]
+    # a float column in runs of one value that change mid-chunk, so runs cross the
+    # chunk boundaries; an integer column in runs of 3; columns that change every row
+    span = max(2, rows_per_chunk)
+    run = [pool[(k + span // 2) // span % len(pool)] for k in range(n)]
+    rows = [(k // 3, k - n, run[k], float(x), pool[k % len(pool)])
+            for k, x in zip(range(n), rng.standard_normal(n))]
+    assert any(rows[b - 1][2] is rows[b][2] for b in range(rows_per_chunk, n, rows_per_chunk))
+    header = ["step", "k", "run", "x", "cycle"]
+    assert _table_text(header, as_blocks(rows, 2, 3), fmt) == per_value_table(header, rows, fmt)
+    # a non-contiguous view as a block: the matmul --matrix (i, j) layout
+    ij = np.indices((n // 4 + 1, 4)).reshape(2, -1).T
+    C = np.array([run[k % n] for k in range(len(ij))]).reshape(-1, 1)
+    mat = [(int(i), int(j), c) for (i, j), c in zip(ij, C[:, 0].tolist())]
+    assert _table_text(["i", "j", "value"], [ij, C], fmt) == per_value_table(["i", "j", "value"], mat, fmt)
 
 
 def test_trajectory_step_column_is_an_integer_in_csv_and_json(tmp_path):

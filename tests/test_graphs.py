@@ -178,6 +178,8 @@ BAD_EDGES = {
     "unknown": (Edge(1, 2, "z"), "edge Edge(u=1, v=2, label='z', weight=1.0) uses unknown label 'z'"),
     "non-finite": (Edge(2, 3, "a", float("inf")), "edge Edge(u=2, v=3, label='a', weight=inf) has a non-finite weight"),
     "duplicate": (Edge(1, 0, "a"), "duplicate edge for pair (0, 1) under label 'a'"),
+    "float": (Edge(0.5, 1, "a"), "edge Edge(u=0.5, v=1, label='a', weight=1.0) has non-integer endpoints"),
+    "bool": (Edge(3, True, "b"), "edge Edge(u=3, v=True, label='b', weight=1.0) has non-integer endpoints"),
 }
 
 
@@ -195,6 +197,28 @@ def test_graph_validation_checks_an_edge_in_order():
         LabeledGraph(4, (Edge(0, 9, "z", float("nan")),), ("a",))
     with pytest.raises(ValueError, match="unknown label"):
         LabeledGraph(4, (Edge(0, 1, "z", float("nan")),), ("a",))
+
+
+def test_non_integer_endpoints_are_refused():
+    # floats were truncated to vertices the edges do not name, bools read as 0 and 1
+    for edges, text in (((Edge(0.5, 1, "a"), Edge(1, 2.9, "a")), "Edge(u=0.5, v=1"),
+                        ((Edge(0, 1, "a"), Edge(1, 2.9, "a")), "Edge(u=1, v=2.9"),
+                        ((Edge(True, 2, "a"),), "Edge(u=True, v=2"),
+                        ((Edge(0, np.bool_(True), "a"),), "Edge(u=0, v="),  # repr varies by numpy version
+                        ((Edge(0, "1", "a"),), "Edge(u=0, v='1'"),
+                        ((Edge(0, 2.0, "a"),), "Edge(u=0, v=2.0")):
+        with pytest.raises(ValueError, match="non-integer endpoints") as exc:
+            LabeledGraph(3, edges, ("a",))
+        assert str(exc.value).startswith(f"edge {text}")
+    # numpy integers are integers
+    g = LabeledGraph(3, (Edge(np.int64(0), np.int32(2), "a"), Edge(1, np.uint8(2), "b")), ("a", "b"))
+    assert g.u.tolist() == [0, 1] and g.v.tolist() == [2, 2] and g.u.dtype == np.int64
+    assert LabeledGraph(3, (), ("a",)).u.dtype == np.int64
+    # so is the vertex count
+    for n in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="integer vertex count"):
+            LabeledGraph(n, (), ("a",))
+    assert LabeledGraph(np.int64(3), (), ("a",)).n == 3
 
 
 def test_vertex_count_beyond_int64_is_refused():

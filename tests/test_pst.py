@@ -163,6 +163,19 @@ def test_run_pst_rejects_bad_alpha():
         run_pst(plan, np.array([1.0]))
 
 
+def test_nan_alpha_and_nan_stage_are_refused():
+    # abs(nan - 1) > tol is False: the checks must not let a NaN norm through
+    plan = make_plan(demo_tree(), 0, 14)
+    with pytest.raises(ValueError, match="alpha is not normalized: .* nan"):
+        run_pst(plan, [np.nan, 1, 1])
+    state = np.zeros(plan.coin_dim * plan.graph.n, dtype=complex)
+    state[0] = np.nan
+    transcript = PstTranscript(coin_labels=plan.labels + plan.primed_labels, pos_dim=plan.graph.n)
+    with pytest.raises(linalg.NumericalViolation, match="norm drifted to nan at stage x"):
+        transcript.record("x", state)
+    assert transcript.stages == []
+
+
 def test_randomized_transfer_cases():
     rng = np.random.default_rng(42)
     for _ in range(10):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -362,6 +363,31 @@ def test_run_rejects_unnormalized():
     w = HybridWalk(circle2(1, 2))
     with pytest.raises(ValueError, match="not normalized"):
         w.run(1.0, 3, np.ones(4, dtype=complex))
+
+
+def test_run_rejects_a_nan_initial_state():
+    # abs(nan - 1) > tol is False: the check must not let a NaN norm through
+    psi0 = coin_position_state(2, 2, 0, 0)
+    psi0[1] = np.nan
+    with pytest.raises(ValueError, match="not normalized: .* nan"):
+        HybridWalk(circle2(1, 2)).run(1.0, 3, psi0)
+
+
+@pytest.mark.parametrize("g, rate", [(circle2(10, 1), 10.0),  # matching pairs
+                                     (fock_g0(4, 2.0), 4.0),  # self-loop phases up to 2 * 4 / 2
+                                     (cubic8(), 3.0)])  # one dense sector, largest eigenvalue 3
+def test_evolve_refuses_a_time_with_a_non_finite_phase(g, rate):
+    w = HybridWalk(g)
+    psi = coin_position_state(w.coin_dim, w.pos_dim, 0, 0)
+    for t, named in ((1e308, "t = 1e+308"), (np.inf, "t = inf"), (np.nan, "t = nan"),
+                     (np.array([0.5, -1e308, 1e308]), "t = -1e+308")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            w.evolve(t, psi)
+    with pytest.raises(ValueError, match=re.escape("t = 1e+308")):
+        w.step(1e308, psi)
+    # the largest finite phases still evolve, without overflow warnings (errors under pytest)
+    assert np.isfinite(w.evolve(np.array([0.0, 1e307 / rate]), psi)).all()
+    assert np.isfinite(w.run(1e307 / rate, 2, psi).states).all()
 
 
 def test_single_label_reduction_to_continuous_walk():
