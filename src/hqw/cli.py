@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -28,6 +30,8 @@ EXIT_NUMERICAL = 2
 
 PROB_SUM_ATOL = 1e-9
 TABLE_CHUNK_CELLS = 1 << 14  # cells per chunk of a written table
+STATE_CHUNK_ENTRIES = 1 << 16  # amplitudes per chunk of states behind a streamed table
+TABLE_CELL_BUDGET = 10**9  # rows x columns of the largest dynamics or sweep table
 
 
 # ---------------------------------------------------------------------------
@@ -35,9 +39,10 @@ TABLE_CHUNK_CELLS = 1 << 14  # cells per chunk of a written table
 
 
 class GraphSpec:
-    def __init__(self, family, make, omega_dependent=False):
+    def __init__(self, family, make, n, omega_dependent=False):
         self.family = family
         self.make = make
+        self.n = n  # vertex count, the same for every omega
         self.omega_dependent = omega_dependent
 
 
@@ -65,7 +70,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
     """Builder spec 'family:params' or a path to a graph JSON file."""
     if text.endswith(".json") or os.path.sep in text or os.path.exists(text):
         g = graphs.load_json_file(text)
-        return GraphSpec(family=None, make=lambda omega=None: g)
+        return GraphSpec(family=None, make=lambda omega=None: g, n=g.n)
     name, _, argstr = text.partition(":")
     if name not in graphs.BUILDERS:
         raise ValueError(f"unknown graph spec {text!r}; builders: {sorted(graphs.BUILDERS)} or a .json path")
@@ -82,10 +87,10 @@ def parse_graph_spec(text: str) -> GraphSpec:
             w = 0.0 if omega is None else omega
             return graphs.circle2(ca * w + oa, cb * w + ob)
 
-        return GraphSpec(family="circle2", make=make, omega_dependent=depends)
+        return GraphSpec(family="circle2", make=make, n=2, omega_dependent=depends)
     params = [_parse_number(tok) for tok in tokens]
     g = graphs.build(name, *params)
-    return GraphSpec(family=name, make=lambda omega=None: g)
+    return GraphSpec(family=name, make=lambda omega=None: g, n=g.n)
 
 
 def _parse_amplitudes(text: str) -> np.ndarray:
@@ -190,14 +195,15 @@ def _parse_finite(text: str, what: str) -> float:
     return x
 
 
-def _parse_grid(text: str, what: str) -> np.ndarray:
+def _parse_grid(text: str, what: str) -> tuple[float, float, int]:
+    """start:stop:points, checked; `np.linspace(*grid)` gives the values."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{what} grid must be start:stop:points, got {text!r}")
     start, stop, points = _parse_finite(parts[0], what), _parse_finite(parts[1], what), int(parts[2])
     if points < 2:
         raise ValueError(f"{what} grid needs at least 2 points, got {points}")
-    return np.linspace(start, stop, points)
+    return start, stop, points
 
 
 def _parse_sweep(text: str):
@@ -215,76 +221,155 @@ def _config_hash(args) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _emit(args, ext: str, text: str):
-    """Write the run's artifact (--out, or out/<cmd>-<confighash>.<ext>) and name it."""
+def _emit(args, ext: str, pieces):
+    """Write the run's artifact (--out, or out/<cmd>-<confighash>.<ext>) from the
+    text `pieces` and name it.
+
+    The pieces go to a temporary file beside the target, renamed over it once
+    all are written, so an exception while they are produced leaves no
+    temporary file and no artifact, or the old one as it was. The artifact gets
+    the permissions `open(path, "w")` gives; a symlink is written through, and a
+    device or pipe (`/dev/stdout`), which cannot be replaced, in place.
+    """
     path = args.out or os.path.join("out", f"{args.command}-{_config_hash(args)}.{ext}")
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    old = os.stat(path) if os.path.exists(path) else None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+    else:
+        if old is not None:
+            open(path, "a").close()  # refused where open(path, "w") would be
+        target = os.path.realpath(path)
+        tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+            if old is not None:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     print(f"wrote {path}")
 
 
-def _table_text(header, blocks, fmt: str) -> str:
-    """CSV (or `--format json`) text of a table whose columns are those of
-    `blocks`, row-aligned 2-D numeric arrays, left to right.
+def _table_pieces(header, chunks, fmt: str):
+    """Yield the CSV (or `--format json`) text of a table, piece by piece.
+    Each item of `chunks` is a list of row-aligned 2-D numeric blocks, the
+    table's columns left to right, for the rows after those of the item before.
 
     An integer block writes "%d" and a float block "%.12g" (JSON: the int or
     float that text reads as). Rows go in chunks of at most TABLE_CHUNK_CELLS
     cells, which bound the temporaries. In a chunk, each block's distinct
     values are formatted once, keyed by bit pattern for floats so that -0.0,
-    0.0 and NaN payloads stay apart, and mapped back to their cells.
+    0.0 and NaN payloads stay apart, and mapped back to their cells. JSON rows
+    are joined from those values' JSON texts into the bytes of
+    `json.dumps({"columns": header, "rows": rows}, indent=2)`, without the
+    pure-Python encoder that `indent` selects.
     """
-    step = max(1, TABLE_CHUNK_CELLS // sum(block.shape[1] for block in blocks))
-    lines, records = [",".join(header)], []
-    for lo in range(0, len(blocks[0]), step):
-        cols = []
-        for block in blocks:
-            chunk = block[lo:lo + step]
-            flat = chunk.reshape(-1)
-            kind = "%.12g" if flat.dtype.kind == "f" else "%d"
-            key = flat.view(f"i{flat.itemsize}") if kind == "%.12g" else flat
-            # with return_index: a plain np.unique imports numpy.ma on its first call
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            text = [kind % x for x in flat[first].tolist()]
-            if fmt == "json":
-                text = list(map(int if kind == "%d" else float, text))
-            cols += np.array(text, dtype=object)[inverse.reshape(chunk.shape)].T.tolist()
-        if fmt == "json":
-            records += zip(*cols)
-        else:
-            lines.append("\n".join(map(",".join, zip(*cols))))
     if fmt == "json":
-        return json.dumps({"columns": header, "rows": records}, indent=2) + "\n"
-    return "\n".join(lines) + "\n"
+        yield '{\n  "columns": [\n    ' + ",\n    ".join(map(json.dumps, header)) + '\n  ],\n  "rows": ['
+    else:
+        yield ",".join(header) + "\n"
+    sep = "\n"
+    for blocks in chunks:
+        step = max(1, TABLE_CHUNK_CELLS // sum(block.shape[1] for block in blocks))
+        for lo in range(0, len(blocks[0]), step):
+            cols = []
+            for block in blocks:
+                chunk = block[lo:lo + step]
+                flat = chunk.reshape(-1)
+                kind = "%.12g" if flat.dtype.kind == "f" else "%d"
+                key = flat.view(f"i{flat.itemsize}") if kind == "%.12g" else flat
+                # with return_index: a plain np.unique imports numpy.ma on its first call
+                _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+                text = [kind % x for x in flat[first].tolist()]
+                if fmt == "json":  # one C-encoder pass over the distinct values
+                    text = json.dumps(list(map(int if kind == "%d" else float, text)))[1:-1].split(", ")
+                cols += np.array(text, dtype=object)[inverse.reshape(chunk.shape)].T.tolist()
+            if fmt == "json":
+                rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cols)))
+                yield sep + "    [\n      " + rows + "\n    ]"
+                sep = ",\n"
+            else:
+                yield "\n".join(map(",".join, zip(*cols))) + "\n"
+    if fmt == "json":
+        yield ("]" if sep == "\n" else "\n  ]") + "\n}\n"
 
 
-def _write_observables(args, lead_names, leads, trajs):
+def _table_text(header, blocks, fmt: str) -> str:
+    """The whole text of `_table_pieces` for one chunk of blocks."""
+    return "".join(_table_pieces(header, [blocks], fmt))
+
+
+def _check_budget(rows: int, columns: int):
+    """Refuse a table over TABLE_CELL_BUDGET cells before its first row is computed."""
+    if rows * columns > TABLE_CELL_BUDGET:
+        raise ValueError(f"a table of {rows} rows x {columns} columns is over the output budget "
+                         f"of {TABLE_CELL_BUDGET} cells")
+
+
+def _chunk_rows(columns: int, dim: int) -> int:
+    """States per chunk of a streamed table: at most STATE_CHUNK_ENTRIES amplitudes,
+    and few enough rows that `_table_pieces` formats the chunk in one pass."""
+    return max(1, min(TABLE_CHUNK_CELLS // columns, STATE_CHUNK_ENTRIES // dim))
+
+
+def _write_observables(args, lead_names, leads, trajs, line=False):
     """Write rows [*lead, P..., sigma, entropy], one per state of `trajs` in order.
 
-    `leads` is the (rows, len(lead_names)) block of leading values across all
-    trajectories; the table's other blocks are the trajectories' stacked
-    distributions and their (sigma, entropy) columns.
+    `trajs` is any iterable of Trajectory chunks; each chunk's rows are written
+    before the next chunk is read. `leads` is the (rows, len(lead_names)) block
+    of leading values across all of them. Each chunk's probability sums are
+    checked, and on a truncated line (`line`) its boundary band. After a failed
+    check nothing more is written, but the chunks are read to the end: a later
+    error, then the guard with its largest band over all rows, then the sums
+    are reported, as when a whole run was checked at once. A failed run leaves
+    no artifact.
     """
-    coords = trajs[0].coords.tolist()
+    trajs = iter(trajs)
+    first = next(trajs)
+    coords = first.coords.tolist()
     header = [*lead_names, *(f"P({int(c)})" if c.is_integer() else "P(%.12g)" % c for c in coords),
               "sigma", "entropy"]
-    for traj in trajs:
-        totals = traj.distributions.sum(axis=-1)
-        bad = np.flatnonzero(~(np.abs(totals - 1.0) <= PROB_SUM_ATOL))
-        if bad.size:
-            raise linalg.NumericalViolation(f"probability columns sum to {totals[bad[0]]:.12g}, not 1")
-    dists = trajs[0].distributions if len(trajs) == 1 else np.concatenate([t.distributions for t in trajs])
-    tail = np.column_stack([np.concatenate([t.sigmas for t in trajs]),
-                            np.concatenate([t.entropies for t in trajs])])
-    _emit(args, args.format, _table_text(header, [leads, dists, tail], args.format))
+
+    def blocks():
+        edge, failure, lo = np.zeros((1, 4)), None, 0
+        for traj in itertools.chain([first], trajs):
+            P, hi = traj.distributions, lo + len(traj.distributions)
+            totals = P.sum(axis=-1)
+            bad = np.flatnonzero(~(np.abs(totals - 1.0) <= PROB_SUM_ATOL))
+            if bad.size and failure is None:
+                failure = f"probability columns sum to {totals[bad[0]]:.12g}, not 1"
+            if line:
+                edge = _widest_band(edge, P[:, [0, 1, -2, -1]])
+            if failure is None and edge.sum() <= 1e-12:
+                yield [leads[lo:hi], P, np.column_stack([traj.sigmas, traj.entropies])]
+            lo = hi
+        if line:
+            _check_line_guard(edge)
+        if failure:
+            raise linalg.NumericalViolation(failure)
+
+    _emit(args, args.format, _table_pieces(header, blocks(), args.format))
+
+
+def _widest_band(edge, band):
+    """Of the (1, 4) row `edge` and the rows of `band`, each the probabilities
+    of a line's sites [0, 1, -2, -1], the row with the largest sum (NaN wins)."""
+    rows = np.concatenate([edge, band])
+    return rows[[rows.sum(axis=1).argmax()]]
 
 
 def _check_line_guard(distributions):
     # truncated-line runs emulate the infinite line; the walker spreads at most
     # one site per step, so any mass in the outer two sites means the
-    # truncation was too small for the requested step count
+    # truncation was too small for the requested step count. Rows of only the
+    # four band columns (see _widest_band) read the same.
     band = float(np.asarray(distributions)[:, [0, 1, -2, -1]].sum(axis=1).max())
     if not band <= 1e-12:
         raise linalg.NumericalViolation(
@@ -295,12 +380,16 @@ def _check_line_guard(distributions):
 # dynamics
 
 
-def _grid_trajectory(args, spec: GraphSpec, coin_spec: str, ts: np.ndarray, omega=None) -> walk.Trajectory:
-    """One coin step at every t of the grid, as a trajectory with one state per t."""
-    g = spec.make(omega)
-    w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
-    states = w.evolve(ts, w.apply_coin(walk.product_state(*_initial_state(args, spec.family, g))))
-    return walk.Trajectory.from_states(states, w.coin_dim, w.pos_dim, _coords_for(spec.family, g.n))
+def _grid_chunks(args, spec: GraphSpec, coin_spec: str, ts: np.ndarray, omegas, columns: int):
+    """One coin step at every t of the grid, for each omega in turn, as
+    trajectory chunks of one state per t."""
+    for omega in omegas:
+        g = spec.make(omega)
+        w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
+        psi = w.apply_coin(walk.product_state(*_initial_state(args, spec.family, g)))
+        coords, rows = _coords_for(spec.family, g.n), _chunk_rows(columns, w.dim)
+        for lo in range(0, len(ts), rows):
+            yield walk.Trajectory.from_states(w.evolve(ts[lo:lo + rows], psi), w.coin_dim, w.pos_dim, coords)
 
 
 def cmd_dynamics(args) -> int:
@@ -316,27 +405,36 @@ def cmd_dynamics(args) -> int:
         g = spec.make()
         w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
         psi0 = walk.product_state(*_initial_state(args, spec.family, g))
-        traj = w.run(t, args.steps, psi0, coords=_coords_for(spec.family, g.n))
-        if spec.family in ("line2", "line3") and g.n >= 5:
-            _check_line_guard(traj.distributions)
-        _write_observables(args, ["step"], np.arange(args.steps + 1).reshape(-1, 1), [traj])
+        _check_budget(args.steps + 1, g.n + 3)
+        coords = _coords_for(spec.family, g.n)
+        chunks = (walk.Trajectory.from_states(states, w.coin_dim, w.pos_dim, coords)
+                  for states in w.state_chunks(t, args.steps, psi0, _chunk_rows(g.n + 3, w.dim)))
+        _write_observables(args, ["step"], np.arange(args.steps + 1).reshape(-1, 1), chunks,
+                           line=spec.family in ("line2", "line3") and g.n >= 5)
         return EXIT_OK
 
     if args.t is None:
         raise ValueError("dynamics needs --t (single value or start:stop:points grid)")
-    ts = _parse_grid(args.t, "--t") if ":" in args.t else np.array([_parse_finite(args.t, "--t")])
-    lead_names, omegas, leads = ["t"], [None], ts.reshape(-1, 1)
+    t_grid = _parse_grid(args.t, "--t") if ":" in args.t else None
+    t = None if t_grid else _parse_finite(args.t, "--t")
+    o_grid = None
     if args.sweep:
-        name, grid = _parse_sweep(args.sweep)
+        name, o_grid = _parse_sweep(args.sweep)
         if name != "omega":
             raise ValueError("dynamics sweeps only 'omega'; q sweeps live in the sweep subcommand")
         if not spec.omega_dependent:
             raise ValueError("--sweep omega needs circle2 weights that reference w, e.g. circle2:2w,2w+1")
+    lead_names = ["omega", "t"] if o_grid else ["t"]
+    columns = len(lead_names) + spec.n + 2
+    _check_budget((t_grid[2] if t_grid else 1) * (o_grid[2] if o_grid else 1), columns)
+    ts = np.linspace(*t_grid) if t_grid else np.array([t])
+    omegas, leads = [None], ts.reshape(-1, 1)
+    if o_grid:
+        grid = np.linspace(*o_grid)
         # Python floats: an overflowing weight becomes inf without a numpy warning
-        lead_names, omegas = ["omega", "t"], grid.tolist()
+        omegas = grid.tolist()
         leads = np.column_stack([np.repeat(grid, len(ts)), np.tile(ts, len(grid))])
-    trajs = [_grid_trajectory(args, spec, coin_spec, ts, omega) for omega in omegas]
-    _write_observables(args, lead_names, leads, trajs)
+    _write_observables(args, lead_names, leads, _grid_chunks(args, spec, coin_spec, ts, omegas, columns))
     return EXIT_OK
 
 
@@ -367,7 +465,7 @@ def _sweep_initial_coin(name: str, q: float, base_default: np.ndarray) -> np.nda
 def cmd_sweep(args) -> int:
     if not args.sweep:
         raise ValueError(f"sweep needs --sweep name:start:stop:points with name in {SWEEP_PARAMS}")
-    name, qs = _parse_sweep(args.sweep)
+    name, grid = _parse_sweep(args.sweep)
     if name not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {name!r}; choices: {SWEEP_PARAMS}")
     if args.init_coin is not None and name != "q_time":
@@ -380,15 +478,27 @@ def cmd_sweep(args) -> int:
     coords = _coords_for("line3", g.n)
     base_coin, pos_vec = _initial_state(args, "line3", g)
     w = walk.HybridWalk(g, coin=_resolve_coin("grover" if args.coin is None else args.coin, len(g.labels)))
-    finals = np.empty((len(qs), w.dim), dtype=complex)
-    for k, q in enumerate(qs.tolist()):
-        psi0 = walk.product_state(_sweep_initial_coin(name, q, base_coin), pos_vec)
-        t = q * np.pi if name == "q_time" else 3 * np.pi / 2
-        traj = w.run(t, steps, psi0, coords=coords)
-        _check_line_guard(traj.distributions)
-        finals[k] = traj.states[-1]
-    final = walk.Trajectory.from_states(finals, w.coin_dim, w.pos_dim, coords)
-    _write_observables(args, ["q"], qs.reshape(-1, 1), [final])
+    _check_budget(grid[2], g.n + 3)
+    qs, rows = np.linspace(*grid), _chunk_rows(g.n + 3, w.dim)
+
+    def chunks():
+        # per q only the final state is kept, and of the states before it the
+        # probabilities of the four band sites; `rows` bounds both kinds of chunk
+        for lo in range(0, len(qs), rows):
+            chunk = qs[lo:lo + rows].tolist()
+            finals = np.empty((len(chunk), w.dim), dtype=complex)
+            for k, q in enumerate(chunk):
+                psi0 = walk.product_state(_sweep_initial_coin(name, q, base_coin), pos_vec)
+                t = q * np.pi if name == "q_time" else 3 * np.pi / 2
+                edge = np.zeros((1, 4))
+                for states in w.state_chunks(t, steps, psi0, rows):
+                    band = states.reshape(-1, w.coin_dim, w.pos_dim)[..., [0, 1, -2, -1]]
+                    edge = _widest_band(edge, (np.abs(band) ** 2).sum(axis=-2))
+                _check_line_guard(edge)
+                finals[k] = states[-1]
+            yield walk.Trajectory.from_states(finals, w.coin_dim, w.pos_dim, coords)
+
+    _write_observables(args, ["q"], qs.reshape(-1, 1), chunks())
     return EXIT_OK
 
 
@@ -430,7 +540,7 @@ def cmd_pst(args) -> int:
         payload["path_colors"] = list(plan.path_labels)
         fidelity = transcript.fidelity
 
-    _emit(args, "json", json.dumps(payload, indent=2) + "\n")
+    _emit(args, "json", [json.dumps(payload, indent=2), "\n"])
     print("fidelity %.12g" % fidelity)
     if not fidelity > 1 - 1e-6:
         print(f"transfer fidelity {fidelity:.9g} below 1 - 1e-6", file=sys.stderr)
@@ -446,7 +556,7 @@ def _emit_result(args, obj: dict):
     """Write a matmul/triangles JSON artifact, shots mode adding `shots` and `seed` last."""
     if args.mode == "shots":
         obj["shots"], obj["seed"] = args.shots, args.seed
-    _emit(args, "json", json.dumps(obj, indent=2) + "\n")
+    _emit(args, "json", [json.dumps(obj, indent=2), "\n"])
 
 
 def cmd_matmul(args) -> int:
@@ -471,7 +581,7 @@ def cmd_matmul(args) -> int:
     else:
         C = matmul.product_matrix(seq, mode=mode, shots=shots, seed=seed)
         ij = np.indices(C.shape).reshape(2, -1).T
-        _emit(args, "csv", _table_text(["i", "j", "value"], [ij, C.reshape(-1, 1)], "csv"))
+        _emit(args, "csv", _table_pieces(["i", "j", "value"], [[ij, C.reshape(-1, 1)]], "csv"))
     return EXIT_OK
 
 

@@ -248,18 +248,36 @@ class HybridWalk:
         """Dense matrix of one step, one basis column at a time; for small dimensions."""
         return np.column_stack([self.step(t, e, coin) for e in np.eye(self.dim)])
 
-    def run(self, t: float, steps: int, psi0, coords=None) -> Trajectory:
-        """Repeat the step `steps` times, recording observables along the way."""
+    def state_chunks(self, t: float, steps: int, psi0, rows: int):
+        """Yield psi0 and the `steps` states after it, in order, as (k, dim)
+        blocks of at most `rows` states each.
+
+        Each state is `step(t, ...)` of the one before, as in `run`; a block is
+        a fresh array that the caller may keep. The initial norm and `steps`
+        are checked before the first block.
+        """
         psi = self._check_dim(psi0)
         nrm = np.linalg.norm(psi)
         if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
             raise ValueError(f"initial state is not normalized: ||psi0|| = {nrm:.12g}")
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
-        states = np.empty((steps + 1, self.dim), dtype=complex)
-        states[0] = psi
-        for k in range(steps):
-            states[k + 1] = self.step(t, states[k])
+        for lo in range(0, steps + 1, rows):
+            block = np.empty((min(rows, steps + 1 - lo), self.dim), dtype=complex)
+            block[0] = psi if lo == 0 else self.step(t, psi)
+            for k in range(1, len(block)):
+                block[k] = self.step(t, block[k - 1])
+            psi = block[-1]
+            yield block
+
+    def run(self, t: float, steps: int, psi0, coords=None) -> Trajectory:
+        """Repeat the step `steps` times and return every state with its
+        observables: `state_chunks` as one block of steps + 1 states.
+
+        Memory grows with `steps`; to hold a bounded number of states at a
+        time, consume `state_chunks` with a smaller `rows` instead.
+        """
+        (states,) = self.state_chunks(t, steps, psi0, steps + 1)
         coords = np.arange(self.pos_dim) if coords is None else coords
         return Trajectory.from_states(states, self.coin_dim, self.pos_dim, coords)
 

@@ -600,3 +600,139 @@ def test_sweep_q_time_honours_init_coin(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--init-coin", "basis:2", "--out", str(b)]) == 0
     assert read(a) != read(b)
+
+
+STREAMED = [
+    ["dynamics", "--graph", "line3:6", "--steps", "0", "--t", "0.3"],
+    ["dynamics", "--graph", "line3:12", "--steps", "8", "--t", "0.7"],
+    ["dynamics", "--graph", "star:5", "--t", "0:1:2"],
+    ["dynamics", "--graph", "star:6", "--t", "0.1:6:11", "--init-coin", "basis:2"],
+    ["dynamics", "--graph", "circle2:2w,2w+1", "--t", "0:6.2832:5", "--sweep", "omega:0:3:4"],
+    ["sweep", "--sweep", "q_mix2:0:1:7", "--steps", "5"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_streamed_tables_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, fmt, rows):
+    import hqw.cli as cli
+    from hqw import walk
+
+    whole = []
+    for k, argv in enumerate(STREAMED):
+        whole.append(tmp_path / f"whole{k}.{fmt}")
+        assert main(argv + ["--format", fmt, "--out", str(whole[-1])]) == 0
+    chunks = []
+    from_states = walk.Trajectory.from_states.__func__
+    monkeypatch.setattr(walk.Trajectory, "from_states",
+                        classmethod(lambda cls, states, *a: chunks.append(len(states)) or from_states(cls, states, *a)))
+    monkeypatch.setattr(cli, "_chunk_rows", lambda columns, dim: rows)
+    for k, argv in enumerate(STREAMED):
+        chunks.clear()
+        out = tmp_path / f"chunked{k}.{fmt}"
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        assert read(out) == read(whole[k]), argv
+        table_rows = len(json.loads(read(out))["rows"]) if fmt == "json" else len(read(out).splitlines()) - 1
+        assert max(chunks) <= rows and sum(chunks) == table_rows, (argv, chunks)
+
+
+@pytest.mark.parametrize("argv, nan_from_row, code, message", [
+    # the guard trips in a later chunk and reports its largest band over the whole run
+    (["dynamics", "--graph", "line3:5", "--steps", "30", "--t", "0.8"], None, 2, "boundary band carries"),
+    (["dynamics", "--graph", "star:5", "--steps", "9", "--t", "0.4"], 5, 2, "sum to nan, not 1"),
+    (["dynamics", "--graph", "star:5", "--t", "0:1:9"], 7, 2, "sum to nan, not 1"),
+    # on a line the guard, over every row, goes before the sum check
+    (["dynamics", "--graph", "line3:12", "--steps", "9", "--t", "0.4"], 5, 2, "boundary band carries probability nan"),
+    (["sweep", "--sweep", "q_mix2:0:2:9", "--steps", "3"], None, 1, "q_mix2 needs q in [0, 1]"),
+])
+def test_a_failure_in_a_later_chunk_leaves_the_old_artifact_alone(tmp_path, capsys, monkeypatch, argv,
+                                                                    nan_from_row, code, message):
+    import hqw.cli as cli
+    from hqw import walk
+
+    if nan_from_row is not None:  # NaN probabilities from one row of the table on
+        seen, distribution = [0], walk.position_distribution
+
+        def nan_rows(states, *dims):
+            P = distribution(states, *dims)
+            P[max(0, nan_from_row - seen[0]):] = np.nan
+            seen[0] += len(P)
+            return P
+
+        monkeypatch.setattr(walk, "position_distribution", nan_rows)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == code
+    expected = one_line_error(capsys)
+    assert message in expected
+    out.write_text("old\n")
+    out.chmod(0o640)
+    monkeypatch.setattr(cli, "_chunk_rows", lambda columns, dim: 3)
+    if nan_from_row is not None:
+        seen[0] = 0
+    assert main(argv + ["--out", str(out)]) == code
+    assert one_line_error(capsys) == expected
+    assert read(out) == "old\n" and out.stat().st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
+def test_artifacts_replace_the_old_file_and_keep_its_permissions(tmp_path):
+    out, link = tmp_path / "x.csv", tmp_path / "link.csv"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    link.symlink_to(out)
+    argv = ["dynamics", "--graph", "star:4", "--t", "0:1:3"]
+    assert main(argv + ["--out", str(link)]) == 0
+    assert link.is_symlink() and read(out).startswith("t,P(0)") and out.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "x.csv"]
+    fresh = tmp_path / "new" / "y.csv"
+    assert main(argv + ["--out", str(fresh)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_a_long_trajectory_holds_one_chunk_of_states(tmp_path):
+    import tracemalloc
+
+    out = tmp_path / "line3.csv"
+    assert main(["dynamics", "--graph", "line3:3", "--steps", "1", "--out", str(out)]) == 0  # imports
+    tracemalloc.start()
+    try:
+        # a whole-run table holds 501 x 6003 states (48 MB) and their distributions
+        assert main(["dynamics", "--graph", "line3:1000", "--steps", "500", "--t", "1.5707963267948966",
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert len(read(out).splitlines()) == 502
+
+
+def test_tables_over_the_output_budget_are_refused_before_a_step(tmp_path, capsys, monkeypatch):
+    import hqw.cli as cli
+    from hqw import walk
+
+    out = tmp_path / "x.csv"
+    monkeypatch.setattr(cli, "TABLE_CELL_BUDGET", 24)  # star:3 writes 6 columns
+    for argv, rows in ((["dynamics", "--graph", "star:3", "--steps", "3", "--t", "1"], 4),
+                       (["dynamics", "--graph", "star:3", "--t", "0:1:4"], 4),
+                       (["dynamics", "--graph", "circle2:2w,2w+1", "--t", "0:1:2", "--sweep", "omega:0:1:2"], 4)):
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        argv[argv.index("--steps" if "--steps" in argv else "--t") + 1] = "4" if "--steps" in argv else "0:1:5"
+        assert main(argv + ["--out", str(tmp_path / "y.csv")]) == 1, argv
+        assert "over the output budget of 24 cells" in one_line_error(capsys)
+    monkeypatch.undo()
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("a refused table computed a state")
+
+    monkeypatch.setattr(walk.HybridWalk, "evolve", no_steps)
+    for argv, shape in ((["dynamics", "--graph", "star:3", "--steps", str(10**13), "--t", "1"],
+                         "10000000000001 rows x 6 columns"),
+                        (["dynamics", "--graph", "star:3", "--t", f"0:1:{10**12}"], "1000000000000 rows x 6 columns"),
+                        (["dynamics", "--graph", "circle2:2w,2w+1", "--t", "0:1:100000", "--sweep", "omega:0:1:100000"],
+                         "10000000000 rows x 6 columns"),
+                        (["sweep", "--sweep", f"q_time:0:1:{10**9}", "--steps", "3"], "1000000000 rows x 26 columns")):
+        assert main(argv + ["--out", str(tmp_path / "z.csv")]) == 1, argv
+        assert f"a table of {shape} is over the output budget of 1000000000 cells" in one_line_error(capsys)
+    assert not (tmp_path / "y.csv").exists() and not (tmp_path / "z.csv").exists()

@@ -359,6 +359,20 @@ def test_run_zero_steps():
     np.testing.assert_allclose(traj.states[0], psi0)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 8, 13])
+def test_state_chunks_are_the_states_of_run(rows):
+    g = line3(6)
+    w = HybridWalk(g, coin="grover")
+    psi0 = product_state(np.ones(3) / np.sqrt(3), np.eye(g.n)[6])
+    blocks = list(w.state_chunks(0.7, 12, psi0, rows))
+    assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1) and 1 <= len(blocks[-1]) <= rows
+    states = np.concatenate(blocks)
+    assert states.tobytes() == w.run(0.7, 12, psi0).states.tobytes()
+    for bad, steps, match in ((np.ones(g.n * 3), 2, "not normalized"), (psi0, -1, "steps must be >= 0")):
+        with pytest.raises(ValueError, match=match):
+            next(w.state_chunks(0.7, steps, bad, rows))
+
+
 def test_run_rejects_unnormalized():
     w = HybridWalk(circle2(1, 2))
     with pytest.raises(ValueError, match="not normalized"):
