@@ -279,7 +279,7 @@ def _table_pieces(header, chunks, fmt: str):
     for blocks in chunks:
         step = max(1, TABLE_CHUNK_CELLS // sum(block.shape[1] for block in blocks))
         for lo in range(0, len(blocks[0]), step):
-            cols = []
+            texts, cells = [], []
             for block in blocks:
                 chunk = block[lo:lo + step]
                 flat = chunk.reshape(-1)
@@ -290,13 +290,15 @@ def _table_pieces(header, chunks, fmt: str):
                 text = [kind % x for x in flat[first].tolist()]
                 if fmt == "json":  # one C-encoder pass over the distinct values
                     text = json.dumps(list(map(int if kind == "%d" else float, text)))[1:-1].split(", ")
-                cols += np.array(text, dtype=object)[inverse.reshape(chunk.shape)].T.tolist()
+                cells.append(inverse.reshape(chunk.shape) + len(texts))
+                texts += text
+            cells = np.concatenate(cells, axis=1)  # row-major, however wide: the grouper idiom cuts rows
+            rows = zip(*[iter(np.array(texts, dtype=object)[cells].reshape(-1).tolist())] * cells.shape[1])
             if fmt == "json":
-                rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cols)))
-                yield sep + "    [\n      " + rows + "\n    ]"
+                yield sep + "    [\n      " + "\n    ],\n    [\n      ".join(map(",\n      ".join, rows)) + "\n    ]"
                 sep = ",\n"
             else:
-                yield "\n".join(map(",".join, zip(*cols))) + "\n"
+                yield "\n".join(map(",".join, rows)) + "\n"
     if fmt == "json":
         yield ("]" if sep == "\n" else "\n  ]") + "\n}\n"
 
@@ -304,6 +306,31 @@ def _table_pieces(header, chunks, fmt: str):
 def _table_text(header, blocks, fmt: str) -> str:
     """The whole text of `_table_pieces` for one chunk of blocks."""
     return "".join(_table_pieces(header, [blocks], fmt))
+
+
+def _json_pieces(obj):
+    """`json.dumps(obj, indent=2)` and a newline for str-keyed dicts, lists and scalars, without the
+    pure-Python encoder that `indent` selects: the containers become a %-template, and one C-encoder
+    pass writes every key and scalar, split at its newline item separator (no scalar text has one)."""
+    leaves, shapes = [], {}
+
+    def lay(o, pad):
+        if not o or type(o) not in (dict, list):
+            leaves.append(o)
+            return "%s"
+        inner = pad + "  "
+        if type(o) is dict:
+            items = [leaves.append(k) or lay(v, inner) for k, v in o.items()]
+            return "{" + inner + "%s: " + ("," + inner + "%s: ").join(items) + pad + "}"
+        if {dict, list}.isdisjoint(map(type, o)):  # a list of scalars: its leaves at once
+            leaves.extend(o)
+            if (pad, len(o)) not in shapes:
+                shapes[pad, len(o)] = "[" + inner + ("," + inner).join(["%s"] * len(o)) + pad + "]"
+            return shapes[pad, len(o)]
+        return "[" + inner + ("," + inner).join([lay(v, inner) for v in o]) + pad + "]"
+
+    template = lay(obj, "\n")
+    return [template % tuple(json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n")), "\n"]
 
 
 def _check_budget(rows: int, columns: int):
@@ -542,7 +569,7 @@ def cmd_pst(args) -> int:
         payload["path_colors"] = list(plan.path_labels)
         fidelity = transcript.fidelity
 
-    _emit(args, "json", [json.dumps(payload, indent=2), "\n"])
+    _emit(args, "json", _json_pieces(payload))
     print("fidelity %.12g" % fidelity)
     if not fidelity > 1 - 1e-6:
         print(f"transfer fidelity {fidelity:.9g} below 1 - 1e-6", file=sys.stderr)

@@ -12,6 +12,7 @@ every graph consumer reads: `u`, `v` (int64 endpoints), `c` (label index), `w` (
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from itertools import repeat
@@ -75,15 +76,6 @@ class LabeledGraph:
         for name, col in zip("uvcw", (u, v, c, w)):
             col.flags.writeable = False
             object.__setattr__(self, name, col)
-
-    def with_extra_labels(self, extra) -> LabeledGraph:
-        """This graph with edgeless labels appended: no label index moves, so the columns carry over."""
-        labels = self.labels + tuple(extra)
-        if len(set(labels)) != len(labels):
-            raise ValueError("label set contains duplicates")
-        g = object.__new__(LabeledGraph)
-        g.__dict__.update(self.__dict__, labels=labels)
-        return g
 
 
 @dataclass(frozen=True)
@@ -346,40 +338,46 @@ _SCHEMA_HINT = '{"n": int, "labels": [str, ...], "edges": [[u, v, label, weight?
 
 def load_json(text: str) -> LabeledGraph:
     """Parse a graph document; weight defaults to 1.0 when omitted."""
+    enabled = gc.isenabled()
+    gc.disable()  # the document is a tree: the collector would only rescan its containers
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed graph JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"graph JSON must be an object like {_SCHEMA_HINT}")
-    try:
-        n = doc["n"]
-        labels = doc["labels"]
-        raw_edges = doc["edges"]
-    except KeyError as exc:
-        raise ValueError(f"graph JSON is missing key {exc}; expected {_SCHEMA_HINT}") from None
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f'"n" must be an integer, got {n!r}')
-    if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
-        raise ValueError('"labels" must be a list of strings')
-    if not isinstance(raw_edges, list):
-        raise ValueError(f'"edges" must be a list of edge records; expected {_SCHEMA_HINT}')
-    edges = []
-    for rec in raw_edges:  # exact type tests: JSON gives int, float, bool, str, None, list or dict
-        if type(rec) is not list or not 3 <= len(rec) <= 4:
-            raise ValueError(f"edge record {rec!r} is not [u, v, label] or [u, v, label, weight]")
-        u, v, label, weight = rec if len(rec) == 4 else (*rec, 1.0)
-        if type(u) is not int or type(v) is not int:
-            raise ValueError(f"edge record {rec!r} has non-integer endpoints")
-        if type(label) is not str:
-            raise ValueError(f"edge record {rec!r} has a non-string label")
-        if type(weight) is not float and type(weight) is not int:
-            raise ValueError(f"edge record {rec!r} has a non-numeric weight")
-        try:  # tuple.__new__: an Edge without the NamedTuple's Python-level __new__
-            edges.append(tuple.__new__(Edge, (u, v, label, float(weight))))
-        except OverflowError:
-            raise ValueError(f"edge record {rec!r} has a weight beyond the float range") from None
-    return LabeledGraph(n, tuple(edges), tuple(labels))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed graph JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"graph JSON must be an object like {_SCHEMA_HINT}")
+        try:
+            n = doc["n"]
+            labels = doc["labels"]
+            raw_edges = doc["edges"]
+        except KeyError as exc:
+            raise ValueError(f"graph JSON is missing key {exc}; expected {_SCHEMA_HINT}") from None
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f'"n" must be an integer, got {n!r}')
+        if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+            raise ValueError('"labels" must be a list of strings')
+        if not isinstance(raw_edges, list):
+            raise ValueError(f'"edges" must be a list of edge records; expected {_SCHEMA_HINT}')
+        edges = []
+        for rec in raw_edges:  # exact type tests: JSON gives int, float, bool, str, None, list or dict
+            if type(rec) is not list or not 3 <= len(rec) <= 4:
+                raise ValueError(f"edge record {rec!r} is not [u, v, label] or [u, v, label, weight]")
+            u, v, label, weight = rec if len(rec) == 4 else (*rec, 1.0)
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge record {rec!r} has non-integer endpoints")
+            if type(label) is not str:
+                raise ValueError(f"edge record {rec!r} has a non-string label")
+            if type(weight) is not float and type(weight) is not int:
+                raise ValueError(f"edge record {rec!r} has a non-numeric weight")
+            try:  # tuple.__new__: an Edge without the NamedTuple's Python-level __new__
+                edges.append(tuple.__new__(Edge, (u, v, label, float(weight))))
+            except OverflowError:
+                raise ValueError(f"edge record {rec!r} has a weight beyond the float range") from None
+        return LabeledGraph(n, tuple(edges), tuple(labels))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_json(graph: LabeledGraph) -> str:

@@ -2,10 +2,10 @@
 
 The protocol moves an arbitrary coin superposition sum_i alpha_i |c_i>|a>
 to the same superposition at vertex b. It doubles the coin space with a
-primed copy of every color (the primed sectors carry no edges, so parked
-components are frozen by the evolution), then shuttles one component at a
-time along a fixed path using swap coins between walk steps of duration
-3*pi/2. Each traversed edge multiplies the moving component by exactly i,
+primed copy of every color (the primed sectors carry no edges, so the walk
+steps only the N unprimed rows and parked components stay frozen), then
+shuttles one component at a time along a fixed path using swap coins between
+walk steps of duration 3*pi/2. Each traversed edge multiplies the moving component by exactly i,
 so after M edges every component carries the same global factor i^M.
 
 Every coin of the protocol permutes the 2N coin rows: it is held as gather
@@ -86,7 +86,7 @@ class PstTranscript:
     fidelity: float = 0.0
 
     def record(self, name: str, state: np.ndarray):
-        nrm = np.linalg.norm(state)
+        nrm = np.sqrt(np.vdot(state, state).real)  # one BLAS call, without np.linalg.norm's dispatch
         if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
             raise linalg.NumericalViolation(f"norm drifted to {nrm:.12g} at stage {name}")
         keep = np.flatnonzero(np.abs(state) > AMP_CUTOFF)
@@ -117,9 +117,9 @@ class PstTranscript:
 def make_plan(graph: LabeledGraph, source: int, target: int, path=None) -> PstPlan:
     """Validate the graph and pick (or check) the transfer path.
 
-    The coloring must be proper, all edge weights must be exactly 1, and the
-    endpoints must be distinct and connected. Without an explicit path the
-    BFS shortest path is used.
+    The coloring must be proper, without self-loops (each color class a
+    matching), all edge weights must be exactly 1, and the endpoints must be
+    distinct and connected. Without an explicit path the BFS shortest path is used.
     """
     report = validate_proper_coloring(graph)
     if not report.proper:
@@ -128,6 +128,9 @@ def make_plan(graph: LabeledGraph, source: int, target: int, path=None) -> PstPl
             f"coloring is not proper ({len(report.violations)} violation(s)); "
             f"e.g. vertex {v} meets label {lab!r} on edges {tuple(e1[:2])} and {tuple(e2[:2])}"
         )
+    loop = np.flatnonzero(graph.u == graph.v)
+    if loop.size:
+        raise ValueError(f"transfer protocol requires no self-loops; offending edge: {graph.edges[loop[0]]}")
     bad = np.flatnonzero(np.abs(graph.w - 1.0) > 1e-12)
     if bad.size:
         raise ValueError(f"transfer protocol requires unit edge weights; offending edge: {graph.edges[bad[0]]}")
@@ -199,14 +202,19 @@ def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
     if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError(f"alpha is not normalized: ||alpha|| = {nrm:.12g}")
 
-    # Primed labels enter the label set with no edges, so their Hamiltonian
-    # blocks are structurally zero and the evolution leaves them alone.
-    walk = HybridWalk(plan.graph.with_extra_labels(plan.primed_labels), coin="identity")
+    # Primed labels have no edges, so the evolution leaves their rows alone:
+    # a step is the coin, then the walk over the graph's own N labels on the first N rows.
+    walk = HybridWalk(plan.graph, coin="identity")
     ops = build_operators(plan)
     coin_dim = plan.coin_dim
 
     def coin(state, src):
         return state.reshape(coin_dim, n)[src].reshape(-1)
+
+    def step(state, src):
+        state = coin(state, src)
+        state[:N * n] = walk.step(STEP_TIME, state[:N * n])
+        return state
 
     state = np.zeros(coin_dim * n, dtype=complex)
     for i in range(N):
@@ -220,10 +228,10 @@ def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
     state = coin(state, ops.P)
     transcript.record("P", state)
     for l in range(N):
-        state = walk.step(STEP_TIME, coin(state, ops.D[l]))
+        state = step(state, ops.D[l])
         transcript.record(f"iter{l + 1}.D", state)
         for k in range(M - 1):
-            state = walk.step(STEP_TIME, coin(state, ops.C[k]))
+            state = step(state, ops.C[k])
             transcript.record(f"iter{l + 1}.C{k + 1}", state)
         state = coin(state, ops.E[l])
         transcript.record(f"iter{l + 1}.E", state)

@@ -17,9 +17,9 @@ Per step and per time, every diagonal and matching sector together costs
 O(dim) in one vectorized pass: one phase multiply over the state (skipped when
 no label has a self-loop) and one gather/scatter of 2x2 rotations over the
 pairs of every matching, with cos and sin taken once per distinct weight. A
-label without edges costs nothing (the primed colors of the PST protocol,
-`star`'s label "0"). Each dense sector costs one eigh at construction, then
-O(n^2). `HybridWalk.evolve` takes an array of times in the same pass.
+label without edges costs nothing (`star`'s label "0"). Each dense sector
+costs one eigh at construction, then O(n^2). `HybridWalk.evolve` takes an
+array of times in the same pass.
 """
 
 from __future__ import annotations

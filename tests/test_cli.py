@@ -183,6 +183,16 @@ def test_pst_validation_errors(tmp_path):
     assert main(["pst"]) == 1
 
 
+def test_pst_refuses_a_self_loop(tmp_path, capsys):
+    # a loop's color class is no matching: one validation line, no artifact
+    gpath, out = tmp_path / "loop.json", tmp_path / "pst.json"
+    gpath.write_text('{"n":3,"labels":["a","b"],"edges":[[0,1,"a"],[1,2,"b"],[2,2,"a"]]}')
+    assert main(["pst", "--graph", str(gpath), "--source", "0", "--target", "2", "--out", str(out)]) == 1
+    err = one_line_error(capsys)
+    assert "self-loops" in err and "Edge(u=2, v=2, label='a'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_matmul_entry_benchmark(tmp_path):
     out = tmp_path / "entry.json"
     assert main(["matmul", "--graph", "cubic8", "--graph", "cubic8", "--graph", "cubic8",
@@ -492,6 +502,10 @@ def test_table_writer_matches_per_value_formatting(fmt):
     # an integer column stays an integer however large; -0.0 keeps its sign
     big = [(2 ** 70, -0.0), (-3, 2.0)]
     assert _table_text(["n", "x"], as_blocks(big, 1, 1), fmt) == per_value_table(["n", "x"], big, fmt)
+    # one row wider than a chunk of cells, over several blocks
+    wide = [(7, *(values * 12)[:40003])]
+    assert _table_text(["k", *(f"c{k}" for k in range(40003))], as_blocks(wide, 1, 20000, 20003), fmt) == \
+        per_value_table(["k", *(f"c{k}" for k in range(40003))], wide, fmt)
     # a table without rows is its header alone
     assert _table_text(["t", "x"], as_blocks([], 1, 1), fmt) == per_value_table(["t", "x"], [], fmt)
 

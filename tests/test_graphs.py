@@ -226,26 +226,37 @@ def test_vertex_count_beyond_int64_is_refused():
         LabeledGraph(2**70, (Edge(0, 1, "0"),), ("0",))
 
 
-def test_edge_columns_and_extra_labels():
+def test_edge_columns():
     g = graphs.fock_g0(2)
     np.testing.assert_array_equal(g.u, [e.u for e in g.edges])
     np.testing.assert_array_equal(g.c, [g.labels.index(e.label) for e in g.edges])
     np.testing.assert_array_equal(g.w, [e.weight for e in g.edges])
     with pytest.raises(ValueError, match="read-only"):
         g.w[0] = 2.0
-    ext = g.with_extra_labels(("0'", "1'"))
-    ref = LabeledGraph(g.n, g.edges, g.labels + ("0'", "1'"))
-    assert ext == ref and hash(ext) == hash(ref)
-    for name in "uvcw":
-        np.testing.assert_array_equal(getattr(ext, name), getattr(ref, name))
-    with pytest.raises(ValueError, match="duplicates"):
-        g.with_extra_labels(("1",))
 
 
 def test_json_schema_instance():
     g = load_json('{"n":2,"labels":["0","1"],"edges":[[0,1,"0",1.0],[0,1,"1",2.0]]}')
     ref = graphs.circle2(1, 2)
     assert g == ref
+
+
+def test_load_json_restores_the_callers_gc_state():
+    import gc
+
+    enabled = gc.isenabled()
+    try:
+        for state in (True, False):
+            gc.enable() if state else gc.disable()
+            assert load_json('{"n":2,"labels":["a"],"edges":[[0,1,"a"]]}').n == 2
+            assert gc.isenabled() is state
+            for bad in ('{"n":2,"labels":["a"],"edges":[[0,1,"b"]]}', '{"n":2,', '[1]',
+                        '{"n":2,"labels":["a"],"edges":[[0]]}'):
+                with pytest.raises(ValueError):
+                    load_json(bad)
+                assert gc.isenabled() is state, bad
+    finally:
+        gc.enable() if enabled else gc.disable()
 
 
 def test_json_weight_defaults_to_one():

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from _graphgen import random_properly_colored_graph, random_transfer_case
 from hqw import linalg
+from hqw.cli import _json_pieces
 from hqw.graphs import Edge, LabeledGraph, subgraph_adjacency, validate_proper_coloring
-from hqw.pst import (STEP_TIME, PstTranscript, build_operators, demo_tree, make_plan, run_pst,
+from hqw.pst import (STEP_TIME, PstStage, PstTranscript, build_operators, demo_tree, make_plan, run_pst,
                      segment_line_transfer, verify_pst)
 
 
@@ -57,6 +59,10 @@ def test_plan_validations():
         make_plan(three_vertex_path(), 0, 2, path=[1, 2])
     with pytest.raises(ValueError, match="backtrack"):
         make_plan(three_vertex_path(), 0, 1, path=[0, 1, 0, 1])
+    # a loop's color class is no matching
+    looped = LabeledGraph(3, three_vertex_path().edges + (Edge(2, 2, "0"),), ("0", "1"))
+    with pytest.raises(ValueError, match=r"no self-loops; offending edge: Edge\(u=2, v=2, label='0'"):
+        make_plan(looped, 0, 2)
 
 
 def test_operators_are_unitary_permutations():
@@ -289,6 +295,25 @@ def test_transcript_json_matches_entrywise_scan():
     # no signed zero reaches the artifact from a computed state
     for x in [x for pair in got.values() for x in pair] + doc["phase_checks"][0]["measured"]:
         assert x != 0.0 or not np.signbit(x)
+
+
+def test_transcript_json_pieces_match_json_dumps():
+    labels, n = ('a"b', "\u00e9\\", "x'", "\u6f22"), 3
+    state = np.zeros(len(labels) * n, dtype=complex)
+    state[[1, 5, 10]] = [complex(-0.0, 0.6), complex(0.8, -0.0), 1e-13]
+    transcript = PstTranscript(coin_labels=labels, pos_dim=n, expected_phase=-1j)
+    transcript.record("s\u00e9\"q", state)
+    transcript.stages.append(PstStage("empty", np.zeros(0, dtype=int), np.zeros(0, dtype=complex)))
+    transcript.phase_checks += [(0, complex(-0.0, -0.0), -1j * 0.6j), (1, 0j, complex(0.8, -0.0))]
+    transcript.fidelity = 0.9999999999999998
+    payload = dict(transcript.to_json_dict(), path=[0, 1, 2], path_colors=list(labels))
+    others = {"empty": {}, "list": [], "nested": [[], [1, [2.5, None, True]], {"k": "v\n"}], "format": ["%s", "%d"]}
+    for obj in (payload, others, [], 1.5, float("nan")):
+        assert "".join(_json_pieces(obj)) == json.dumps(obj, indent=2) + "\n"
+    plan = make_plan(hypercube(5), 3, 3 ^ 31)
+    _, transcript = run_pst(plan, np.ones(5) / np.sqrt(5))
+    payload = dict(transcript.to_json_dict(), path=list(plan.path), path_colors=list(plan.path_labels))
+    assert "".join(_json_pieces(payload)) == json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
