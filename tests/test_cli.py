@@ -193,6 +193,14 @@ def test_pst_refuses_a_self_loop(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_dense_sector_over_the_limit_exits_1_without_an_artifact(tmp_path, capsys):
+    out = tmp_path / "cycle.csv"
+    assert main(["dynamics", "--graph", "cycle:4097", "--t", "1", "--out", str(out)]) == 1
+    err = one_line_error(capsys)
+    assert err.startswith("error: label '0' is a dense sector on 4097 vertices")
+    assert not out.exists()
+
+
 def test_matmul_entry_benchmark(tmp_path):
     out = tmp_path / "entry.json"
     assert main(["matmul", "--graph", "cubic8", "--graph", "cubic8", "--graph", "cubic8",

@@ -6,7 +6,7 @@ import pytest
 
 from _graphgen import random_properly_colored_graph
 from hqw import linalg, walk
-from hqw.graphs import (Edge, LabeledGraph, circle2, cubic8, fock_g0, line2, line3,
+from hqw.graphs import (Edge, LabeledGraph, circle2, cubic8, cycle, fock_g0, line2, line3,
                         adjacency, signed_coords, star, subgraph_adjacency)
 from hqw.walk import (HybridWalk, cnot_realizability, coin_position_state,
                       continuous_walk, discrete_coined_walk, entanglement_entropy,
@@ -204,6 +204,19 @@ def test_one_step_on_a_long_line_allocates_no_dense_block():
     assert peak < 64 * 2**20
 
 
+def test_a_dense_sector_over_the_limit_is_refused_before_it_is_built(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("dense sector built")
+
+    monkeypatch.setattr(walk, "subgraph_adjacency", unreachable)
+    monkeypatch.setattr(linalg, "hermitian_eig", unreachable)
+    n = int(np.sqrt(walk.DENSE_SECTOR_ENTRIES))
+    with pytest.raises(ValueError, match=rf"dense sector on {n + 1} vertices.* over the limit"):
+        HybridWalk(cycle(n + 1))
+    with pytest.raises(AssertionError, match="dense sector built"):
+        HybridWalk(cycle(n))
+
+
 def test_step_operator_matches_generic_route():
     w = HybridWalk(circle2(1.3, 0.4), coin="hadamard")
     H = w.hamiltonian()
@@ -330,6 +343,80 @@ def test_entanglement_entropy_cases():
     w = HybridWalk(star(N), coin="fourier")
     S = entanglement_entropy(w.step(np.pi / 2, coin_position_state(N, N, 0, 0)), N, N)
     assert abs(S - np.log2(10)) < 1e-9
+
+
+def full_width_entropies(states, coin_dim, pos_dim):
+    """Reference: the Schmidt values of every state over all of its positions."""
+    M = np.asarray(states, dtype=complex).reshape(-1, coin_dim, pos_dim)
+    s2 = np.linalg.svd(M, compute_uv=False) ** 2
+    return np.array([linalg.entropy_of_probabilities(p) for p in s2])
+
+
+def random_states(rng, k, coin_dim, pos_dim, unreached):
+    """k normalized states, each with about `unreached` of its positions left at zero."""
+    M = rng.normal(size=(k, coin_dim, pos_dim)) + 1j * rng.normal(size=(k, coin_dim, pos_dim))
+    M *= (rng.random((k, 1, pos_dim)) >= unreached)
+    M /= np.maximum(np.linalg.norm(M, axis=(1, 2), keepdims=True), 1e-300)
+    return M.reshape(k, coin_dim * pos_dim)
+
+
+@pytest.mark.parametrize("coin_dim,pos_dim", [(2, 9), (4, 4), (6, 3), (3, 1)])
+def test_entropy_over_reached_positions_matches_the_full_width_svd(coin_dim, pos_dim):
+    rng = np.random.default_rng(coin_dim * 100 + pos_dim)
+    for unreached in (0.0, 0.3, 0.7, 0.95):
+        states = random_states(rng, 40, coin_dim, pos_dim, unreached)
+        ents = entanglement_entropy(states, coin_dim, pos_dim)
+        assert ents.shape == (40,)
+        np.testing.assert_allclose(ents, full_width_entropies(states, coin_dim, pos_dim), rtol=0, atol=1e-13)
+
+
+def test_entropy_edge_cases_over_reached_positions():
+    coin_dim, pos_dim = 3, 7
+    # a position whose only amplitude is 1e-170: |a|^2 underflows to 0, yet the amplitude is nonzero
+    tiny = np.zeros((coin_dim, pos_dim), dtype=complex)
+    tiny[:, 2] = [0.6, 0.8j, 0.0]
+    tiny[1, 5] = 1e-170
+    assert position_distribution(tiny.reshape(-1), coin_dim, pos_dim)[5] == 0.0
+    only_tiny = np.zeros((coin_dim, pos_dim), dtype=complex)
+    only_tiny[2, 4] = 1e-170
+    one_site = np.zeros((coin_dim, pos_dim), dtype=complex)
+    one_site[:, 6] = np.array([1, 1j, -1]) / np.sqrt(3)
+    zero = np.zeros(coin_dim * pos_dim, dtype=complex)
+    cases = [tiny.reshape(-1), only_tiny.reshape(-1), one_site.reshape(-1), zero]
+    for psi, ref in zip(cases, full_width_entropies(cases, coin_dim, pos_dim)):
+        assert abs(entanglement_entropy(psi, coin_dim, pos_dim) - ref) <= 1e-13
+    assert entanglement_entropy(one_site.reshape(-1), coin_dim, pos_dim) == 0.0
+    assert entanglement_entropy(zero, coin_dim, pos_dim) == 0.0
+    assert np.array_equal(entanglement_entropy(np.zeros((2, 3, coin_dim * pos_dim)), coin_dim, pos_dim),
+                          np.zeros((2, 3)))
+
+
+def test_stacked_entropy_is_each_states_own_entropy():
+    rng = np.random.default_rng(5)
+    coin_dim, pos_dim = 3, 11
+    # fully and partly reached states, interleaved
+    states = random_states(rng, 30, coin_dim, pos_dim, 0.4)
+    states[::3] = random_states(rng, 10, coin_dim, pos_dim, 0.0)
+    ents = entanglement_entropy(states, coin_dim, pos_dim)
+    for k, psi in enumerate(states):
+        assert ents[k] == entanglement_entropy(psi, coin_dim, pos_dim)
+    stacked = entanglement_entropy(states.reshape(5, 6, -1), coin_dim, pos_dim)
+    assert np.array_equal(stacked.reshape(-1), ents)
+    # a stack whose every state reaches every position is the full-width SVD itself
+    full = random_states(rng, 30, coin_dim, pos_dim, 0.0)
+    assert np.array_equal(entanglement_entropy(full, coin_dim, pos_dim),
+                          full_width_entropies(full, coin_dim, pos_dim))
+
+
+def test_trajectory_keeps_the_full_states_of_a_partly_reached_line():
+    g = line3(40)
+    w = HybridWalk(g, coin="grover")
+    psi0 = product_state(np.ones(3) / np.sqrt(3), np.eye(g.n)[40])
+    traj = w.run(np.pi / 2, 12, psi0)
+    (states,) = w.state_chunks(np.pi / 2, 12, psi0, 13)
+    assert traj.states.shape == (13, 3 * g.n) and np.array_equal(traj.states, states)
+    assert not states.reshape(13, 3, g.n).any(axis=1).all()
+    np.testing.assert_allclose(traj.entropies, full_width_entropies(states, 3, g.n), rtol=0, atol=1e-13)
 
 
 def test_star_observables_pi_periodic():
