@@ -12,7 +12,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import os
@@ -30,7 +29,7 @@ EXIT_NUMERICAL = 2
 
 PROB_SUM_ATOL = 1e-9
 TABLE_CHUNK_CELLS = 1 << 14  # cells per chunk of a written table
-STATE_CHUNK_ENTRIES = 1 << 20  # amplitudes per chunk of states behind a streamed table
+STATE_CHUNK_ENTRIES = 1 << 16  # amplitudes per chunk of states behind a streamed table (1 MiB)
 TABLE_CELL_BUDGET = 10**9  # rows x columns of the largest dynamics or sweep table
 
 
@@ -216,6 +215,8 @@ def _parse_sweep(text: str):
 
 
 def _config_hash(args) -> str:
+    import hashlib  # here, not at the top: it maps OpenSSL (+3.6 MB RSS), which a run with --out never uses
+
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
     blob = json.dumps(cfg, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -341,22 +342,25 @@ def _check_budget(rows: int, columns: int):
 
 
 def _chunk_rows(columns: int, dim: int) -> int:
-    """States per chunk of a streamed table: at most STATE_CHUNK_ENTRIES amplitudes,
-    and few enough rows that `_table_pieces` formats the chunk in one pass."""
+    """States per chunk of a streamed table: at most STATE_CHUNK_ENTRIES amplitudes
+    (1 MiB of states), and no more rows than one writer chunk of TABLE_CHUNK_CELLS
+    cells, in which `_write_observables` gathers consecutive state chunks."""
     return max(1, min(TABLE_CHUNK_CELLS // columns, STATE_CHUNK_ENTRIES // dim))
 
 
 def _write_observables(args, lead_names, leads, trajs, line=False):
     """Write rows [*lead, P..., sigma, entropy], one per state of `trajs` in order.
 
-    `trajs` is any iterable of Trajectory chunks; each chunk's rows are written
-    before the next chunk is read. `leads` is the (rows, len(lead_names)) block
-    of leading values across all of them. Each chunk's probability sums are
-    checked, and on a truncated line (`line`) its boundary band. After a failed
-    check nothing more is written, but the chunks are read to the end: a later
-    error, then the guard with its largest band over all rows, then the sums
-    are reported, as when a whole run was checked at once. A failed run leaves
-    no artifact.
+    `trajs` is any iterable of Trajectory chunks. `leads` is the (rows,
+    len(lead_names)) block of leading values across all of them. Each chunk's
+    probability sums are checked, and on a truncated line (`line`) its boundary
+    band. The rows of consecutive chunks are gathered into writer chunks of
+    TABLE_CHUNK_CELLS // columns rows, so `_table_pieces` makes one pass per
+    writer chunk however small the state chunks are; only the (P, sigma,
+    entropy) rows of one writer chunk are held. After a failed check nothing
+    more is written, but the chunks are read to the end: a later error, then
+    the guard with its largest band over all rows, then the sums are reported,
+    as when a whole run was checked at once. A failed run leaves no artifact.
     """
     trajs = iter(trajs)
     first = next(trajs)
@@ -382,7 +386,23 @@ def _write_observables(args, lead_names, leads, trajs, line=False):
         if failure:
             raise linalg.NumericalViolation(failure)
 
-    _emit(args, args.format, _table_pieces(header, blocks(), args.format))
+    rows = max(1, TABLE_CHUNK_CELLS // len(header))
+    _emit(args, args.format, _table_pieces(header, _regroup(blocks(), rows), args.format))
+
+
+def _regroup(chunks, rows: int):
+    """The rows of `chunks`, lists of row-aligned blocks, regrouped into lists of
+    `rows` rows each (the last one may be shorter); only one group is held."""
+    held, count = [], 0
+    for blocks in chunks:
+        held.append(blocks)
+        count += len(blocks[0])
+        while count >= rows:
+            merged = held[0] if len(held) == 1 else [np.concatenate(b) for b in zip(*held)]
+            yield [b[:rows] for b in merged]
+            held, count = [[b[rows:] for b in merged]] if count > rows else [], count - rows
+    if held:
+        yield held[0] if len(held) == 1 else [np.concatenate(b) for b in zip(*held)]
 
 
 def _widest_band(edge, band):
@@ -409,16 +429,25 @@ def _check_line_guard(distributions):
 
 def _grid_chunks(args, spec: GraphSpec, coin_spec: str, ts: np.ndarray, omegas, columns: int):
     """One coin step at every t of the grid, for each omega in turn, as
-    trajectory chunks of one state per t."""
+    trajectory chunks of one state per t.
+
+    A dense sector's eigenbasis product is one BLAS call per chunk, and a call
+    of one row (a gemv) rounds differently from a call of several, so on such a
+    walk every chunk, a short last one joined to the one before, has at least
+    min(8, TABLE_CHUNK_CELLS // columns) rows. On every dense grid checked, a
+    row's digits then did not depend on the chunk budget.
+    """
     for omega in omegas:
         g = spec.make(omega)
         w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
         coords, rows = _coords_for(spec.family, g.n), _chunk_rows(columns, w.dim)
-        for lo in range(0, len(ts), rows):
-            # the coined initial state is rebuilt per chunk, not held: held, it kept a
-            # freed heap region resident (star-tgrid peak RSS +0.34 MB)
-            states = w.evolve(ts[lo:lo + rows], w.apply_coin(walk.product_state(*_initial_state(args, spec.family, g))))
-            yield walk.Trajectory.from_states(states, w.coin_dim, w.pos_dim, coords)
+        least = min(8, TABLE_CHUNK_CELLS // columns) if w._dense else 1
+        cuts = list(range(0, len(ts), max(rows, least)))
+        if len(ts) - cuts[-1] < least < len(ts):
+            cuts.pop()
+        psi = w.apply_coin(walk.product_state(*_initial_state(args, spec.family, g)))
+        for lo, hi in zip(cuts, cuts[1:] + [len(ts)]):
+            yield walk.Trajectory.from_states(w.evolve(ts[lo:hi], psi), w.coin_dim, w.pos_dim, coords)
 
 
 def cmd_dynamics(args) -> int:

@@ -133,12 +133,17 @@ def stage_walk(state: MultiRegisterState, l: int, neighbors: np.ndarray) -> Mult
         raise ValueError(f"stage register {l} outside 1..{state.regs.shape[1] - 1}")
     scale = -1j / np.sqrt(d)
     k, v = state.regs[:, l - 1], state.regs[:, -1]
-    on, adj = v == k, (neighbors[k] == v[:, None]).any(axis=1)
-    src = on | adj
-    regs = np.repeat(state.regs[src], d, axis=0)
-    regs[:, -1] = neighbors[k[src]].ravel()
-    amps = np.repeat(state.amps[src] * np.where(on, scale, -1.0 / d)[src], d)
-    if not on.all():
+    on = v == k
+    if on.all():  # the algorithm's only branch: no adjacency test, no masked copies
+        regs = np.repeat(state.regs, d, axis=0)
+        regs[:, -1] = neighbors[k].ravel()
+        amps = np.repeat(state.amps * scale, d)
+    else:
+        adj = (neighbors[k] == v[:, None]).any(axis=1)
+        src = on | adj
+        regs = np.repeat(state.regs[src], d, axis=0)
+        regs[:, -1] = neighbors[k[src]].ravel()
+        amps = np.repeat(state.amps[src] * np.where(on, scale, -1.0 / d)[src], d)
         # off-coin rows also keep |v> and, when v ~ k, gain -i/sqrt(d) |k>; merge
         to_k = np.column_stack([state.regs[adj, :-1], k[adj]])
         regs = np.concatenate([regs, state.regs[~on], to_k])

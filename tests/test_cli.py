@@ -377,6 +377,35 @@ def test_cli_paths_do_not_import_numpy_ma(tmp_path):
     assert res.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] False", res.stdout
 
 
+def test_runs_with_out_do_not_load_openssl(tmp_path):
+    # hashlib maps OpenSSL's libcrypto (about 3.6 MB RSS); only a default artifact name needs it.
+    # In a fresh process, as pytest itself may have imported hashlib.
+    runs = [["dynamics", "--graph", "star:5", "--t", "0:1:3"],
+            ["sweep", "--sweep", "q_mix2:0:1:3", "--steps", "4"],
+            ["pst", "--tree-demo"],
+            ["matmul", "--graph", "cubic8", "--entry", "0,0"],
+            ["triangles", "--graph", "cubic8"]]
+    script = ("import sys\nfrom hqw.cli import main\n"
+              f"codes = [main(argv + ['--out', {str(tmp_path)!r} + '/%d.out' % k]) for k, argv in enumerate({runs!r})]\n"
+              "print(codes, '_hashlib' in sys.modules)\n"
+              f"print(main({runs[0]!r}), '_hashlib' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(hqw.__file__))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
+    assert res.returncode == 0, res.stderr
+    # the last run names its artifact out/<command>-<hash>, which does load it
+    lines = res.stdout.strip().splitlines()
+    assert lines[-3] == "[0, 0, 0, 0, 0] False" and lines[-1] == "0 True", res.stdout
+
+
+def test_default_artifact_names_keep_their_config_hash(tmp_path, monkeypatch):
+    # pinned: the same configuration keeps its artifact name across versions
+    monkeypatch.chdir(tmp_path)
+    assert main(["dynamics", "--graph", "star:4", "--t", "0:1:3"]) == 0
+    assert main(["matmul", "--graph", "cubic8", "--entry", "0,0"]) == 0
+    assert sorted(os.listdir("out")) == ["dynamics-a972e0deb1a6.csv", "matmul-56201d79c648.json"]
+
+
 def test_pst_norm_drift_is_a_numerical_violation(tmp_path, capsys, monkeypatch):
     from hqw.walk import HybridWalk
 
@@ -728,6 +757,78 @@ def test_a_long_trajectory_holds_one_chunk_of_states(tmp_path):
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
     assert len(read(out).splitlines()) == 502
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_small_state_chunks_are_written_in_writer_chunks(tmp_path, monkeypatch, fmt, rows):
+    import hqw.cli as cli
+
+    whole = []
+    for k, argv in enumerate(STREAMED):
+        whole.append(tmp_path / f"whole{k}.{fmt}")
+        assert main(argv + ["--format", fmt, "--out", str(whole[-1])]) == 0
+    seen, pieces = [], cli._table_pieces
+
+    def recording(header, chunks, fmt):  # the table's width, then the rows of each chunk handed to the writer
+        seen.append(len(header))
+        return pieces(header, (seen.append(len(b[0])) or b for b in chunks), fmt)
+
+    monkeypatch.setattr(cli, "_table_pieces", recording)
+    monkeypatch.setattr(cli, "_chunk_rows", lambda columns, dim: rows)
+    monkeypatch.setattr(cli, "TABLE_CHUNK_CELLS", 64)  # 7 rows of star:6, 2 of line3:12
+    for k, argv in enumerate(STREAMED):
+        seen.clear()
+        out = tmp_path / f"chunked{k}.{fmt}"
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        assert read(out) == read(whole[k]), argv
+        columns, *sizes = seen
+        writer, total = max(1, 64 // columns), sum(sizes)
+        assert sizes == [writer] * (total // writer) + [total % writer] * (total % writer > 0), argv
+
+
+def test_a_star_grid_holds_one_chunk_of_states(tmp_path):
+    import tracemalloc
+
+    out = tmp_path / "star.csv"
+    assert main(["dynamics", "--graph", "star:3", "--t", "0:1:3", "--out", str(out)]) == 0  # imports
+    tracemalloc.start()
+    try:
+        # the whole grid is 200 states of 3,600 amplitudes (11.5 MB); a chunk is 18 of them
+        assert main(["dynamics", "--graph", "star:60", "--t", "0.1:6.3:200", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2**20, peak  # 3.8 MiB traced at 1 MiB state chunks, 16.7 MiB at 16 MiB
+    assert len(read(out).splitlines()) == 201
+
+
+@pytest.mark.slow
+def test_dense_sector_grids_do_not_depend_on_the_chunk_budget(tmp_path, monkeypatch):
+    import hqw.cli as cli
+    from hqw import walk
+
+    # a dense cycle label beside 29 matchings: 18,000 amplitudes a state, so a 1 MiB
+    # budget alone would make 3-row chunks, and a one-row last chunk of either grid
+    n, labels = 600, [f"c{k}" for k in range(30)]
+    edges = [[v, (v + 1) % n, labels[0]] for v in range(n)]
+    edges += [[v, v + 1, lab] for k, lab in enumerate(labels[1:]) for v in range(k % 2, n - 1, 2)]
+    gpath = tmp_path / "dense.json"
+    gpath.write_text(json.dumps({"n": n, "labels": labels, "edges": edges}))
+    chunks = []
+    from_states = walk.Trajectory.from_states.__func__
+    monkeypatch.setattr(walk.Trajectory, "from_states",
+                        classmethod(lambda cls, states, *a: chunks.append(len(states)) or from_states(cls, states, *a)))
+    for points, small in ((16, [8, 8]), (17, [8, 9])):
+        texts = []
+        for budget, expected in ((1 << 16, small), (1 << 24, [points])):
+            monkeypatch.setattr(cli, "STATE_CHUNK_ENTRIES", budget)
+            chunks.clear()
+            out = tmp_path / f"dense{budget}.csv"
+            assert main(["dynamics", "--graph", str(gpath), "--t", f"0:6:{points}", "--out", str(out)]) == 0
+            texts.append(read(out))
+            assert chunks == expected
+        assert texts[0] == texts[1], points
 
 
 def test_tables_over_the_output_budget_are_refused_before_a_step(tmp_path, capsys, monkeypatch):

@@ -147,6 +147,25 @@ def test_stage_walk_general_position_matches_generic_evolution():
     assert abs(stage_walk(sup, 1, regular_sequence([A]).tables[0]).norm() - 1.0) < 1e-12
 
 
+def test_stage_walk_on_coin_rows_match_the_general_branch():
+    # a state of on-coin rows only takes the shortcut; one off-coin row beside them
+    # forces the general branch, which must give the on-coin rows the same amplitudes
+    rng = np.random.default_rng(12)
+    n, d = 12, 4
+    table = regular_sequence([random_regular_adjacency(rng, n, d)]).tables[0]
+    picks = rng.choice(n * n, 30, replace=False)
+    regs = np.column_stack([picks // n, picks % n, picks % n])
+    amps = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    on = stage_walk(MultiRegisterState(n=n, regs=regs, amps=amps), 2, table)
+    k0 = int(regs[0, 1])
+    v0 = next(v for v in range(n) if v != k0 and v not in table[k0])  # not adjacent: kept as it is
+    mixed = stage_walk(MultiRegisterState(n=n, regs=np.vstack([regs, [regs[0, 0], k0, v0]]),
+                                          amps=np.append(amps, 0.5j)), 2, table)
+    general = as_dict(mixed)
+    assert general.pop((int(regs[0, 0]), k0, v0)) == 0.5j
+    assert len(on.regs) == 30 * d and general == as_dict(on)
+
+
 def test_stage_walk_register_bounds():
     state = initial_state(4, 2, 0)
     with pytest.raises(ValueError, match="stage register"):
