@@ -304,11 +304,6 @@ def _table_pieces(header, chunks, fmt: str):
         yield ("]" if sep == "\n" else "\n  ]") + "\n}\n"
 
 
-def _table_text(header, blocks, fmt: str) -> str:
-    """The whole text of `_table_pieces` for one chunk of blocks."""
-    return "".join(_table_pieces(header, [blocks], fmt))
-
-
 def _json_pieces(obj):
     """`json.dumps(obj, indent=2)` and a newline for str-keyed dicts, lists and scalars, without the
     pure-Python encoder that `indent` selects: the containers become a %-template, and one C-encoder
@@ -614,7 +609,7 @@ def _emit_result(args, obj: dict):
     """Write a matmul/triangles JSON artifact, shots mode adding `shots` and `seed` last."""
     if args.mode == "shots":
         obj["shots"], obj["seed"] = args.shots, args.seed
-    _emit(args, "json", [json.dumps(obj, indent=2), "\n"])
+    _emit(args, "json", _json_pieces(obj))
 
 
 def cmd_matmul(args) -> int:

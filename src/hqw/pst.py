@@ -8,13 +8,15 @@ shuttles one component at a time along a fixed path using swap coins between
 walk steps of duration 3*pi/2. Each traversed edge multiplies the moving component by exactly i,
 so after M edges every component carries the same global factor i^M.
 
-Every coin of the protocol permutes the 2N coin rows: it is held as gather
-indices (new row r is old row src[r]), exact as a product with its 0/1 matrix.
-A stage has at most N amplitudes above AMP_CUTOFF, and the transcript keeps
-only those (index, amplitude) pairs, not the 2N*n-dim state.
+Every coin of the protocol is a transposition of coin basis states, so it is
+applied in place as an exchange of rows of the (2N, n) state: P exchanges all
+N colors with their primed copies, and C_k, D_l and E_l each exchange one pair
+of rows. A stage has at most N amplitudes above AMP_CUTOFF, and the transcript
+keeps only those (index, amplitude) pairs, not the 2N*n-dim state.
 
 The segment-line demo at the end runs the simpler switching walk in which
-alternating swap coins emulate turning line segments on and off.
+alternating swap coins emulate turning line segments on and off; it holds
+only the current state, so its memory grows as O(M).
 """
 
 from __future__ import annotations
@@ -52,16 +54,6 @@ class PstPlan:
     @property
     def coin_dim(self) -> int:
         return 2 * len(self.labels)
-
-
-@dataclass(frozen=True)
-class PstOperators:
-    """Coin-row gather indices: prime swap P, path swaps C_k, shuttles D_l / E_l."""
-
-    P: np.ndarray
-    C: tuple[np.ndarray, ...]
-    D: tuple[np.ndarray, ...]
-    E: tuple[np.ndarray, ...]
 
 
 @dataclass
@@ -162,29 +154,6 @@ def make_plan(graph: LabeledGraph, source: int, target: int, path=None) -> PstPl
     )
 
 
-def build_operators(plan: PstPlan) -> PstOperators:
-    """Coin-space unitaries of the protocol, as gather indices of the 2N coin rows.
-
-    Each is built and checked once by `permutation_coin` (disjoint swaps, so a
-    permutation of range(2N)); row r of its 0/1 matrix has its 1 at column
-    src[r], the old row that the gather moves into row r.
-    """
-    N = plan.num_colors
-    dim = plan.coin_dim
-
-    def swaps(pairs):
-        return permutation_coin(dim, pairs).argmax(axis=1)
-
-    idx = {lab: i for i, lab in enumerate(plan.labels)}
-    path_idx = [idx[lab] for lab in plan.path_labels]
-    P = swaps([(i, N + i) for i in range(N)])
-    C = tuple(swaps([(path_idx[k], path_idx[k + 1])])
-              for k in range(len(path_idx) - 1))
-    D = tuple(swaps([(path_idx[0], N + l)]) for l in range(N))
-    E = tuple(swaps([(path_idx[-1], N + l)]) for l in range(N))
-    return PstOperators(P=P, C=C, D=D, E=E)
-
-
 def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
     """Execute the transfer protocol on the coin amplitudes `alpha`.
 
@@ -203,56 +172,48 @@ def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
         raise ValueError(f"alpha is not normalized: ||alpha|| = {nrm:.12g}")
 
     # Primed labels have no edges, so the evolution leaves their rows alone:
-    # a step is the coin, then the walk over the graph's own N labels on the first N rows.
+    # a step is a coin, then the walk over the graph's own N labels on the first N rows.
     walk = HybridWalk(plan.graph, coin="identity")
-    ops = build_operators(plan)
-    coin_dim = plan.coin_dim
-
-    def coin(state, src):
-        return state.reshape(coin_dim, n)[src].reshape(-1)
-
-    def step(state, src):
-        state = coin(state, src)
-        state[:N * n] = walk.step(STEP_TIME, state[:N * n])
-        return state
-
-    state = np.zeros(coin_dim * n, dtype=complex)
-    for i in range(N):
-        state[i * n + plan.source] = alpha[i]
+    path_idx = [plan.labels.index(lab) for lab in plan.path_labels]
+    rows = np.zeros((plan.coin_dim, n), dtype=complex)
+    rows[:N, plan.source] = alpha
+    state = rows.reshape(-1)  # a flat view: the coins below write into `rows` in place
 
     transcript = PstTranscript(
         coin_labels=plan.labels + plan.primed_labels,
         pos_dim=n,
         expected_phase=1j**M,
     )
-    state = coin(state, ops.P)
+
+    def step(a, b, name):
+        rows[[a, b]] = rows[[b, a]]
+        state[:N * n] = walk.step(STEP_TIME, state[:N * n])
+        transcript.record(name, state)
+
+    rows[:] = np.roll(rows, N, axis=0)  # P: color i <-> primed color i
     transcript.record("P", state)
     for l in range(N):
-        state = step(state, ops.D[l])
-        transcript.record(f"iter{l + 1}.D", state)
+        step(path_idx[0], N + l, f"iter{l + 1}.D")
         for k in range(M - 1):
-            state = step(state, ops.C[k])
-            transcript.record(f"iter{l + 1}.C{k + 1}", state)
-        state = coin(state, ops.E[l])
+            step(path_idx[k], path_idx[k + 1], f"iter{l + 1}.C{k + 1}")
+        rows[[path_idx[-1], N + l]] = rows[[N + l, path_idx[-1]]]
         transcript.record(f"iter{l + 1}.E", state)
-        measured = state.reshape(coin_dim, n)[N + l, plan.target]
-        transcript.phase_checks.append((l, measured, transcript.expected_phase * alpha[l]))
-    state = coin(state, ops.P)
+        transcript.phase_checks.append((l, rows[N + l, plan.target], transcript.expected_phase * alpha[l]))
+    rows[:] = np.roll(rows, N, axis=0)
     transcript.record("P.final", state)
     transcript.fidelity = verify_pst(plan, state, alpha)
     return state, transcript
 
 
-def verify_pst(plan: PstPlan, final_state, alpha, target: int | None = None) -> float:
+def verify_pst(plan: PstPlan, final_state, alpha) -> float:
     """Fidelity of the final state with sum_i alpha_i |c_i>|target>."""
-    target = plan.target if target is None else target
     N = plan.num_colors
     n = plan.graph.n
     alpha = np.asarray(alpha, dtype=complex)
     alpha = alpha / np.linalg.norm(alpha)
     want = np.zeros(plan.coin_dim * n, dtype=complex)
     for i in range(N):
-        want[i * n + target] = alpha[i]
+        want[i * n + plan.target] = alpha[i]
     return linalg.fidelity(want, final_state)
 
 
@@ -263,7 +224,7 @@ def verify_pst(plan: PstPlan, final_state, alpha, target: int | None = None) -> 
 @dataclass
 class SegmentTransfer:
     graph: LabeledGraph
-    states: list
+    final_state: np.ndarray
     coin_record: tuple[str, ...]
     final_distribution: np.ndarray
     final_probability: float
@@ -282,16 +243,14 @@ def segment_line_transfer(M: int) -> SegmentTransfer:
     b_idx = g.labels.index("b")
     swap = permutation_coin(2, [(0, 1)])
     psi = coin_position_state(2, M, b_idx, 0)
-    states = [psi.copy()]
     record = []
     for k in range(1, M):
         coin = identity_coin(2) if k == 1 else swap
         psi = walk.step(np.pi / 2, psi, coin=coin)
         weights = (np.abs(psi.reshape(2, M)) ** 2).sum(axis=1)
         record.append(g.labels[int(np.argmax(weights))])
-        states.append(psi.copy())
     P = position_distribution(psi, 2, M)
-    return SegmentTransfer(graph=g, states=states, coin_record=tuple(record),
+    return SegmentTransfer(graph=g, final_state=psi, coin_record=tuple(record),
                            final_distribution=P, final_probability=float(P[M - 1]),
                            target_vertex=M - 1)
 

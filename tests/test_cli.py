@@ -10,7 +10,7 @@ import pytest
 from _graphgen import hypercube
 
 import hqw
-from hqw.cli import _table_text, main
+from hqw.cli import _table_pieces, main
 from hqw.graphs import complete, cycle, line3, save_json, star
 
 
@@ -532,19 +532,20 @@ def test_table_writer_matches_per_value_formatting(fmt):
     values += [0.0] * (-len(values) % width)
     header = ["step", *(f"c{k}" for k in range(width))]
     rows = [(k, *values[k * width:(k + 1) * width]) for k in range(len(values) // width)]
-    assert _table_text(header, as_blocks(rows, 1, width), fmt) == per_value_table(header, rows, fmt)
+    assert "".join(_table_pieces(header, [as_blocks(rows, 1, width)], fmt)) == per_value_table(header, rows, fmt)
     # the matmul --matrix layout: two integer columns, then a float
     mat = [(i, j, values[(31 * i + j) % len(values)]) for i in range(40) for j in range(40)]
-    assert _table_text(["i", "j", "value"], as_blocks(mat, 2, 1), fmt) == per_value_table(["i", "j", "value"], mat, fmt)
+    assert "".join(_table_pieces(["i", "j", "value"], [as_blocks(mat, 2, 1)], fmt)) == \
+        per_value_table(["i", "j", "value"], mat, fmt)
     # an integer column stays an integer however large; -0.0 keeps its sign
     big = [(2 ** 70, -0.0), (-3, 2.0)]
-    assert _table_text(["n", "x"], as_blocks(big, 1, 1), fmt) == per_value_table(["n", "x"], big, fmt)
+    assert "".join(_table_pieces(["n", "x"], [as_blocks(big, 1, 1)], fmt)) == per_value_table(["n", "x"], big, fmt)
     # one row wider than a chunk of cells, over several blocks
     wide = [(7, *(values * 12)[:40003])]
-    assert _table_text(["k", *(f"c{k}" for k in range(40003))], as_blocks(wide, 1, 20000, 20003), fmt) == \
+    assert "".join(_table_pieces(["k", *(f"c{k}" for k in range(40003))], [as_blocks(wide, 1, 20000, 20003)], fmt)) == \
         per_value_table(["k", *(f"c{k}" for k in range(40003))], wide, fmt)
     # a table without rows is its header alone
-    assert _table_text(["t", "x"], as_blocks([], 1, 1), fmt) == per_value_table(["t", "x"], [], fmt)
+    assert "".join(_table_pieces(["t", "x"], [as_blocks([], 1, 1)], fmt)) == per_value_table(["t", "x"], [], fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -566,12 +567,12 @@ def test_table_writer_spans_chunks(monkeypatch, fmt, cells):
             for k, x in zip(range(n), rng.standard_normal(n))]
     assert any(rows[b - 1][2] is rows[b][2] for b in range(rows_per_chunk, n, rows_per_chunk))
     header = ["step", "k", "run", "x", "cycle"]
-    assert _table_text(header, as_blocks(rows, 2, 3), fmt) == per_value_table(header, rows, fmt)
+    assert "".join(_table_pieces(header, [as_blocks(rows, 2, 3)], fmt)) == per_value_table(header, rows, fmt)
     # a non-contiguous view as a block: the matmul --matrix (i, j) layout
     ij = np.indices((n // 4 + 1, 4)).reshape(2, -1).T
     C = np.array([run[k % n] for k in range(len(ij))]).reshape(-1, 1)
     mat = [(int(i), int(j), c) for (i, j), c in zip(ij, C[:, 0].tolist())]
-    assert _table_text(["i", "j", "value"], [ij, C], fmt) == per_value_table(["i", "j", "value"], mat, fmt)
+    assert "".join(_table_pieces(["i", "j", "value"], [[ij, C]], fmt)) == per_value_table(["i", "j", "value"], mat, fmt)
 
 
 def test_trajectory_step_column_is_an_integer_in_csv_and_json(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -8,8 +9,9 @@ from _graphgen import random_properly_colored_graph, random_transfer_case
 from hqw import linalg
 from hqw.cli import _json_pieces
 from hqw.graphs import Edge, LabeledGraph, subgraph_adjacency, validate_proper_coloring
-from hqw.pst import (STEP_TIME, PstStage, PstTranscript, build_operators, demo_tree, make_plan, run_pst,
-                     segment_line_transfer, verify_pst)
+from hqw.pst import (STEP_TIME, PstStage, PstTranscript, demo_tree, make_plan, run_pst, segment_line_transfer,
+                     verify_pst)
+from hqw.walk import permutation_coin
 
 
 def three_vertex_path():
@@ -30,9 +32,11 @@ def dense_state(stage, plan):
     return vec.reshape(plan.coin_dim, plan.graph.n)
 
 
-def coin_matrix(src):
-    """The 0/1 matrix of the coin that gathers row src[r] into row r."""
-    return np.eye(len(src))[src]
+def grid_4x4():
+    """The 4 x 4 grid, vertex 4r + c; the edge leaving column (row) k to the right (down) is colored by k's parity."""
+    edges = [Edge(4 * r + c, 4 * r + c + 1, f"h{c % 2}") for r in range(4) for c in range(3)]
+    edges += [Edge(4 * r + c, 4 * r + c + 4, f"v{r % 2}") for r in range(3) for c in range(4)]
+    return LabeledGraph(16, tuple(edges), ("h0", "h1", "v0", "v1"))
 
 
 def test_plan_defaults_to_bfs_path():
@@ -63,31 +67,6 @@ def test_plan_validations():
     looped = LabeledGraph(3, three_vertex_path().edges + (Edge(2, 2, "0"),), ("0", "1"))
     with pytest.raises(ValueError, match=r"no self-loops; offending edge: Edge\(u=2, v=2, label='0'"):
         make_plan(looped, 0, 2)
-
-
-def test_operators_are_unitary_permutations():
-    plan = make_plan(three_vertex_path(), 0, 2)
-    ops = build_operators(plan)
-    stack = [coin_matrix(src) for src in (ops.P, *ops.C, *ops.D, *ops.E)]
-    for U in stack:
-        assert np.abs(U.conj().T @ U - np.eye(plan.coin_dim)).max() <= 1e-12
-    np.testing.assert_allclose(stack[0] @ stack[0], np.eye(plan.coin_dim), atol=1e-14)
-
-
-def test_operator_actions_on_basis():
-    plan = make_plan(three_vertex_path(), 0, 2)
-    N = plan.num_colors
-    ops = build_operators(plan)
-    # C_1 swaps the first two path colors and fixes every primed label
-    i1 = plan.labels.index(plan.path_labels[0])
-    i2 = plan.labels.index(plan.path_labels[1])
-    e = np.eye(plan.coin_dim)
-    C0, D0 = coin_matrix(ops.C[0]), coin_matrix(ops.D[0])
-    np.testing.assert_allclose(C0 @ e[i1], e[i2])
-    for l in range(N):
-        np.testing.assert_allclose(C0 @ e[N + l], e[N + l])
-    # D_1 maps the first primed label onto the first path color
-    np.testing.assert_allclose(D0 @ e[N + 0], e[i1])
 
 
 def test_transfer_single_component_and_phase():
@@ -141,7 +120,7 @@ def test_uniform_alpha_on_tree():
     assert transcript.fidelity > 1 - 1e-9
     assert verify_pst(plan, final, alpha) > 1 - 1e-9
     # wrong target vertex scores zero
-    assert verify_pst(plan, final, alpha, target=1) < 1e-9
+    assert verify_pst(dataclasses.replace(plan, target=1), final, alpha) < 1e-9
 
 
 def test_adjacent_endpoints_single_edge():
@@ -200,38 +179,61 @@ def test_randomized_transfer_cases():
             assert abs(abs(mat[i, b]) - abs(alpha[i])) < 1e-9
 
 
-def test_run_pst_matches_literal_dense_composition():
-    # independent route: build the doubled-coin Hamiltonian and every protocol
-    # operator as dense matrices and multiply them out in the stated order
+def random_dense_case():
     rng = np.random.default_rng(6)
     g = random_properly_colored_graph(rng, max_n=7, max_colors=3)
     a, b, path, alpha = random_transfer_case(rng, g, max_path_edges=4)
-    plan = make_plan(g, a, b, path=path)
-    ops = build_operators(plan)
-    N, n, M = plan.num_colors, g.n, plan.num_edges
+    return g, a, b, path, alpha
 
+
+def hexagon_long_way_case():
+    # a properly 2-colored 6-cycle from 0 to 2 the long way round: 4 edges where 2 would do
+    g = LabeledGraph(6, tuple(Edge(v, (v + 1) % 6, "ab"[v % 2]) for v in range(6)), ("a", "b"))
+    return g, 0, 2, (0, 5, 4, 3, 2), np.array([0.6, 0.8j])
+
+
+def grid_detour_case():
+    # 8 edges across the 4 x 4 grid, where a shortest path has 6
+    rng = np.random.default_rng(16)
+    alpha = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return grid_4x4(), 0, 15, (0, 1, 2, 6, 5, 9, 10, 14, 15), alpha / np.linalg.norm(alpha)
+
+
+def dense_protocol(plan):
+    """The whole protocol as one dense matrix: the doubled-coin step U and every
+    coin, a permutation of the swaps the protocol states, multiplied out in order."""
+    g, N, M = plan.graph, plan.num_colors, plan.num_edges
+    n = g.n
+    colors = [plan.labels.index(lab) for lab in plan.path_labels]
     H = np.zeros((2 * N * n, 2 * N * n), dtype=complex)
     for i, lab in enumerate(plan.labels):
         H[i * n:(i + 1) * n, i * n:(i + 1) * n] = subgraph_adjacency(g, lab)
     w, V = linalg.hermitian_eig(H)
     U = (V * np.exp(-1j * w * STEP_TIME)) @ V.conj().T
 
-    def lift(src):
-        return np.kron(coin_matrix(src), np.eye(n))
+    def lift(*swaps):
+        return np.kron(permutation_coin(2 * N, swaps), np.eye(n))
 
-    total = lift(ops.P)
+    P = lift(*[(i, N + i) for i in range(N)])  # each color with its primed copy
+    total = P
     for l in range(N):
-        total = U @ lift(ops.D[l]) @ total
+        total = U @ lift((colors[0], N + l)) @ total  # D_l: first path color <-> primed color l
         for k in range(M - 1):
-            total = U @ lift(ops.C[k]) @ total
-        total = lift(ops.E[l]) @ total
-    total = lift(ops.P) @ total
+            total = U @ lift((colors[k], colors[k + 1])) @ total  # C_k: consecutive path colors
+        total = lift((colors[-1], N + l)) @ total  # E_l: last path color <-> primed color l
+    return P @ total
 
-    psi0 = np.zeros(2 * N * n, dtype=complex)
-    for i in range(N):
-        psi0[i * n + a] = alpha[i]
-    final, _ = run_pst(plan, alpha)
-    np.testing.assert_allclose(final, total @ psi0, atol=1e-10)
+
+def test_run_pst_matches_literal_dense_composition():
+    # independent route, on a random BFS-shortest case and two paths that are not shortest
+    for case in (random_dense_case, hexagon_long_way_case, grid_detour_case):
+        g, a, b, path, alpha = case()
+        plan = make_plan(g, a, b, path=path)
+        psi0 = np.zeros(plan.coin_dim * g.n, dtype=complex)
+        psi0[np.arange(plan.num_colors) * g.n + a] = alpha
+        final, transcript = run_pst(plan, alpha)
+        np.testing.assert_allclose(final, dense_protocol(plan) @ psi0, atol=1e-10)
+        assert transcript.fidelity > 1 - 1e-9
 
 
 def test_norm_preserved_at_every_stage():
@@ -308,7 +310,14 @@ def test_transcript_json_pieces_match_json_dumps():
     transcript.fidelity = 0.9999999999999998
     payload = dict(transcript.to_json_dict(), path=[0, 1, 2], path_colors=list(labels))
     others = {"empty": {}, "list": [], "nested": [[], [1, [2.5, None, True]], {"k": "v\n"}], "format": ["%s", "%d"]}
-    for obj in (payload, others, [], 1.5, float("nan")):
+    # the matmul --entry / --trace and triangles artifacts, exact and shots
+    results = [{"i": 3, "j": 14, "mode": "exact", "probability": 0.015625, "value": 64.0},
+               {"i": 0, "j": 7, "mode": "shots", "probability": -0.0, "value": -0.0, "shots": 20000, "seed": 7},
+               {"mode": "exact", "value": 147456.0},
+               {"mode": "shots", "value": 0.30000000000000004, "shots": 1, "seed": 0},
+               {"vertex": 2, "triangles": 4, "mode": "exact"},
+               {"triangles": 0, "mode": "shots", "shots": 20000, "seed": 2**40}]
+    for obj in (payload, others, *results, [], 1.5, float("nan")):
         assert "".join(_json_pieces(obj)) == json.dumps(obj, indent=2) + "\n"
     plan = make_plan(hypercube(5), 3, 3 ^ 31)
     _, transcript = run_pst(plan, np.ones(5) / np.sqrt(5))
@@ -324,8 +333,20 @@ def test_segment_transfer_two_vertices():
     res = segment_line_transfer(2)
     assert abs(res.final_probability - 1.0) < 1e-12
     # one step: e^{-iX pi/2}|1> = -i|2> in the blue sector
-    amp = res.states[-1].reshape(2, 2)[1, 1]
+    amp = res.final_state.reshape(2, 2)[1, 1]
     assert abs(amp + 1j) < 1e-12
+
+
+def test_segment_transfer_holds_only_the_current_state():
+    # 2000 positions: a copy of every 4000-dim state would be 128 MB
+    tracemalloc.start()
+    try:
+        res = segment_line_transfer(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(res.final_probability - 1.0) < 1e-9
+    assert peak < 8 * 2**20, f"segment_line_transfer traced peak {peak / 2**20:.1f} MB"
 
 
 def test_segment_transfer_reaches_target():
