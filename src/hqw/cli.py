@@ -264,11 +264,12 @@ def _table_pieces(header, chunks, fmt: str):
     table's columns left to right, for the rows after those of the item before.
 
     An integer block writes "%d" and a float block "%.12g" (JSON: the int or
-    float that text reads as). Rows go in chunks of at most TABLE_CHUNK_CELLS
-    cells, which bound the temporaries. In a chunk, each block's distinct
-    values are formatted once, keyed by bit pattern for floats so that -0.0,
-    0.0 and NaN payloads stay apart, and mapped back to their cells. JSON rows
-    are joined from those values' JSON texts into the bytes of
+    float that text reads as). The items' rows are regrouped (`_regroup`) into
+    chunks of at most TABLE_CHUNK_CELLS cells, which bound the temporaries, so
+    there is one pass per chunk however small the items are. In a chunk, each
+    block's distinct values are formatted once, keyed by bit pattern for floats
+    so that -0.0, 0.0 and NaN payloads stay apart, and mapped back to their
+    cells. JSON rows are joined from those values' JSON texts into the bytes of
     `json.dumps({"columns": header, "rows": rows}, indent=2)`, without the
     pure-Python encoder that `indent` selects.
     """
@@ -277,29 +278,26 @@ def _table_pieces(header, chunks, fmt: str):
     else:
         yield ",".join(header) + "\n"
     sep = "\n"
-    for blocks in chunks:
-        step = max(1, TABLE_CHUNK_CELLS // sum(block.shape[1] for block in blocks))
-        for lo in range(0, len(blocks[0]), step):
-            texts, cells = [], []
-            for block in blocks:
-                chunk = block[lo:lo + step]
-                flat = chunk.reshape(-1)
-                kind = "%.12g" if flat.dtype.kind == "f" else "%d"
-                key = flat.view(f"i{flat.itemsize}") if kind == "%.12g" else flat
-                # with return_index: a plain np.unique imports numpy.ma on its first call
-                _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-                text = [kind % x for x in flat[first].tolist()]
-                if fmt == "json":  # one C-encoder pass over the distinct values
-                    text = json.dumps(list(map(int if kind == "%d" else float, text)))[1:-1].split(", ")
-                cells.append(inverse.reshape(chunk.shape) + len(texts))
-                texts += text
-            cells = np.concatenate(cells, axis=1)  # row-major, however wide: the grouper idiom cuts rows
-            rows = zip(*[iter(np.array(texts, dtype=object)[cells].reshape(-1).tolist())] * cells.shape[1])
-            if fmt == "json":
-                yield sep + "    [\n      " + "\n    ],\n    [\n      ".join(map(",\n      ".join, rows)) + "\n    ]"
-                sep = ",\n"
-            else:
-                yield "\n".join(map(",".join, rows)) + "\n"
+    for blocks in _regroup(chunks, max(1, TABLE_CHUNK_CELLS // len(header))):
+        texts, cells = [], []
+        for block in blocks:
+            flat = block.reshape(-1)
+            kind = "%.12g" if flat.dtype.kind == "f" else "%d"
+            key = flat.view(f"i{flat.itemsize}") if kind == "%.12g" else flat
+            # with return_index: a plain np.unique imports numpy.ma on its first call
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            text = [kind % x for x in flat[first].tolist()]
+            if fmt == "json":  # one C-encoder pass over the distinct values
+                text = json.dumps(list(map(int if kind == "%d" else float, text)))[1:-1].split(", ")
+            cells.append(inverse.reshape(block.shape) + len(texts))
+            texts += text
+        cells = np.concatenate(cells, axis=1)  # row-major, however wide: the grouper idiom cuts rows
+        rows = zip(*[iter(np.array(texts, dtype=object)[cells].reshape(-1).tolist())] * cells.shape[1])
+        if fmt == "json":
+            yield sep + "    [\n      " + "\n    ],\n    [\n      ".join(map(",\n      ".join, rows)) + "\n    ]"
+            sep = ",\n"
+        else:
+            yield "\n".join(map(",".join, rows)) + "\n"
     if fmt == "json":
         yield ("]" if sep == "\n" else "\n  ]") + "\n}\n"
 
@@ -337,9 +335,9 @@ def _check_budget(rows: int, columns: int):
 
 
 def _chunk_rows(columns: int, dim: int) -> int:
-    """States per chunk of a streamed table: at most STATE_CHUNK_ENTRIES amplitudes
-    (1 MiB of states), and no more rows than one writer chunk of TABLE_CHUNK_CELLS
-    cells, in which `_write_observables` gathers consecutive state chunks."""
+    """States per chunk of every streamed table, t-grids included: at most
+    STATE_CHUNK_ENTRIES amplitudes (1 MiB of states), and no more rows than one
+    writer chunk of TABLE_CHUNK_CELLS cells, in which `_table_pieces` gathers them."""
     return max(1, min(TABLE_CHUNK_CELLS // columns, STATE_CHUNK_ENTRIES // dim))
 
 
@@ -349,13 +347,12 @@ def _write_observables(args, lead_names, leads, trajs, line=False):
     `trajs` is any iterable of Trajectory chunks. `leads` is the (rows,
     len(lead_names)) block of leading values across all of them. Each chunk's
     probability sums are checked, and on a truncated line (`line`) its boundary
-    band. The rows of consecutive chunks are gathered into writer chunks of
-    TABLE_CHUNK_CELLS // columns rows, so `_table_pieces` makes one pass per
-    writer chunk however small the state chunks are; only the (P, sigma,
-    entropy) rows of one writer chunk are held. After a failed check nothing
-    more is written, but the chunks are read to the end: a later error, then
-    the guard with its largest band over all rows, then the sums are reported,
-    as when a whole run was checked at once. A failed run leaves no artifact.
+    band. `_table_pieces` gathers the rows of consecutive chunks into its
+    writer chunks, so only the (P, sigma, entropy) rows of one writer chunk
+    are held. After a failed check nothing more is written, but the chunks
+    are read to the end: a later error, then the guard with its largest band
+    over all rows, then the sums are reported, as when a whole run was checked
+    at once. A failed run leaves no artifact.
     """
     trajs = iter(trajs)
     first = next(trajs)
@@ -364,7 +361,7 @@ def _write_observables(args, lead_names, leads, trajs, line=False):
               "sigma", "entropy"]
 
     def blocks():
-        edge, failure, lo = np.zeros((1, 4)), None, 0
+        band, failure, lo = 0.0, None, 0
         for traj in itertools.chain([first], trajs):
             P, hi = traj.distributions, lo + len(traj.distributions)
             totals = P.sum(axis=-1)
@@ -372,17 +369,16 @@ def _write_observables(args, lead_names, leads, trajs, line=False):
             if bad.size and failure is None:
                 failure = f"probability columns sum to {totals[bad[0]]:.12g}, not 1"
             if line:
-                edge = _widest_band(edge, P[:, [0, 1, -2, -1]])
-            if failure is None and edge.sum() <= 1e-12:
+                band = np.maximum(band, P[:, [0, 1, -2, -1]].sum(axis=1).max())
+            if failure is None and band <= 1e-12:
                 yield [leads[lo:hi], P, np.column_stack([traj.sigmas, traj.entropies])]
             lo = hi
         if line:
-            _check_line_guard(edge)
+            _check_line_guard(band)
         if failure:
             raise linalg.NumericalViolation(failure)
 
-    rows = max(1, TABLE_CHUNK_CELLS // len(header))
-    _emit(args, args.format, _table_pieces(header, _regroup(blocks(), rows), args.format))
+    _emit(args, args.format, _table_pieces(header, blocks(), args.format))
 
 
 def _regroup(chunks, rows: int):
@@ -396,23 +392,16 @@ def _regroup(chunks, rows: int):
             merged = held[0] if len(held) == 1 else [np.concatenate(b) for b in zip(*held)]
             yield [b[:rows] for b in merged]
             held, count = [[b[rows:] for b in merged]] if count > rows else [], count - rows
-    if held:
+    if count:
         yield held[0] if len(held) == 1 else [np.concatenate(b) for b in zip(*held)]
 
 
-def _widest_band(edge, band):
-    """Of the (1, 4) row `edge` and the rows of `band`, each the probabilities
-    of a line's sites [0, 1, -2, -1], the row with the largest sum (NaN wins)."""
-    rows = np.concatenate([edge, band])
-    return rows[[rows.sum(axis=1).argmax()]]
-
-
-def _check_line_guard(distributions):
+def _check_line_guard(band):
     # truncated-line runs emulate the infinite line; the walker spreads at most
     # one site per step, so any mass in the outer two sites means the
-    # truncation was too small for the requested step count. Rows of only the
-    # four band columns (see _widest_band) read the same.
-    band = float(np.asarray(distributions)[:, [0, 1, -2, -1]].sum(axis=1).max())
+    # truncation was too small for the requested step count. `band` is the
+    # largest probability of a line's sites [0, 1, -2, -1] over the run's
+    # states, kept with np.maximum so that a NaN wins.
     if not band <= 1e-12:
         raise linalg.NumericalViolation(
             f"boundary band carries probability {band:.3e}; enlarge the line truncation")
@@ -424,25 +413,18 @@ def _check_line_guard(distributions):
 
 def _grid_chunks(args, spec: GraphSpec, coin_spec: str, ts: np.ndarray, omegas, columns: int):
     """One coin step at every t of the grid, for each omega in turn, as
-    trajectory chunks of one state per t.
+    trajectory chunks of `_chunk_rows` states, one per t.
 
-    A dense sector's eigenbasis product is one BLAS call per chunk, and a call
-    of one row (a gemv) rounds differently from a call of several, so on such a
-    walk every chunk, a short last one joined to the one before, has at least
-    min(8, TABLE_CHUNK_CELLS // columns) rows. On every dense grid checked, a
-    row's digits then did not depend on the chunk budget.
+    `HybridWalk.evolve` gives each row the bytes of a run at its t alone, so
+    the table does not depend on where the chunks are cut.
     """
     for omega in omegas:
         g = spec.make(omega)
         w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
         coords, rows = _coords_for(spec.family, g.n), _chunk_rows(columns, w.dim)
-        least = min(8, TABLE_CHUNK_CELLS // columns) if w._dense else 1
-        cuts = list(range(0, len(ts), max(rows, least)))
-        if len(ts) - cuts[-1] < least < len(ts):
-            cuts.pop()
         psi = w.apply_coin(walk.product_state(*_initial_state(args, spec.family, g)))
-        for lo, hi in zip(cuts, cuts[1:] + [len(ts)]):
-            yield walk.Trajectory.from_states(w.evolve(ts[lo:hi], psi), w.coin_dim, w.pos_dim, coords)
+        for lo in range(0, len(ts), rows):
+            yield walk.Trajectory.from_states(w.evolve(ts[lo:lo + rows], psi), w.coin_dim, w.pos_dim, coords)
 
 
 def cmd_dynamics(args) -> int:
@@ -543,11 +525,11 @@ def cmd_sweep(args) -> int:
             for k, q in enumerate(chunk):
                 psi0 = walk.product_state(_sweep_initial_coin(name, q, base_coin), pos_vec)
                 t = q * np.pi if name == "q_time" else 3 * np.pi / 2
-                edge = np.zeros((1, 4))
+                band = 0.0
                 for states in w.state_chunks(t, steps, psi0, rows):
-                    band = states.reshape(-1, w.coin_dim, w.pos_dim)[..., [0, 1, -2, -1]]
-                    edge = _widest_band(edge, (np.abs(band) ** 2).sum(axis=-2))
-                _check_line_guard(edge)
+                    edge = states.reshape(-1, w.coin_dim, w.pos_dim)[..., [0, 1, -2, -1]]
+                    band = np.maximum(band, (np.abs(edge) ** 2).sum(axis=-2).sum(axis=1).max())
+                _check_line_guard(band)
                 finals[k] = states[-1]
             yield walk.Trajectory.from_states(finals, w.coin_dim, w.pos_dim, coords)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .graphs import Edge, LabeledGraph, bfs_path, path_colors, segment_line, validate_proper_coloring
-from .walk import HybridWalk, coin_position_state, identity_coin, permutation_coin, position_distribution
+from .walk import HybridWalk, coin_position_state, position_distribution
 
 STEP_TIME = 3 * np.pi / 2
 AMP_CUTOFF = 1e-12  # transcript amplitudes at or below this magnitude are not written
@@ -241,12 +241,11 @@ def segment_line_transfer(M: int) -> SegmentTransfer:
     g = segment_line(M)
     walk = HybridWalk(g, coin="identity")
     b_idx = g.labels.index("b")
-    swap = permutation_coin(2, [(0, 1)])
     psi = coin_position_state(2, M, b_idx, 0)
     record = []
     for k in range(1, M):
-        coin = identity_coin(2) if k == 1 else swap
-        psi = walk.step(np.pi / 2, psi, coin=coin)
+        # the r/b swap coin exchanges the two coin rows
+        psi = walk.step(np.pi / 2, psi if k == 1 else psi.reshape(2, M)[::-1].reshape(-1))
         weights = (np.abs(psi.reshape(2, M)) ** 2).sum(axis=1)
         record.append(g.labels[int(np.argmax(weights))])
     P = position_distribution(psi, 2, M)

@@ -20,7 +20,10 @@ pairs of every matching, with cos and sin taken once per distinct weight. A
 label without edges costs nothing (`star`'s label "0"). Each dense sector
 costs one eigh at construction, then O(n^2); one on more than
 sqrt(DENSE_SECTOR_ENTRIES) = 4096 vertices is refused before it is built.
-`HybridWalk.evolve` takes an array of times in the same pass.
+`HybridWalk.evolve` takes an array of times in the same pass; each row has the
+bytes of a call at its time alone, as phases and rotations are elementwise and
+a dense sector takes one 1-row product (a gemv) per time, not one gemm whose
+rounding would depend on the number of times.
 
 Observables: `entanglement_entropy` takes each state's Schmidt values over
 the positions it reaches (those where some coin row is nonzero), since
@@ -221,8 +224,9 @@ class HybridWalk:
         """Apply exp(-iHt) only (no coin).
 
         `t` is a scalar or a 1-D array of times; an array gives one state per
-        time, stacked along a leading axis. A time whose phase w*t is not
-        finite is refused before any exp, cos or sin.
+        time, stacked along a leading axis, and each row has the bytes of the
+        call at its time alone. A time whose phase w*t is not finite is refused
+        before any exp, cos or sin.
         """
         psi = self._check_dim(psi)
         t = np.asarray(t, dtype=float)
@@ -252,7 +256,7 @@ class HybridWalk:
                 rows[k:k + block, p] = c * xp + s * xq
                 rows[k:k + block, q] = s * xp + c * xq
         for sl, ew, V, Vh in self._dense:
-            out[..., sl] = (np.exp(-1j * ew * tcol) * (Vh @ psi[sl])) @ V.T
+            out[..., sl] = ((np.exp(-1j * ew * tcol) * (Vh @ psi[sl]))[..., None, :] @ V.T)[..., 0, :]
         return out
 
     def step(self, t: float, psi, coin=None) -> np.ndarray:

@@ -350,7 +350,7 @@ def test_nan_probabilities_fail_the_sum_check_and_the_line_guard(tmp_path):
     P = np.full((2, 7), 1 / 7)
     P[1, 3] = np.nan
     with pytest.raises(NumericalViolation, match="boundary band carries probability nan"):
-        _check_line_guard(np.full((2, 7), np.nan))
+        _check_line_guard(np.nan)
     traj = Trajectory(coords=np.arange(7.0), states=np.zeros((2, 7)), distributions=P,
                       sigmas=np.zeros(2), entropies=np.zeros(2))
     args = Namespace(format="csv", out=str(tmp_path / "x.csv"), command="dynamics")
@@ -419,8 +419,7 @@ def test_pst_norm_drift_is_a_numerical_violation(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HQW_THREADS", "1")
+def test_a_q_time_sweep_writes_one_row_per_q(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["sweep", "--sweep", "q_time:0:1:3", "--steps", "5", "--out", str(out)]) == 0
     header, rows = csv_rows(out)
@@ -769,23 +768,23 @@ def test_small_state_chunks_are_written_in_writer_chunks(tmp_path, monkeypatch, 
     for k, argv in enumerate(STREAMED):
         whole.append(tmp_path / f"whole{k}.{fmt}")
         assert main(argv + ["--format", fmt, "--out", str(whole[-1])]) == 0
-    seen, pieces = [], cli._table_pieces
+    seen, regroup = [], cli._regroup
 
-    def recording(header, chunks, fmt):  # the table's width, then the rows of each chunk handed to the writer
-        seen.append(len(header))
-        return pieces(header, (seen.append(len(b[0])) or b for b in chunks), fmt)
+    def recording(chunks, rows):  # the rows of each chunk the writer formats
+        return (seen.append(len(b[0])) or b for b in regroup(chunks, rows))
 
-    monkeypatch.setattr(cli, "_table_pieces", recording)
+    monkeypatch.setattr(cli, "_regroup", recording)
     monkeypatch.setattr(cli, "_chunk_rows", lambda columns, dim: rows)
     monkeypatch.setattr(cli, "TABLE_CHUNK_CELLS", 64)  # 7 rows of star:6, 2 of line3:12
     for k, argv in enumerate(STREAMED):
         seen.clear()
         out = tmp_path / f"chunked{k}.{fmt}"
         assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
-        assert read(out) == read(whole[k]), argv
-        columns, *sizes = seen
-        writer, total = max(1, 64 // columns), sum(sizes)
-        assert sizes == [writer] * (total // writer) + [total % writer] * (total % writer > 0), argv
+        text = read(out)
+        assert text == read(whole[k]), argv
+        columns = len(json.loads(text)["columns"] if fmt == "json" else text.split("\n", 1)[0].split(","))
+        writer, total = max(1, 64 // columns), sum(seen)
+        assert seen == [writer] * (total // writer) + [total % writer] * (total % writer > 0), argv
 
 
 def test_a_star_grid_holds_one_chunk_of_states(tmp_path):
@@ -810,7 +809,7 @@ def test_dense_sector_grids_do_not_depend_on_the_chunk_budget(tmp_path, monkeypa
     from hqw import walk
 
     # a dense cycle label beside 29 matchings: 18,000 amplitudes a state, so a 1 MiB
-    # budget alone would make 3-row chunks, and a one-row last chunk of either grid
+    # budget makes 3-row chunks, the last of one or two rows
     n, labels = 600, [f"c{k}" for k in range(30)]
     edges = [[v, (v + 1) % n, labels[0]] for v in range(n)]
     edges += [[v, v + 1, lab] for k, lab in enumerate(labels[1:]) for v in range(k % 2, n - 1, 2)]
@@ -820,7 +819,7 @@ def test_dense_sector_grids_do_not_depend_on_the_chunk_budget(tmp_path, monkeypa
     from_states = walk.Trajectory.from_states.__func__
     monkeypatch.setattr(walk.Trajectory, "from_states",
                         classmethod(lambda cls, states, *a: chunks.append(len(states)) or from_states(cls, states, *a)))
-    for points, small in ((16, [8, 8]), (17, [8, 9])):
+    for points, small in ((16, [3] * 5 + [1]), (17, [3] * 5 + [2])):
         texts = []
         for budget, expected in ((1 << 16, small), (1 << 24, [points])):
             monkeypatch.setattr(cli, "STATE_CHUNK_ENTRIES", budget)
@@ -830,6 +829,17 @@ def test_dense_sector_grids_do_not_depend_on_the_chunk_budget(tmp_path, monkeypa
             texts.append(read(out))
             assert chunks == expected
         assert texts[0] == texts[1], points
+
+
+def test_dense_grid_rows_equal_the_single_t_runs(tmp_path):
+    grid = tmp_path / "grid.csv"
+    assert main(["dynamics", "--graph", "cycle:12", "--t", "0:6:300", "--out", str(grid)]) == 0
+    rows = read(grid).splitlines()
+    for k, t in enumerate(np.linspace(0, 6, 300)):
+        if k % 7 == 0:
+            one = tmp_path / f"t{k}.csv"
+            assert main(["dynamics", "--graph", "cycle:12", "--t", repr(float(t)), "--out", str(one)]) == 0
+            assert read(one).splitlines() == [rows[0], rows[k + 1]], k
 
 
 def test_tables_over_the_output_budget_are_refused_before_a_step(tmp_path, capsys, monkeypatch):

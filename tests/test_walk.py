@@ -6,7 +6,7 @@ import pytest
 
 from _graphgen import random_properly_colored_graph
 from hqw import linalg, walk
-from hqw.graphs import (Edge, LabeledGraph, circle2, cubic8, cycle, fock_g0, line2, line3,
+from hqw.graphs import (Edge, LabeledGraph, circle2, complete, cubic8, cycle, fock_g0, line2, line3,
                         adjacency, signed_coords, star, subgraph_adjacency)
 from hqw.walk import (HybridWalk, cnot_realizability, coin_position_state,
                       continuous_walk, discrete_coined_walk, entanglement_entropy,
@@ -137,7 +137,8 @@ def test_sector_kernels_match_generic_evolution_on_random_graphs():
 
 
 def per_sector_evolve(g: LabeledGraph, t, psi) -> np.ndarray:
-    """exp(-iHt) psi label by label: phase multiply, 2x2 rotations or one eigh per sector."""
+    """exp(-iHt) psi label by label: phase multiply, 2x2 rotations or one eigh per sector,
+    whose eigenbasis product is a 1-row product per time."""
     t = np.asarray(t, dtype=float)
     tcol = t.reshape(t.shape + (1,))
     out = np.empty(t.shape + (len(g.labels), g.n), dtype=complex)
@@ -153,7 +154,7 @@ def per_sector_evolve(g: LabeledGraph, t, psi) -> np.ndarray:
             out[..., c, p], out[..., c, q] = cs * x[p] + sn * x[q], sn * x[p] + cs * x[q]
         else:
             ew, V = linalg.hermitian_eig(S)
-            out[..., c, :] = (np.exp(-1j * ew * tcol) * (V.conj().T @ x)) @ V.T
+            out[..., c, :] = ((np.exp(-1j * ew * tcol) * (V.conj().T @ x))[..., None, :] @ V.T)[..., 0, :]
     return out.reshape(t.shape + (-1,))
 
 
@@ -189,6 +190,23 @@ def test_fused_propagator_is_bit_identical_to_the_per_sector_kernels():
     psi = rng.normal(size=w.dim) + 1j * rng.normal(size=w.dim)
     grid = np.linspace(-3.0, 9.0, 200)
     assert np.array_equal(w.evolve(grid, psi), per_sector_evolve(g, grid, psi))
+
+
+def test_a_rows_bytes_do_not_depend_on_the_call_that_made_it():
+    # diagonal (fock_g0), matchings (line3, star), dense (cycle, complete, cubic8), mixed (random)
+    rng = np.random.default_rng(11)
+    ts = np.linspace(-1.5, 7.5, 37)
+    for g in (fock_g0(9), line3(6), star(7), cycle(30), complete(20), cubic8(),
+              random_properly_colored_graph(rng, max_n=12)):
+        w = HybridWalk(g, coin="grover")
+        psi = rng.normal(size=w.dim) + 1j * rng.normal(size=w.dim)
+        psi /= np.linalg.norm(psi)
+        grid = w.evolve(ts, psi)
+        for k in range(len(ts)):
+            want = w.evolve(float(ts[k]), psi).tobytes()
+            assert grid[k].tobytes() == want, (g.labels, k)
+            assert w.evolve(ts[k:k + 1], psi)[0].tobytes() == want, (g.labels, k)
+            assert w.evolve(ts[k:k + 5], psi)[0].tobytes() == want, (g.labels, k)
 
 
 def test_one_step_on_a_long_line_allocates_no_dense_block():
