@@ -346,13 +346,11 @@ def _write_observables(args, lead_names, leads, trajs, line=False):
 
     `trajs` is any iterable of Trajectory chunks. `leads` is the (rows,
     len(lead_names)) block of leading values across all of them. Each chunk's
-    probability sums are checked, and on a truncated line (`line`) its boundary
-    band. `_table_pieces` gathers the rows of consecutive chunks into its
-    writer chunks, so only the (P, sigma, entropy) rows of one writer chunk
-    are held. After a failed check nothing more is written, but the chunks
-    are read to the end: a later error, then the guard with its largest band
-    over all rows, then the sums are reported, as when a whole run was checked
-    at once. A failed run leaves no artifact.
+    rows are checked (`_check_rows`) as it arrives, and the first row that
+    fails stops the run: no later chunk is computed, and a failed run leaves
+    no artifact. `_table_pieces` gathers the rows of consecutive chunks into
+    its writer chunks, so only the (P, sigma, entropy) rows of one writer
+    chunk are held.
     """
     trajs = iter(trajs)
     first = next(trajs)
@@ -361,22 +359,12 @@ def _write_observables(args, lead_names, leads, trajs, line=False):
               "sigma", "entropy"]
 
     def blocks():
-        band, failure, lo = 0.0, None, 0
+        lo = 0
         for traj in itertools.chain([first], trajs):
             P, hi = traj.distributions, lo + len(traj.distributions)
-            totals = P.sum(axis=-1)
-            bad = np.flatnonzero(~(np.abs(totals - 1.0) <= PROB_SUM_ATOL))
-            if bad.size and failure is None:
-                failure = f"probability columns sum to {totals[bad[0]]:.12g}, not 1"
-            if line:
-                band = np.maximum(band, P[:, [0, 1, -2, -1]].sum(axis=1).max())
-            if failure is None and band <= 1e-12:
-                yield [leads[lo:hi], P, np.column_stack([traj.sigmas, traj.entropies])]
+            _check_rows(P, line)
+            yield [leads[lo:hi], P, np.column_stack([traj.sigmas, traj.entropies])]
             lo = hi
-        if line:
-            _check_line_guard(band)
-        if failure:
-            raise linalg.NumericalViolation(failure)
 
     _emit(args, args.format, _table_pieces(header, blocks(), args.format))
 
@@ -396,15 +384,20 @@ def _regroup(chunks, rows: int):
         yield held[0] if len(held) == 1 else [np.concatenate(b) for b in zip(*held)]
 
 
-def _check_line_guard(band):
-    # truncated-line runs emulate the infinite line; the walker spreads at most
-    # one site per step, so any mass in the outer two sites means the
-    # truncation was too small for the requested step count. `band` is the
-    # largest probability of a line's sites [0, 1, -2, -1] over the run's
-    # states, kept with np.maximum so that a NaN wins.
-    if not band <= 1e-12:
+def _check_rows(P, line=False):
+    """Raise at the first row of the (rows, positions) distributions `P` with mass
+    in the boundary band of a truncated line (`line`), or with a sum off 1. The band,
+    sites [0, 1, -2, -1], must stay empty: the walker spreads at most one site per
+    step, so mass there means the truncation is too small for the step count. A row
+    failing both (NaN does) reports the band."""
+    band = P[:, [0, 1, -2, -1]].sum(axis=1) if line else np.zeros(len(P))
+    totals = P.sum(axis=1)
+    k = np.argmax(~(band <= 1e-12) | ~(np.abs(totals - 1.0) <= PROB_SUM_ATOL))  # 0 if none fails
+    if not band[k] <= 1e-12:
         raise linalg.NumericalViolation(
-            f"boundary band carries probability {band:.3e}; enlarge the line truncation")
+            f"boundary band carries probability {band[k]:.3e}; enlarge the line truncation")
+    if not abs(totals[k] - 1.0) <= PROB_SUM_ATOL:
+        raise linalg.NumericalViolation(f"probability columns sum to {totals[k]:.12g}, not 1")
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +510,16 @@ def cmd_sweep(args) -> int:
     qs, rows = np.linspace(*grid), _chunk_rows(g.n + 3, w.dim)
 
     def chunks():
-        # per q only the final state is kept, and of the states before it the
-        # probabilities of the four band sites; `rows` bounds both kinds of chunk
+        # per q only the final state is kept, and each chunk of states up to it is
+        # checked as it is made, so a failing q stops; `rows` bounds both chunks
         for lo in range(0, len(qs), rows):
             chunk = qs[lo:lo + rows].tolist()
             finals = np.empty((len(chunk), w.dim), dtype=complex)
             for k, q in enumerate(chunk):
                 psi0 = walk.product_state(_sweep_initial_coin(name, q, base_coin), pos_vec)
                 t = q * np.pi if name == "q_time" else 3 * np.pi / 2
-                band = 0.0
                 for states in w.state_chunks(t, steps, psi0, rows):
-                    edge = states.reshape(-1, w.coin_dim, w.pos_dim)[..., [0, 1, -2, -1]]
-                    band = np.maximum(band, (np.abs(edge) ** 2).sum(axis=-2).sum(axis=1).max())
-                _check_line_guard(band)
+                    _check_rows(walk.position_distribution(states, w.coin_dim, w.pos_dim), line=True)
                 finals[k] = states[-1]
             yield walk.Trajectory.from_states(finals, w.coin_dim, w.pos_dim, coords)
 

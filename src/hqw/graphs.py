@@ -322,7 +322,10 @@ def build(family: str, *args, **kwargs) -> LabeledGraph:
         builder = BUILDERS[family]
     except KeyError:
         raise ValueError(f"unknown graph family {family!r}; choices: {sorted(BUILDERS)}") from None
-    return builder(*args, **kwargs)
+    try:
+        return builder(*args, **kwargs)
+    except TypeError as exc:  # a wrong parameter count, or a float where a count goes
+        raise ValueError(f"bad parameters for graph family {family!r}: {exc}") from None
 
 
 def signed_coords(n: int) -> np.ndarray:

@@ -25,12 +25,12 @@ def as_matrix(M) -> np.ndarray:
     return M
 
 
-def require_hermitian(M, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(M) -> np.ndarray:
     """Return M as a complex matrix, or raise naming the worst asymmetry."""
     M = as_matrix(M)
     asym = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
-    if asym > atol:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^H| = {asym:.3e} > {atol:.0e}")
+    if asym > HERMITIAN_ATOL:
+        raise ValueError(f"matrix is not Hermitian: max |M - M^H| = {asym:.3e} > {HERMITIAN_ATOL:.0e}")
     return M
 
 
@@ -70,35 +70,33 @@ def partial_trace_coin(rho, coin_dim: int, pos_dim: int) -> np.ndarray:
     return np.einsum("cpcq->pq", rho.reshape(coin_dim, pos_dim, coin_dim, pos_dim))
 
 
-def require_density_operator(rho, atol_herm: float = HERMITIAN_ATOL,
-                             atol_trace: float = 1e-10,
-                             atol_psd: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density operator."""
-    rho = require_hermitian(rho, atol=atol_herm)
+def require_density_operator(rho) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity (both within 1e-10) of a density operator."""
+    rho = require_hermitian(rho)
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > atol_trace:
-        raise ValueError(f"density operator trace {tr:.12g} is not 1 within {atol_trace:.0e}")
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"density operator trace {tr:.12g} is not 1 within 1e-10")
     wmin = float(np.linalg.eigvalsh(rho).min())
-    if wmin < -atol_psd:
+    if wmin < -1e-10:
         raise ValueError(f"density operator has negative eigenvalue {wmin:.3e}")
     return rho
 
 
-def von_neumann_entropy(rho, cutoff: float = ENTROPY_EIGENVALUE_CUTOFF) -> float:
+def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy of a density operator, in bits.
 
-    Eigenvalues below `cutoff` contribute zero.
+    Eigenvalues up to ENTROPY_EIGENVALUE_CUTOFF contribute zero.
     """
     rho = require_density_operator(rho)
     w = np.linalg.eigvalsh(rho)
-    w = w[w > cutoff]
+    w = w[w > ENTROPY_EIGENVALUE_CUTOFF]
     return max(0.0, float(-(w * np.log2(w)).sum()))
 
 
-def entropy_of_probabilities(p, cutoff: float = ENTROPY_EIGENVALUE_CUTOFF) -> float:
+def entropy_of_probabilities(p) -> float:
     """Shannon entropy in bits of a probability vector (cutoff as for entropy)."""
     p = np.asarray(p, dtype=float)
-    p = p[p > cutoff]
+    p = p[p > ENTROPY_EIGENVALUE_CUTOFF]
     return max(0.0, float(-(p * np.log2(p)).sum()))
 
 

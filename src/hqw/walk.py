@@ -410,13 +410,12 @@ CNOT = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0]], dtype=complex)
 
 
-def cnot_realizability(a: float, b: float, max_index: int = 10**4,
-                       ratio_tol: float = 1e-9, verify_atol: float = 1e-9):
+def cnot_realizability(a: float, b: float):
     """Smallest verified t at which the (a, b) circle step realizes a CNOT.
 
     A candidate needs cos(at) = +-1 and sin(bt) = +-1 simultaneously, which
     pins t = pi(1+2l)/(2b) with k = a(1+2l)/(2b) an integer; such (k, l) exist
-    exactly when a/b = 2k/(1+2l). The search is bounded by k, l <= max_index
+    exactly when a/b = 2k/(1+2l). The search is bounded by k, l <= 10**4
     and every hit is verified against the CNOT matrix (up to a global phase,
     with a diagonal phase coin) before it is returned. Returns None when no
     bounded candidate verifies.
@@ -424,12 +423,12 @@ def cnot_realizability(a: float, b: float, max_index: int = 10**4,
     if a <= 0 or b <= 0:
         raise ValueError(f"weights must be positive, got a={a}, b={b}")
     walk = HybridWalk(circle2(a, b), coin="identity")
-    for l in range(max_index + 1):
+    for l in range(10**4 + 1):
         k_exact = a * (1 + 2 * l) / (2 * b)
         k = round(k_exact)
-        if k > max_index:
+        if k > 10**4:
             break
-        if k < 1 or abs(k_exact - k) > ratio_tol * max(1.0, abs(k_exact)):
+        if k < 1 or abs(k_exact - k) > 1e-9 * max(1.0, abs(k_exact)):
             continue
         t = np.pi * (1 + 2 * l) / (2 * b)
         eps0 = np.cos(a * t)
@@ -438,6 +437,6 @@ def cnot_realizability(a: float, b: float, max_index: int = 10**4,
             continue
         coin = np.diag([1.0, 1j * np.sign(eps0) * np.sign(eps1)]).astype(complex)
         W = walk.step_operator(t, coin=coin)
-        if linalg.phase_distance(W, CNOT) < verify_atol:
+        if linalg.phase_distance(W, CNOT) < 1e-9:
             return float(t)
     return None

@@ -343,14 +343,14 @@ def test_a_time_with_a_non_finite_phase_is_one_validation_line(tmp_path, capsys)
 def test_nan_probabilities_fail_the_sum_check_and_the_line_guard(tmp_path):
     from argparse import Namespace
 
-    from hqw.cli import _check_line_guard, _write_observables
+    from hqw.cli import _check_rows, _write_observables
     from hqw.linalg import NumericalViolation
     from hqw.walk import Trajectory
 
     P = np.full((2, 7), 1 / 7)
     P[1, 3] = np.nan
     with pytest.raises(NumericalViolation, match="boundary band carries probability nan"):
-        _check_line_guard(np.nan)
+        _check_rows(np.full((1, 7), np.nan), line=True)
     traj = Trajectory(coords=np.arange(7.0), states=np.zeros((2, 7)), distributions=P,
                       sigmas=np.zeros(2), entropies=np.zeros(2))
     args = Namespace(format="csv", out=str(tmp_path / "x.csv"), command="dynamics")
@@ -687,8 +687,26 @@ def test_streamed_tables_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, 
         assert max(chunks) <= rows and sum(chunks) == table_rows, (argv, chunks)
 
 
+@pytest.mark.parametrize("argv", [["dynamics", "--graph", "line3:5", "--t", "0.8"],
+                                  ["sweep", "--sweep", "q_mix2:0:1:5", "--graph", "line3:5"]])
+def test_a_doomed_line_run_stops_at_its_first_bad_row(tmp_path, capsys, monkeypatch, argv):
+    import hqw.cli as cli
+    from hqw.walk import HybridWalk
+
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--steps", "1000", "--out", str(out)]) == 2
+    short = one_line_error(capsys)
+    calls, step = [], HybridWalk.step
+    monkeypatch.setattr(HybridWalk, "step", lambda self, *a, **k: calls.append(1) or step(self, *a, **k))
+    assert main(argv + ["--steps", "100000", "--out", str(out)]) == 2
+    # the band trips a few steps in: the run stops within its first chunk of states
+    assert len(calls) <= 2 * cli._chunk_rows(14, 33), len(calls)
+    assert one_line_error(capsys) == short and "boundary band carries" in short
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, nan_from_row, code, message", [
-    # the guard trips in a later chunk and reports its largest band over the whole run
+    # the guard trips in a later chunk and reports the band of its first failing row
     (["dynamics", "--graph", "line3:5", "--steps", "30", "--t", "0.8"], None, 2, "boundary band carries"),
     (["dynamics", "--graph", "star:5", "--steps", "9", "--t", "0.4"], 5, 2, "sum to nan, not 1"),
     (["dynamics", "--graph", "star:5", "--t", "0:1:9"], 7, 2, "sum to nan, not 1"),
@@ -870,3 +888,57 @@ def test_tables_over_the_output_budget_are_refused_before_a_step(tmp_path, capsy
         assert main(argv + ["--out", str(tmp_path / "z.csv")]) == 1, argv
         assert f"a table of {shape} is over the output budget of 1000000000 cells" in one_line_error(capsys)
     assert not (tmp_path / "y.csv").exists() and not (tmp_path / "z.csv").exists()
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    # builder specs with a wrong parameter count or a non-integer count
+    (["dynamics", "--graph", "star", "--t", "0.5"], None, "bad parameters for graph family 'star'"),
+    (["dynamics", "--graph", "star:1,2", "--t", "0.5"], None, "bad parameters for graph family 'star'"),
+    (["dynamics", "--graph", "cubic8:3", "--t", "0.5"], None, "bad parameters for graph family 'cubic8'"),
+    (["dynamics", "--graph", "complete:4.0", "--t", "0.5"], None, "bad parameters for graph family 'complete'"),
+    (["dynamics", "--graph", "line2:1.5", "--t", "0.5"], None, "bad parameters for graph family 'line2'"),
+    (["dynamics", "--graph", "line3:1.0", "--t", "0.5"], None, "bad parameters for graph family 'line3'"),
+    (["dynamics", "--graph", "circle2:2w+,1", "--t", "0.5"], None, "cannot parse weight expression '2w+'"),
+    # initial coins and coins
+    (["dynamics", "--graph", "circle2:1,2", "--t", "0.5", "--init-coin", "amp:1,0"], None,
+     "amplitudes must look like [re,im;re,im;...]"),
+    (["dynamics", "--graph", "circle2:1,2", "--t", "0.5", "--init-coin", "amp:[1;0]"], None,
+     "amplitude component '1' is not 're,im'"),
+    (["dynamics", "--graph", "circle2:1,2", "--t", "0.5", "--init-coin", "amp:[1,0]"], None,
+     "coin amplitudes have 1 components, coin dim is 2"),
+    (["dynamics", "--graph", "star:3", "--t", "0.5", "--init-coin", "basis:3"], None, "coin basis index 3 outside"),
+    (["dynamics", "--graph", "circle2:1,2", "--t", "0.5", "--init-coin", "amp:[1,0;1,0]"], None,
+     "coin init is not normalized"),
+    (["dynamics", "--graph", "circle2:1,2", "--t", "0.5", "--init-coin", "spin-up"], None,
+     "unknown coin init 'spin-up'"),
+    (["dynamics", "--graph", "circle2:1,2", "--t", "0.5", "--coin", "custom:DOC"], [[[1, 0], [0, 0]]],
+     "expected a square matrix, got shape (1, 2)"),
+    # times, steps and sweeps
+    (["dynamics", "--graph", "star:3", "--t", "0:1"], None, "--t grid must be start:stop:points"),
+    (["dynamics", "--graph", "line3:5", "--steps", "3", "--t", "0:1:3"], None, "takes a single --t, not a grid"),
+    (["dynamics", "--graph", "line3:5", "--steps", "3", "--t", "0.5", "--sweep", "omega:0:1:3"], None,
+     "trajectory mode (--steps) takes no --sweep"),
+    (["dynamics", "--graph", "circle2:2w,1", "--t", "0.5", "--sweep", "q_mix2:0:1:3"], None,
+     "dynamics sweeps only 'omega'"),
+    (["sweep", "--sweep", "q_phase3:0:1:3", "--init-coin", "uniform"], None, "--init-coin applies to q_time only"),
+    (["matmul", "--graph", "cubic8", "--entry", "0,0", "--trace"], None, "pick one of --entry, --matrix, --trace"),
+    # graph JSON
+    (["dynamics", "--graph", "DOC", "--t", "0.5"], {"n": 2, "labels": "ab", "edges": []},
+     '"labels" must be a list of strings'),
+    (["dynamics", "--graph", "DOC", "--t", "0.5"], {"n": 2, "labels": ["a", 1], "edges": []},
+     '"labels" must be a list of strings'),
+    (["dynamics", "--graph", "DOC", "--t", "0.5"], {"n": 2, "labels": ["a"], "edges": [[0, 1, "a", "1"]]},
+     "has a non-numeric weight"),
+    (["dynamics", "--graph", "DOC", "--t", "0.5"], {"n": 2, "labels": ["a", "a"], "edges": [[0, 1, "a"]]},
+     "label set contains duplicates"),
+])
+def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message):
+    # the CLI contract: exit 1, one stderr line "error: ...", no traceback and no artifact
+    if doc is not None:
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        argv = [a.replace("DOC", str(tmp_path / "in.json")) for a in argv]
+    out = tmp_path / "x.out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = one_line_error(capsys)
+    assert err.startswith("error: ") and message in err, err
+    assert not out.exists()
