@@ -12,7 +12,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import re
@@ -137,7 +136,8 @@ def _default_coin(family) -> str:
     return _DEFAULT_COIN.get(family, "identity")
 
 
-def _resolve_coin(spec: str, dim: int):
+def _resolve_coin(spec: str):
+    """The coin `HybridWalk` realizes and checks: a name, or a custom:path file's matrix."""
     if spec.startswith("custom:"):
         path = spec.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
@@ -146,8 +146,8 @@ def _resolve_coin(spec: str, dim: int):
             mat = np.array([[complex(a, b) for a, b in row] for row in raw])
         except (TypeError, ValueError):
             raise ValueError(f"custom coin {path} must be a list of rows of [re, im] pairs") from None
-        return walk.make_coin(mat, dim)
-    return walk.make_coin(spec, dim)
+        return mat
+    return spec
 
 
 def _default_initial(family, g: graphs.LabeledGraph):
@@ -226,12 +226,15 @@ def _emit(args, ext: str, pieces):
     """Write the run's artifact (--out, or out/<cmd>-<confighash>.<ext>) from the
     text `pieces` and name it.
 
-    The pieces go to a temporary file beside the target, renamed over it once
-    all are written, so an exception while they are produced leaves no
-    temporary file and no artifact, or the old one as it was. The artifact gets
-    the permissions `open(path, "w")` gives; a symlink is written through, and a
-    device or pipe (`/dev/stdout`), which cannot be replaced, in place.
+    The first piece is made before any file or directory is; then the pieces go
+    to a temporary file beside the target, renamed over it once all are written,
+    so an exception while they are produced leaves no temporary file and no
+    artifact, or the old one as it was. The artifact gets the permissions
+    `open(path, "w")` gives; a symlink is written through, and a device or pipe
+    (`/dev/stdout`), which cannot be replaced, in place.
     """
+    pieces = iter(pieces)
+    first = next(pieces)
     path = args.out or os.path.join("out", f"{args.command}-{_config_hash(args)}.{ext}")
     parent = os.path.dirname(path)
     if parent:
@@ -239,6 +242,7 @@ def _emit(args, ext: str, pieces):
     old = os.stat(path) if os.path.exists(path) else None
     if old is not None and not stat.S_ISREG(old.st_mode):
         with open(path, "w", encoding="utf-8") as fh:
+            fh.write(first)
             fh.writelines(pieces)
     else:
         if old is not None:
@@ -247,6 +251,7 @@ def _emit(args, ext: str, pieces):
         tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(first)
                 fh.writelines(pieces)
             if old is not None:
                 os.chmod(tmp, stat.S_IMODE(old.st_mode))
@@ -259,26 +264,26 @@ def _emit(args, ext: str, pieces):
 
 
 def _table_pieces(header, chunks, fmt: str):
-    """Yield the CSV (or `--format json`) text of a table, piece by piece.
-    Each item of `chunks` is a list of row-aligned 2-D numeric blocks, the
-    table's columns left to right, for the rows after those of the item before.
+    """Yield the CSV (or `--format json`) text of a table, one piece per item of
+    `chunks` that has rows, the header going out with the first (a table without
+    rows is its header alone). An item is a list of row-aligned 2-D numeric
+    blocks, the table's columns left to right; the caller bounds its rows
+    (`_chunk_rows`), and with them the temporaries of its one pass.
 
     An integer block writes "%d" and a float block "%.12g" (JSON: the int or
-    float that text reads as). The items' rows are regrouped (`_regroup`) into
-    chunks of at most TABLE_CHUNK_CELLS cells, which bound the temporaries, so
-    there is one pass per chunk however small the items are. In a chunk, each
-    block's distinct values are formatted once, keyed by bit pattern for floats
-    so that -0.0, 0.0 and NaN payloads stay apart, and mapped back to their
-    cells. JSON rows are joined from those values' JSON texts into the bytes of
-    `json.dumps({"columns": header, "rows": rows}, indent=2)`, without the
-    pure-Python encoder that `indent` selects.
+    float that text reads as). In an item, each block's distinct values are
+    formatted once, keyed by bit pattern for floats so that -0.0, 0.0 and NaN
+    payloads stay apart, and mapped back to their cells. JSON rows are joined
+    from those values' JSON texts into the bytes of `json.dumps({"columns":
+    header, "rows": rows}, indent=2)`, without the pure-Python encoder that
+    `indent` selects.
     """
-    if fmt == "json":
-        yield '{\n  "columns": [\n    ' + ",\n    ".join(map(json.dumps, header)) + '\n  ],\n  "rows": ['
-    else:
-        yield ",".join(header) + "\n"
+    head = ('{\n  "columns": [\n    ' + ",\n    ".join(map(json.dumps, header)) + '\n  ],\n  "rows": ['
+            if fmt == "json" else ",".join(header) + "\n")
     sep = "\n"
-    for blocks in _regroup(chunks, max(1, TABLE_CHUNK_CELLS // len(header))):
+    for blocks in chunks:
+        if not len(blocks[0]):
+            continue
         texts, cells = [], []
         for block in blocks:
             flat = block.reshape(-1)
@@ -294,12 +299,12 @@ def _table_pieces(header, chunks, fmt: str):
         cells = np.concatenate(cells, axis=1)  # row-major, however wide: the grouper idiom cuts rows
         rows = zip(*[iter(np.array(texts, dtype=object)[cells].reshape(-1).tolist())] * cells.shape[1])
         if fmt == "json":
-            yield sep + "    [\n      " + "\n    ],\n    [\n      ".join(map(",\n      ".join, rows)) + "\n    ]"
+            yield head + sep + "    [\n      " + "\n    ],\n    [\n      ".join(map(",\n      ".join, rows)) + "\n    ]"
             sep = ",\n"
         else:
-            yield "\n".join(map(",".join, rows)) + "\n"
-    if fmt == "json":
-        yield ("]" if sep == "\n" else "\n  ]") + "\n}\n"
+            yield head + "\n".join(map(",".join, rows)) + "\n"
+        head = ""
+    yield head + (("]" if sep == "\n" else "\n  ]") + "\n}\n" if fmt == "json" else "")
 
 
 def _json_pieces(obj):
@@ -335,53 +340,32 @@ def _check_budget(rows: int, columns: int):
 
 
 def _chunk_rows(columns: int, dim: int) -> int:
-    """States per chunk of every streamed table, t-grids included: at most
-    STATE_CHUNK_ENTRIES amplitudes (1 MiB of states), and no more rows than one
-    writer chunk of TABLE_CHUNK_CELLS cells, in which `_table_pieces` gathers them."""
+    """Rows per chunk of every streamed table, t-grids and `matmul --matrix`
+    included: at most STATE_CHUNK_ENTRIES amplitudes (1 MiB of states) behind
+    them, and at most TABLE_CHUNK_CELLS cells, which bound the temporaries of
+    the one `_table_pieces` pass that formats the chunk."""
     return max(1, min(TABLE_CHUNK_CELLS // columns, STATE_CHUNK_ENTRIES // dim))
 
 
-def _write_observables(args, lead_names, leads, trajs, line=False):
-    """Write rows [*lead, P..., sigma, entropy], one per state of `trajs` in order.
+def _write_observables(args, lead_names, coords, chunks, line=False):
+    """Write rows [*leads, P..., sigma, entropy], one per state, from the
+    (leads, Trajectory) pairs of `chunks` in order, `leads` being a chunk's
+    (rows, len(lead_names)) block; `coords` name the P columns.
 
-    `trajs` is any iterable of Trajectory chunks. `leads` is the (rows,
-    len(lead_names)) block of leading values across all of them. Each chunk's
-    rows are checked (`_check_rows`) as it arrives, and the first row that
-    fails stops the run: no later chunk is computed, and a failed run leaves
-    no artifact. `_table_pieces` gathers the rows of consecutive chunks into
-    its writer chunks, so only the (P, sigma, entropy) rows of one writer
-    chunk are held.
+    Each chunk's rows are checked (`_check_rows`) as it arrives, and the first
+    row that fails stops the run: no later chunk is computed, and a failed run
+    leaves no artifact. `_table_pieces` formats each chunk as it arrives, so
+    only the rows of one chunk are held.
     """
-    trajs = iter(trajs)
-    first = next(trajs)
-    coords = first.coords.tolist()
-    header = [*lead_names, *(f"P({int(c)})" if c.is_integer() else "P(%.12g)" % c for c in coords),
+    header = [*lead_names, *(f"P({int(c)})" if c.is_integer() else "P(%.12g)" % c for c in coords.tolist()),
               "sigma", "entropy"]
 
     def blocks():
-        lo = 0
-        for traj in itertools.chain([first], trajs):
-            P, hi = traj.distributions, lo + len(traj.distributions)
-            _check_rows(P, line)
-            yield [leads[lo:hi], P, np.column_stack([traj.sigmas, traj.entropies])]
-            lo = hi
+        for leads, traj in chunks:
+            _check_rows(traj.distributions, line)
+            yield [leads, traj.distributions, np.column_stack([traj.sigmas, traj.entropies])]
 
     _emit(args, args.format, _table_pieces(header, blocks(), args.format))
-
-
-def _regroup(chunks, rows: int):
-    """The rows of `chunks`, lists of row-aligned blocks, regrouped into lists of
-    `rows` rows each (the last one may be shorter); only one group is held."""
-    held, count = [], 0
-    for blocks in chunks:
-        held.append(blocks)
-        count += len(blocks[0])
-        while count >= rows:
-            merged = held[0] if len(held) == 1 else [np.concatenate(b) for b in zip(*held)]
-            yield [b[:rows] for b in merged]
-            held, count = [[b[rows:] for b in merged]] if count > rows else [], count - rows
-    if count:
-        yield held[0] if len(held) == 1 else [np.concatenate(b) for b in zip(*held)]
 
 
 def _check_rows(P, line=False):
@@ -405,19 +389,21 @@ def _check_rows(P, line=False):
 
 
 def _grid_chunks(args, spec: GraphSpec, coin_spec: str, ts: np.ndarray, omegas, columns: int):
-    """One coin step at every t of the grid, for each omega in turn, as
-    trajectory chunks of `_chunk_rows` states, one per t.
+    """One coin step at every t of the grid, for each omega in turn, in chunks
+    of `_chunk_rows` states: ((omega, t) or (t,) leads, Trajectory) pairs.
 
     `HybridWalk.evolve` gives each row the bytes of a run at its t alone, so
     the table does not depend on where the chunks are cut.
     """
     for omega in omegas:
         g = spec.make(omega)
-        w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
+        w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec))
         coords, rows = _coords_for(spec.family, g.n), _chunk_rows(columns, w.dim)
         psi = w.apply_coin(walk.product_state(*_initial_state(args, spec.family, g)))
         for lo in range(0, len(ts), rows):
-            yield walk.Trajectory.from_states(w.evolve(ts[lo:lo + rows], psi), w.coin_dim, w.pos_dim, coords)
+            t = ts[lo:lo + rows]
+            leads = np.column_stack([t] if omega is None else [np.full(len(t), omega), t])
+            yield leads, walk.Trajectory.from_states(w.evolve(t, psi), w.coin_dim, w.pos_dim, coords)
 
 
 def cmd_dynamics(args) -> int:
@@ -431,14 +417,13 @@ def cmd_dynamics(args) -> int:
             raise ValueError("trajectory mode (--steps) takes no --sweep")
         t = _parse_finite(args.t, "--t") if args.t is not None else float(np.pi / 2)
         g = spec.make()
-        w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec, len(g.labels)))
+        w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec))
         psi0 = walk.product_state(*_initial_state(args, spec.family, g))
         _check_budget(args.steps + 1, g.n + 3)
-        coords = _coords_for(spec.family, g.n)
-        chunks = (walk.Trajectory.from_states(states, w.coin_dim, w.pos_dim, coords)
-                  for states in w.state_chunks(t, args.steps, psi0, _chunk_rows(g.n + 3, w.dim)))
-        _write_observables(args, ["step"], np.arange(args.steps + 1).reshape(-1, 1), chunks,
-                           line=spec.family in ("line2", "line3") and g.n >= 5)
+        coords, rows = _coords_for(spec.family, g.n), _chunk_rows(g.n + 3, w.dim)
+        chunks = ((np.arange(lo, lo + len(s))[:, None], walk.Trajectory.from_states(s, w.coin_dim, w.pos_dim, coords))
+                  for s, lo in zip(w.state_chunks(t, args.steps, psi0, rows), range(0, args.steps + 1, rows)))
+        _write_observables(args, ["step"], coords, chunks, line=spec.family in ("line2", "line3") and g.n >= 5)
         return EXIT_OK
 
     if args.t is None:
@@ -456,13 +441,10 @@ def cmd_dynamics(args) -> int:
     columns = len(lead_names) + spec.n + 2
     _check_budget((t_grid[2] if t_grid else 1) * (o_grid[2] if o_grid else 1), columns)
     ts = np.linspace(*t_grid) if t_grid else np.array([t])
-    omegas, leads = [None], ts.reshape(-1, 1)
-    if o_grid:
-        grid = np.linspace(*o_grid)
-        # Python floats: an overflowing weight becomes inf without a numpy warning
-        omegas = grid.tolist()
-        leads = np.column_stack([np.repeat(grid, len(ts)), np.tile(ts, len(grid))])
-    _write_observables(args, lead_names, leads, _grid_chunks(args, spec, coin_spec, ts, omegas, columns))
+    # Python floats: an overflowing weight becomes inf without a numpy warning
+    omegas = np.linspace(*o_grid).tolist() if o_grid else [None]
+    _write_observables(args, lead_names, _coords_for(spec.family, spec.n),
+                       _grid_chunks(args, spec, coin_spec, ts, omegas, columns))
     return EXIT_OK
 
 
@@ -505,7 +487,7 @@ def cmd_sweep(args) -> int:
     g = spec.make() if spec else graphs.line3(steps + 8)
     coords = _coords_for("line3", g.n)
     base_coin, pos_vec = _initial_state(args, "line3", g)
-    w = walk.HybridWalk(g, coin=_resolve_coin("grover" if args.coin is None else args.coin, len(g.labels)))
+    w = walk.HybridWalk(g, coin=_resolve_coin("grover" if args.coin is None else args.coin))
     _check_budget(grid[2], g.n + 3)
     qs, rows = np.linspace(*grid), _chunk_rows(g.n + 3, w.dim)
 
@@ -521,9 +503,9 @@ def cmd_sweep(args) -> int:
                 for states in w.state_chunks(t, steps, psi0, rows):
                     _check_rows(walk.position_distribution(states, w.coin_dim, w.pos_dim), line=True)
                 finals[k] = states[-1]
-            yield walk.Trajectory.from_states(finals, w.coin_dim, w.pos_dim, coords)
+            yield qs[lo:lo + rows, None], walk.Trajectory.from_states(finals, w.coin_dim, w.pos_dim, coords)
 
-    _write_observables(args, ["q"], qs.reshape(-1, 1), chunks())
+    _write_observables(args, ["q"], coords, chunks())
     return EXIT_OK
 
 
@@ -604,9 +586,12 @@ def cmd_matmul(args) -> int:
         _emit_result(args, {"mode": mode, "value": value})
         print("trace = %.12g" % value)
     else:
-        C = matmul.product_matrix(seq, mode=mode, shots=shots, seed=seed)
-        ij = np.indices(C.shape).reshape(2, -1).T
-        _emit(args, "csv", _table_pieces(["i", "j", "value"], [[ij, C.reshape(-1, 1)]], "csv"))
+        _check_budget(seq.n * seq.n, 3)
+        C = matmul.product_matrix(seq, mode=mode, shots=shots, seed=seed).reshape(-1)
+        rows = _chunk_rows(3, 1)
+        chunks = ([np.column_stack(np.divmod(np.arange(lo, min(lo + rows, len(C))), seq.n)), C[lo:lo + rows, None]]
+                  for lo in range(0, len(C), rows))
+        _emit(args, "csv", _table_pieces(["i", "j", "value"], chunks, "csv"))
     return EXIT_OK
 
 

@@ -17,7 +17,8 @@ peak memory. Only `product_matrix`'s output and the classical oracles are n x n.
 Exact projection is the default readout; a seeded binomial sampler stands in
 for hardware-style amplitude estimation: every entry point draws entry (i, j)
 from a generator seeded by [seed, i, j] (`sample_projector`) and takes the value
-D * (hits / shots), so entries, matrices, traces and triangle counts agree.
+D * (hits / shots), so entries, matrices, traces and triangle counts agree; the
+matrix and trace draw no entry of projection 0, which always reads 0.
 Classical oracles for products and triangle counts live here too, so every
 quantum result can be cross-checked.
 """
@@ -265,9 +266,10 @@ def _column_blocks(seq: RegularGraphSequence, mode: str, shots, seed, diagonal: 
         cols = np.arange(first, min(first + step, seq.n))
         I, J = (cols, cols) if diagonal else np.broadcast_arrays(np.arange(seq.n)[:, None], cols)
         P = projection_matrix(run_sequence(seq, cols), first, len(cols))[I, J - first]
-        if mode == "shots":
-            entries = zip(P.ravel().tolist(), I.ravel().tolist(), J.ravel().tolist())
-            P = np.reshape([sample_projector(p, i, j, shots, seed)[1] for p, i, j in entries], P.shape)
+        if mode == "shots":  # binomial(shots, 0) is 0: only entries with P > 0 are drawn
+            on = P > 0
+            entries = zip(P[on].tolist(), I[on].tolist(), J[on].tolist())
+            P[on] = [sample_projector(p, i, j, shots, seed)[1] for p, i, j in entries]
         yield cols, D * P
 
 

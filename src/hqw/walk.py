@@ -19,7 +19,8 @@ no label has a self-loop) and one gather/scatter of 2x2 rotations over the
 pairs of every matching, with cos and sin taken once per distinct weight. A
 label without edges costs nothing (`star`'s label "0"). Each dense sector
 costs one eigh at construction, then O(n^2); one on more than
-sqrt(DENSE_SECTOR_ENTRIES) = 4096 vertices is refused before it is built.
+sqrt(DENSE_SECTOR_ENTRIES) = 4096 vertices is refused before it is built, and
+a walk whose states exceed DENSE_SECTOR_ENTRIES amplitudes before its coin.
 `HybridWalk.evolve` takes an array of times in the same pass; each row has the
 bytes of a call at its time alone, as phases and rotations are elementwise and
 a dense sector takes one 1-row product (a gemv) per time, not one gemm whose
@@ -47,8 +48,8 @@ from .graphs import LabeledGraph, circle2, subgraph_adjacency
 COIN_UNITARY_ATOL = 1e-10
 _MATCHING_ZERO_ATOL = 1e-14
 _PAIR_BLOCK = 2**14  # (time, pair) entries per block of HybridWalk.evolve's rotations
-# n^2 entries of the largest dense sector: n <= 4096, 256 MiB per n x n complex
-# array, of which building its propagator holds about four.
+# The most amplitudes of a state (coin_dim x n) and entries of a dense sector (n^2, n <= 4096):
+# 256 MiB per state or n x n complex array, of which building a sector's propagator holds about four.
 DENSE_SECTOR_ENTRIES = 2**24
 
 
@@ -165,6 +166,9 @@ class HybridWalk:
         self.coin_dim = len(graph.labels)
         self.pos_dim = graph.n
         self.dim = self.coin_dim * self.pos_dim
+        if self.dim > DENSE_SECTOR_ENTRIES:
+            raise ValueError(f"a state of {self.coin_dim} labels x {self.pos_dim} vertices is over the limit "
+                             f"of {DENSE_SECTOR_ENTRIES} amplitudes")
         self.coin = make_coin(coin, self.coin_dim)
         self._identity_coin = np.array_equal(self.coin, np.eye(self.coin_dim))
         # The propagator, over flat indices c * n + v: the self-loop phases of

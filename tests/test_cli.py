@@ -355,7 +355,7 @@ def test_nan_probabilities_fail_the_sum_check_and_the_line_guard(tmp_path):
                       sigmas=np.zeros(2), entropies=np.zeros(2))
     args = Namespace(format="csv", out=str(tmp_path / "x.csv"), command="dynamics")
     with pytest.raises(NumericalViolation, match="sum to nan"):
-        _write_observables(args, ["step"], np.arange(2).reshape(-1, 1), [traj])
+        _write_observables(args, ["step"], np.arange(7.0), [(np.arange(2).reshape(-1, 1), traj)])
     assert not os.path.exists(args.out)
 
 
@@ -549,12 +549,10 @@ def test_table_writer_matches_per_value_formatting(fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("cells", [1, 10, 64, None])
-def test_table_writer_spans_chunks(monkeypatch, fmt, cells):
+def test_table_writer_spans_chunks(fmt, cells):
     import hqw.cli as cli
 
-    if cells is not None:
-        monkeypatch.setattr(cli, "TABLE_CHUNK_CELLS", cells)
-    rows_per_chunk = max(1, cli.TABLE_CHUNK_CELLS // 5)
+    rows_per_chunk = max(1, (cli.TABLE_CHUNK_CELLS if cells is None else cells) // 5)
     n = 3 * rows_per_chunk + 7  # four chunks, the last one short
     rng = np.random.default_rng(11)
     pool = [0.0, -0.0, float("nan"), 0.1, 1 / 3, -2.5e-300, 1e12, float("inf")]
@@ -566,12 +564,14 @@ def test_table_writer_spans_chunks(monkeypatch, fmt, cells):
             for k, x in zip(range(n), rng.standard_normal(n))]
     assert any(rows[b - 1][2] is rows[b][2] for b in range(rows_per_chunk, n, rows_per_chunk))
     header = ["step", "k", "run", "x", "cycle"]
-    assert "".join(_table_pieces(header, [as_blocks(rows, 2, 3)], fmt)) == per_value_table(header, rows, fmt)
-    # a non-contiguous view as a block: the matmul --matrix (i, j) layout
+    chunks = [as_blocks(rows[lo:lo + rows_per_chunk], 2, 3) for lo in range(0, n, rows_per_chunk)]
+    assert "".join(_table_pieces(header, chunks, fmt)) == per_value_table(header, rows, fmt)
+    # non-contiguous views as blocks: the matmul --matrix (i, j) layout
     ij = np.indices((n // 4 + 1, 4)).reshape(2, -1).T
     C = np.array([run[k % n] for k in range(len(ij))]).reshape(-1, 1)
     mat = [(int(i), int(j), c) for (i, j), c in zip(ij, C[:, 0].tolist())]
-    assert "".join(_table_pieces(["i", "j", "value"], [[ij, C]], fmt)) == per_value_table(["i", "j", "value"], mat, fmt)
+    chunks = [[ij[lo:lo + rows_per_chunk], C[lo:lo + rows_per_chunk]] for lo in range(0, len(ij), rows_per_chunk)]
+    assert "".join(_table_pieces(["i", "j", "value"], chunks, fmt)) == per_value_table(["i", "j", "value"], mat, fmt)
 
 
 def test_trajectory_step_column_is_an_integer_in_csv_and_json(tmp_path):
@@ -744,6 +744,14 @@ def test_a_failure_in_a_later_chunk_leaves_the_old_artifact_alone(tmp_path, caps
     assert os.listdir(tmp_path) == ["x.csv"]
 
 
+@pytest.mark.parametrize("argv, code", [(["dynamics", "--graph", "star:5", "--t", "0:1:4", "--init-pos", "9"], 1),
+                                        (["dynamics", "--graph", "line3:5", "--steps", "30", "--t", "0.8"], 2)])
+def test_a_failure_in_the_first_chunk_makes_no_directory(tmp_path, capsys, argv, code):
+    assert main(argv + ["--out", str(tmp_path / "new" / "x.csv")]) == code
+    one_line_error(capsys)
+    assert os.listdir(tmp_path) == []
+
+
 def test_artifacts_replace_the_old_file_and_keep_its_permissions(tmp_path):
     out, link = tmp_path / "x.csv", tmp_path / "link.csv"
     out.write_text("old\n")
@@ -775,34 +783,6 @@ def test_a_long_trajectory_holds_one_chunk_of_states(tmp_path):
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
     assert len(read(out).splitlines()) == 502
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("rows", [1, 3])
-def test_small_state_chunks_are_written_in_writer_chunks(tmp_path, monkeypatch, fmt, rows):
-    import hqw.cli as cli
-
-    whole = []
-    for k, argv in enumerate(STREAMED):
-        whole.append(tmp_path / f"whole{k}.{fmt}")
-        assert main(argv + ["--format", fmt, "--out", str(whole[-1])]) == 0
-    seen, regroup = [], cli._regroup
-
-    def recording(chunks, rows):  # the rows of each chunk the writer formats
-        return (seen.append(len(b[0])) or b for b in regroup(chunks, rows))
-
-    monkeypatch.setattr(cli, "_regroup", recording)
-    monkeypatch.setattr(cli, "_chunk_rows", lambda columns, dim: rows)
-    monkeypatch.setattr(cli, "TABLE_CHUNK_CELLS", 64)  # 7 rows of star:6, 2 of line3:12
-    for k, argv in enumerate(STREAMED):
-        seen.clear()
-        out = tmp_path / f"chunked{k}.{fmt}"
-        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
-        text = read(out)
-        assert text == read(whole[k]), argv
-        columns = len(json.loads(text)["columns"] if fmt == "json" else text.split("\n", 1)[0].split(","))
-        writer, total = max(1, 64 // columns), sum(seen)
-        assert seen == [writer] * (total // writer) + [total % writer] * (total % writer > 0), argv
 
 
 def test_a_star_grid_holds_one_chunk_of_states(tmp_path):
@@ -862,7 +842,7 @@ def test_dense_grid_rows_equal_the_single_t_runs(tmp_path):
 
 def test_tables_over_the_output_budget_are_refused_before_a_step(tmp_path, capsys, monkeypatch):
     import hqw.cli as cli
-    from hqw import walk
+    from hqw import matmul, walk
 
     out = tmp_path / "x.csv"
     monkeypatch.setattr(cli, "TABLE_CELL_BUDGET", 24)  # star:3 writes 6 columns
@@ -879,15 +859,83 @@ def test_tables_over_the_output_budget_are_refused_before_a_step(tmp_path, capsy
         raise AssertionError("a refused table computed a state")
 
     monkeypatch.setattr(walk.HybridWalk, "evolve", no_steps)
+    monkeypatch.setattr(matmul, "product_matrix", no_steps)
     for argv, shape in ((["dynamics", "--graph", "star:3", "--steps", str(10**13), "--t", "1"],
                          "10000000000001 rows x 6 columns"),
                         (["dynamics", "--graph", "star:3", "--t", f"0:1:{10**12}"], "1000000000000 rows x 6 columns"),
                         (["dynamics", "--graph", "circle2:2w,2w+1", "--t", "0:1:100000", "--sweep", "omega:0:1:100000"],
                          "10000000000 rows x 6 columns"),
-                        (["sweep", "--sweep", f"q_time:0:1:{10**9}", "--steps", "3"], "1000000000 rows x 26 columns")):
+                        (["sweep", "--sweep", f"q_time:0:1:{10**9}", "--steps", "3"], "1000000000 rows x 26 columns"),
+                        (["matmul", "--graph", "cycle:18258", "--matrix"], "333354564 rows x 3 columns")):
         assert main(argv + ["--out", str(tmp_path / "z.csv")]) == 1, argv
         assert f"a table of {shape} is over the output budget of 1000000000 cells" in one_line_error(capsys)
+    with pytest.raises(AssertionError, match="a refused table computed a state"):  # one vertex fewer passes
+        main(["matmul", "--graph", "cycle:18257", "--matrix", "--out", str(tmp_path / "z.csv")])
     assert not (tmp_path / "y.csv").exists() and not (tmp_path / "z.csv").exists()
+
+
+@pytest.mark.parametrize("mode", [["--t", "1"], ["--steps", "1"]])
+def test_a_state_over_the_limit_exits_1_before_its_coin_is_built(tmp_path, capsys, monkeypatch, mode):
+    from hqw import walk
+
+    def unreachable(*args):
+        raise AssertionError("coin built")
+
+    monkeypatch.setattr(walk, "make_coin", unreachable)
+    out = tmp_path / "star.csv"
+    assert main(["dynamics", "--graph", "star:4097", *mode, "--out", str(out)]) == 1
+    assert "a state of 4097 labels x 4097 vertices is over the limit" in one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_matrix_csv_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, rows):
+    import hqw.cli as cli
+
+    argv = ["matmul", "--graph", "cubic8", "--graph", "cubic8", "--graph", "cubic8", "--matrix", "--out"]
+    assert main(argv + [str(tmp_path / "whole.csv")]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "_chunk_rows", lambda columns, dim: calls.append((columns, dim)) or rows)
+    assert main(argv + [str(tmp_path / "cut.csv")]) == 0
+    assert calls == [(3, 1)]
+    assert read(tmp_path / "cut.csv") == read(tmp_path / "whole.csv")
+    assert len(read(tmp_path / "cut.csv").splitlines()) == 65
+
+
+@pytest.mark.parametrize("argv", [
+    ["dynamics", "--graph", "circle2:w,w+1", "--t", "0:1:3000", "--sweep", "omega:0:1:3000"],
+    ["dynamics", "--graph", "line2:1", "--steps", str(10**7), "--t", "0.3"],
+])
+def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
+    import tracemalloc
+
+    import hqw.cli as cli
+    from hqw.walk import HybridWalk
+
+    small = ["--t", "0:1:3", "--sweep", "omega:0:1:2"] if "--sweep" in argv else ["--steps", "3"]
+    assert main(argv[:3] + small + ["--out", str(tmp_path / "warm.csv")]) == 0  # imports
+    # the sweep evolves its first chunk of 2,730 times in one call, the trajectory in 2,729 steps
+    limit = 1 if "--sweep" in argv else cli._chunk_rows(6, 6) - 1
+    calls, evolve = [], HybridWalk.evolve
+
+    def first_chunk_only(self, *args):
+        if len(calls) == limit:
+            raise ValueError("stopped after the first chunk")
+        calls.append(1)
+        return evolve(self, *args)
+
+    monkeypatch.setattr(HybridWalk, "evolve", first_chunk_only)
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "stopped after the first chunk" in one_line_error(capsys) and len(calls) == limit
+    # a whole-run (omega, t) or step column is 9,000,000 x 2 or 10,000,001 x 1 values
+    assert peak < 8 * 2**20, peak
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, doc, message", [
@@ -931,6 +979,11 @@ def test_tables_over_the_output_budget_are_refused_before_a_step(tmp_path, capsy
      "has a non-numeric weight"),
     (["dynamics", "--graph", "DOC", "--t", "0.5"], {"n": 2, "labels": ["a", "a"], "edges": [[0, 1, "a"]]},
      "label set contains duplicates"),
+    # sizes: a star:4097 state holds 4097^2 amplitudes, a cycle:18258 matrix 3 x 18258^2 cells
+    (["dynamics", "--graph", "star:4097", "--t", "1"], None,
+     "a state of 4097 labels x 4097 vertices is over the limit of 16777216 amplitudes"),
+    (["matmul", "--graph", "cycle:18258", "--matrix"], None,
+     "a table of 333354564 rows x 3 columns is over the output budget of 1000000000 cells"),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message):
     # the CLI contract: exit 1, one stderr line "error: ...", no traceback and no artifact

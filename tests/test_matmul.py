@@ -281,6 +281,20 @@ def test_product_matrix_spanning_several_blocks():
     np.testing.assert_array_equal(seq.degree_product * full, want)
 
 
+def test_shots_draw_only_the_entries_with_a_nonzero_projection(monkeypatch):
+    import hqw.matmul as matmul
+
+    seq = regular_sequence([cycle(30)] * 3)
+    drawn, sample = [], matmul.sample_projector
+    monkeypatch.setattr(matmul, "sample_projector", lambda p, i, j, *a: drawn.append((i, j)) or sample(p, i, j, *a))
+    C, exact = product_matrix(seq, mode="shots", shots=100, seed=3), classical_product(seq)
+    assert sorted(drawn) == sorted(map(tuple, np.argwhere(exact > 0).tolist())) and len(drawn) == 4 * 30
+    assert (C[exact == 0] == 0.0).all()
+    drawn.clear()
+    # no closed 3-walk on a 30-cycle: every diagonal projection is 0, so no draw
+    assert product_trace(seq, mode="shots", shots=100, seed=3) == 0.0 and drawn == []
+
+
 def test_every_entry_point_gives_the_same_shot_estimate():
     # D = 10^3 = 1000 rows per column, so 16 columns per block and two blocks for n = 20
     rng = np.random.default_rng(13)

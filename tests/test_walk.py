@@ -235,6 +235,18 @@ def test_a_dense_sector_over_the_limit_is_refused_before_it_is_built(monkeypatch
         HybridWalk(cycle(n))
 
 
+def test_a_state_over_the_limit_is_refused_before_its_coin(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("walk built")
+
+    monkeypatch.setattr(walk, "make_coin", unreachable)
+    n = walk.DENSE_SECTOR_ENTRIES // 2  # two labels without edges: states of 2n amplitudes, no sector built
+    with pytest.raises(ValueError, match=rf"a state of 2 labels x {n + 1} vertices is over the limit of 16777216"):
+        HybridWalk(LabeledGraph(n + 1, (), ("a", "b")))
+    with pytest.raises(AssertionError, match="walk built"):
+        HybridWalk(LabeledGraph(n, (), ("a", "b")))
+
+
 def test_step_operator_matches_generic_route():
     w = HybridWalk(circle2(1.3, 0.4), coin="hadamard")
     H = w.hamiltonian()
