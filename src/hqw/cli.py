@@ -624,7 +624,11 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_walk=True):
+    def common(p, with_walk=True, with_shots=False):
+        if with_shots:  # matmul and triangles: exact projections or seeded binomial draws
+            p.add_argument("--mode", choices=("exact", "shots"), default="exact")
+            p.add_argument("--shots", type=int, default=20000)
+            p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path (default out/<cmd>-<confighash>.<ext>)")
         if with_walk:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -667,19 +671,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--entry", help="i,j single entry")
     p.add_argument("--matrix", action="store_true", help="full product matrix (CSV)")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--mode", choices=("exact", "shots"), default="exact")
-    p.add_argument("--shots", type=int, default=20000)
-    p.add_argument("--seed", type=int)
-    common(p, with_walk=False)
+    common(p, with_walk=False, with_shots=True)
     p.set_defaults(func=cmd_matmul)
 
     p = sub.add_parser("triangles", help="triangle counts of a regular graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--vertex", type=int, help="count triangles at one vertex (default: whole graph)")
-    p.add_argument("--mode", choices=("exact", "shots"), default="exact")
-    p.add_argument("--shots", type=int, default=20000)
-    p.add_argument("--seed", type=int)
-    common(p, with_walk=False)
+    common(p, with_walk=False, with_shots=True)
     p.set_defaults(func=cmd_triangles)
 
     return parser

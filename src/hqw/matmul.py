@@ -10,9 +10,11 @@ amplitude C_ij / (d_K ... d_1), because every surviving path contributes the
 0/1 product of its adjacency entries. Each factor is validated once into an
 (n, d_l) neighbor table, O(K n d) memory in all. A state is an int array of
 register values beside an array of amplitudes and may hold many columns j; the
-matrix is walked in blocks of at most 2^14 rows, each read by one `np.bincount`:
-O(n D) array work for D = d_1...d_K, and besides the tables the block sets the
-peak memory. Only `product_matrix`'s output and the classical oracles are n x n.
+matrix and trace walk the columns in blocks of at most max(2^14, D) rows, D =
+d_1...d_K, each final row adding its |amp|^2 to entry (last register, register
+1) in row order: O(n D) array work, and besides the tables and the output the
+block sets the peak memory. Walks over 2^24 register entries are refused. Only
+`product_matrix`'s output and the classical oracles are n x n.
 
 Exact projection is the default readout; a seeded binomial sampler stands in
 for hardware-style amplitude estimation: every entry point draws entry (i, j)
@@ -25,6 +27,7 @@ quantum result can be cross-checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -34,6 +37,7 @@ from .graphs import LabeledGraph, common_degree
 
 _PRUNE_ATOL = 1e-15
 _BLOCK_ROWS = 1 << 14  # amplitude rows per block of columns: bounds peak memory
+_WALK_ENTRIES = 1 << 24  # register entries (rows x registers) of the largest walk
 
 
 def _neighbor_table(g) -> np.ndarray:
@@ -80,7 +84,7 @@ class RegularGraphSequence:
 
     @property
     def degree_product(self) -> int:
-        return int(np.prod(self.degrees))
+        return math.prod(self.degrees)
 
 
 def regular_sequence(factors) -> RegularGraphSequence:
@@ -173,6 +177,8 @@ def run_sequence(seq: RegularGraphSequence, j) -> MultiRegisterState:
     stage except the last (register K+1 already holds the stage-K vertex)."""
     K = len(seq.tables)
     state = initial_state(seq.n, K, j)
+    if (rows := len(state.amps) * seq.degree_product) * (K + 1) > _WALK_ENTRIES:
+        raise ValueError(f"a walk of {rows} rows x {K + 1} registers is over the limit of {_WALK_ENTRIES} entries")
     for l, table in enumerate(seq.tables, 1):
         state = stage_walk(state, l, table)
         if l < K:
@@ -181,18 +187,10 @@ def run_sequence(seq: RegularGraphSequence, j) -> MultiRegisterState:
 
 
 def projection_probability(state: MultiRegisterState, i: int, j: int) -> float:
-    """Squared norm of the projection onto register 1 = j, last register = i; the
-    per-entry reference for `projection_matrix`, summed in order as `np.bincount` sums."""
+    """Squared norm of the projection onto register 1 = j, last register = i, summed
+    in row order: the sum that `product_matrix` and `product_trace` scatter into (i, j)."""
     hit = (state.regs[:, 0] == j) & (state.regs[:, -1] == i)
     return reduce(float.__add__, (np.abs(state.amps[hit]) ** 2).tolist(), 0.0)
-
-
-def projection_matrix(state: MultiRegisterState, first: int = 0, width: int | None = None) -> np.ndarray:
-    """P[i, c] = |projection on register 1 = first + c, last register = i|^2 by one
-    `np.bincount`; register 1 must lie in that window (by default 0..n-1)."""
-    width = state.n if width is None else width
-    bins = state.regs[:, -1] * width + (state.regs[:, 0] - first)
-    return np.bincount(bins, np.abs(state.amps) ** 2, state.n * width).reshape(state.n, width)
 
 
 def sample_projector(p: float, i: int, j: int, shots: int, seed) -> tuple[int, float]:
@@ -246,7 +244,7 @@ def product_entry(seq: RegularGraphSequence, i: int, j: int, mode: str = "exact"
     if not (0 <= i < seq.n and 0 <= j < seq.n):
         raise ValueError(f"entry ({i},{j}) outside 0..{seq.n - 1}")
     _check_mode(mode, shots, seed)
-    p = float(projection_matrix(run_sequence(seq, j), j, 1)[i, 0])
+    p = projection_probability(run_sequence(seq, j), i, j)
     D = seq.degree_product
     if mode == "exact":
         return ProductEstimate(i=i, j=j, value=D * p, probability=p, mode=mode)
@@ -257,37 +255,38 @@ def product_entry(seq: RegularGraphSequence, i: int, j: int, mode: str = "exact"
                            meets_half_integer=bool(radius < 0.5))
 
 
-def _column_blocks(seq: RegularGraphSequence, mode: str, shots, seed, diagonal: bool = False):
-    """(cols, E) per block of columns walked together in <= max(_BLOCK_ROWS, D) rows: E[i, c]
-    = D * (P or hits / shots) for entry (i, cols[c]), or with `diagonal` E[c] for (cols[c], cols[c])."""
-    D = seq.degree_product
-    step = max(1, _BLOCK_ROWS // D)
+def _read_columns(seq: RegularGraphSequence, size: int, index, entry, mode: str, shots, seed) -> np.ndarray:
+    """D * (P or hits / shots) over `size` entries. Of each block of columns, the final rows that `index(i, j)` picks
+    by last and first register add their |amp|^2 at its positions in row order; shots mode then draws only the
+    P[k] > 0, as entry `entry(k)`, since binomial(shots, 0) is 0."""
+    _check_mode(mode, shots, seed)
+    P = np.zeros(size)
+    step = max(1, _BLOCK_ROWS // seq.degree_product)
     for first in range(0, seq.n, step):
-        cols = np.arange(first, min(first + step, seq.n))
-        I, J = (cols, cols) if diagonal else np.broadcast_arrays(np.arange(seq.n)[:, None], cols)
-        P = projection_matrix(run_sequence(seq, cols), first, len(cols))[I, J - first]
-        if mode == "shots":  # binomial(shots, 0) is 0: only entries with P > 0 are drawn
-            on = P > 0
-            entries = zip(P[on].tolist(), I[on].tolist(), J[on].tolist())
-            P[on] = [sample_projector(p, i, j, shots, seed)[1] for p, i, j in entries]
-        yield cols, D * P
+        s = run_sequence(seq, np.arange(first, min(first + step, seq.n)))
+        rows, at = index(s.regs[:, -1], s.regs[:, 0])
+        np.add.at(P, at, np.abs(s.amps[rows]) ** 2)
+        del s  # no block outlives its readout
+    if mode == "shots":
+        on = np.flatnonzero(P)
+        P[on] = [sample_projector(p, *entry(k), shots, seed)[1] for p, k in zip(P[on].tolist(), on.tolist())]
+    P *= seq.degree_product
+    return P
 
 
 def product_matrix(seq: RegularGraphSequence, mode: str = "exact",
                    shots: int | None = None, seed=None) -> np.ndarray:
-    """All entries, the columns walked in blocks and each block read at once."""
-    _check_mode(mode, shots, seed)
-    C = np.zeros((seq.n, seq.n), dtype=float)
-    for cols, E in _column_blocks(seq, mode, shots, seed):
-        C[:, cols] = E
-    return C
+    """All entries, scattered from each block's final rows into the flat C."""
+    n = seq.n
+    return _read_columns(seq, n * n, lambda i, j: (slice(None), i * n + j), lambda k: divmod(k, n),
+                         mode, shots, seed).reshape(n, n)
 
 
 def product_trace(seq: RegularGraphSequence, mode: str = "exact",
                   shots: int | None = None, seed=None) -> float:
-    """Sum, in k order, of the diagonal entries `product_matrix` would hold."""
-    _check_mode(mode, shots, seed)
-    diag = np.concatenate([E for _, E in _column_blocks(seq, mode, shots, seed, diagonal=True)])
+    """Sum, in k order, of the diagonal entries `product_matrix` would hold, read from
+    the final rows whose last register equals register 1."""
+    diag = _read_columns(seq, seq.n, lambda i, j: (i == j, j[i == j]), lambda k: (k, k), mode, shots, seed)
     return reduce(float.__add__, diag.tolist(), 0.0)
 
 
@@ -295,6 +294,8 @@ def triangles_at_vertex(g, k: int, mode: str = "exact",
                         shots: int | None = None, seed=None) -> int:
     """Triangles containing vertex k, as round((A^3)_kk) / 2."""
     seq = RegularGraphSequence(regular_sequence([g]).tables * 3)  # g validated once
+    if not 0 <= k < seq.n:
+        raise ValueError(f"vertex {k} outside 0..{seq.n - 1}")
     est = product_entry(seq, k, k, mode=mode, shots=shots, seed=seed)
     return int(round(est.value)) // 2
 

@@ -984,6 +984,23 @@ def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
      "a state of 4097 labels x 4097 vertices is over the limit of 16777216 amplitudes"),
     (["matmul", "--graph", "cycle:18258", "--matrix"], None,
      "a table of 333354564 rows x 3 columns is over the output budget of 1000000000 cells"),
+    # a column of complete:163 cubed walks 162^3 rows over 4 registers, past 2^24 entries
+    (["matmul", "--graph", "complete:163", "--graph", "complete:163", "--graph", "complete:163", "--entry", "0,0"],
+     None, "a walk of 4251528 rows x 4 registers is over the limit of 16777216 entries"),
+    # matmul and triangles arguments and factors
+    (["matmul", "--graph", "cubic8", "--entry", "3"], None, "--entry takes i,j (two vertex ids), got '3'"),
+    (["matmul", "--graph", "cubic8", "--entry", "0,99"], None, "entry (0,99) outside 0..7"),
+    (["matmul", "--graph", "cubic8", "--entry", "a,b"], None, "--entry takes i,j (two vertex ids), got 'a,b'"),
+    (["matmul", "--graph", "cubic8", "--trace", "--mode", "shots"], None, "shots mode needs a seed"),
+    (["matmul", "--graph", "cubic8", "--trace", "--mode", "shots", "--seed", "-1"], None,
+     "seed must be a non-negative integer, got -1"),
+    (["matmul", "--graph", "cubic8", "--trace", "--mode", "shots", "--seed", "1", "--shots", "0"], None,
+     "shots mode needs a positive shot count"),
+    (["matmul", "--graph", "star:5", "--trace"], None, "graph is not regular"),
+    (["matmul", "--graph", "cycle:5", "--graph", "cycle:6", "--trace"], None,
+     "factor graphs disagree on vertex count: [5, 6]"),
+    (["matmul", "--graph", "circle2:1,2", "--trace"], None, "adjacency entries must be 0 or 1"),
+    (["triangles", "--graph", "cubic8", "--vertex", "99"], None, "vertex 99 outside 0..7"),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message):
     # the CLI contract: exit 1, one stderr line "error: ...", no traceback and no artifact

@@ -9,7 +9,7 @@ from hqw.graphs import Edge, LabeledGraph, adjacency, circle2, complete, cubic8,
 from hqw.matmul import (MultiRegisterState, classical_product, classical_triangle_count,
                         classical_triangles_at_vertex, generalized_cnot, initial_state,
                         product_entry, product_matrix, product_trace,
-                        projection_matrix, projection_probability, regular_sequence, run_sequence,
+                        projection_probability, regular_sequence, run_sequence,
                         sample_projector, stage_walk, triangle_count,
                         triangles_at_vertex)
 
@@ -52,6 +52,24 @@ def test_regular_sequence_from_graphs_and_arrays():
     assert seq.degrees == (3, 2)
     assert seq.n == 8
     assert seq.degree_product == 6
+    # 3^40 is past the int64 range that a numpy product would wrap in
+    assert regular_sequence([cubic8()] * 40).degree_product == 3**40
+
+
+def test_a_walk_over_the_register_entry_limit_is_refused_before_its_first_stage(monkeypatch):
+    import hqw.matmul as matmul
+
+    with monkeypatch.context() as m:
+        m.setattr(matmul, "stage_walk", None)  # a stage would fail on its call
+        with pytest.raises(ValueError, match="a walk of 4251528 rows x 4 registers is over the limit of 16777216"):
+            product_entry(regular_sequence([complete(163)] * 3), 0, 0)
+    # the limit counts every row of the walk: with room for one cubic8^3 column (27 rows x 4
+    # registers), that column runs and a block of two columns is refused
+    monkeypatch.setattr(matmul, "_WALK_ENTRIES", 27 * 4)
+    seq = regular_sequence([cubic8()] * 3)
+    assert run_sequence(seq, 0).norm() == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="a walk of 54 rows x 4 registers"):
+        run_sequence(seq, np.arange(2))
 
 
 def test_regular_sequence_rejections():
@@ -261,7 +279,9 @@ def test_factor_order_is_right_to_left():
     np.testing.assert_allclose(product_matrix(seq), B @ A, atol=1e-9)
 
 
-def test_product_matrix_spanning_several_blocks():
+def test_product_matrix_spanning_several_blocks(monkeypatch):
+    import hqw.matmul as matmul
+
     # D = 8^3 = 512 rows per column, so 32 columns per block and two blocks for n = 40
     rng = np.random.default_rng(12)
     A = random_regular_adjacency(rng, 40, 8)
@@ -274,11 +294,10 @@ def test_product_matrix_spanning_several_blocks():
                       for j in range(seq.n)] for i in range(seq.n)])
     np.testing.assert_array_equal(C, want)
     assert product_trace(seq) == sum(want[k, k] for k in range(seq.n))
-    # a batch of columns reads the same projections as one column at a time
-    batch = projection_matrix(run_sequence(seq, np.arange(5, 9)), 5, 4)
-    np.testing.assert_array_equal(seq.degree_product * batch, want[:, 5:9])
-    full = projection_matrix(run_sequence(seq, np.arange(seq.n)))
-    np.testing.assert_array_equal(seq.degree_product * full, want)
+    # one column per block, or all columns in one block, reads the same entries
+    for rows in (1, 1 << 20):
+        monkeypatch.setattr(matmul, "_BLOCK_ROWS", rows)
+        np.testing.assert_array_equal(product_matrix(seq), C)
 
 
 def test_shots_draw_only_the_entries_with_a_nonzero_projection(monkeypatch):
@@ -331,6 +350,26 @@ def test_product_matrix_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     np.testing.assert_allclose(C, classical_product(seq), atol=1e-9)
     assert peak < 4e6, peak
+
+
+def test_matrix_and_trace_readouts_hold_no_projection_window():
+    # cycle:1000 cubed, D = 8: all 1000 columns walk as one block of 8000 rows. The
+    # matrix scatters them straight into C and the trace into an n-vector, so
+    # neither holds an n x (block width) window of projections beside its output
+    seq = regular_sequence([cycle(1000)] * 3)
+    peaks = []
+    for product in (product_matrix, product_trace):
+        tracemalloc.start()
+        try:
+            out = product(seq)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del out
+    C = product_matrix(seq)
+    np.testing.assert_allclose(C, classical_product(seq), atol=1e-9)
+    assert peaks[0] < C.nbytes + 2 * 2**20, peaks
+    assert peaks[1] < 2 * 2**20, peaks
 
 
 def test_sequence_and_product_hold_no_dense_adjacency():
