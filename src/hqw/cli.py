@@ -539,7 +539,10 @@ def cmd_pst(args) -> int:
                 alpha = _parse_amplitudes(args.alpha)
             else:
                 alpha = np.ones(len(g.labels), dtype=complex) / np.sqrt(len(g.labels))
-        path = [int(v) for v in args.path.split(",")] if args.path else None
+        try:
+            path = [int(v) for v in args.path.split(",")] if args.path else None
+        except ValueError:
+            raise ValueError(f"--path takes comma-separated vertex ids, got {args.path!r}") from None
         plan = pst.make_plan(g, source, target, path=path)
         _, transcript = pst.run_pst(plan, alpha)
         payload = transcript.to_json_dict()
@@ -691,7 +694,9 @@ def main(argv=None) -> int:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an exception with no text, as a MemoryError from Python-level allocation, is named by its type
+        empty = f"out of memory ({type(exc).__name__})" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {str(exc) or empty}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

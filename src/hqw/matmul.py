@@ -4,8 +4,11 @@ To read off C_ij = (A^(K) ... A^(1))_ij, the state |j,0,...,0,j> over K+1
 base-n registers is pushed through one walk stage per factor. Stage l walks
 register K+1 for time pi/(2 sqrt(d_l)) conditioned on register l, mapping a
 vertex onto the uniform superposition of its neighbors (times -i), and a
-generalized CNOT then copies the new vertex into register l+1. Projecting
-the final state on register 1 = j and register K+1 = i leaves squared
+generalized CNOT then adds the new vertex, in place, into register l+1 (which
+holds 0). Every row entering stage l thus holds one value in register l and
+the last register, the only rows `stage_walk` takes: a stage repeats each row
+once per neighbor, and a column peaks at about the bytes of its final state.
+Projecting the final state on register 1 = j and register K+1 = i leaves squared
 amplitude C_ij / (d_K ... d_1), because every surviving path contributes the
 0/1 product of its adjacency entries. Each factor is validated once into an
 (n, d_l) neighbor table, O(K n d) memory in all. A state is an int array of
@@ -35,7 +38,6 @@ import numpy as np
 
 from .graphs import LabeledGraph, common_degree
 
-_PRUNE_ATOL = 1e-15
 _BLOCK_ROWS = 1 << 14  # amplitude rows per block of columns: bounds peak memory
 _WALK_ENTRIES = 1 << 24  # register entries (rows x registers) of the largest walk
 
@@ -126,50 +128,38 @@ def stage_walk(state: MultiRegisterState, l: int, neighbors: np.ndarray) -> Mult
     """Walk the last register for time pi/(2 sqrt(d)), conditioned on register l,
     reading the (n, d) table `neighbors` that `regular_sequence` validated.
 
-    For coin value k the star-of-k block has the two nonzero eigenvalues +-sqrt(d),
-    so the quarter-period evolution has a closed form: the vertex |k> itself maps to
-    -i/sqrt(d) times the sum of its neighbors, and any other vertex v ~ k picks up
-    -i/sqrt(d) |k> minus 1/d times that sum. The algorithm only hits the first branch.
+    Every row must hold its coin value k in the last register too, as the copy step
+    leaves it. The star-of-k block has the two nonzero eigenvalues +-sqrt(d), so the
+    quarter-period evolution maps |k> onto -i/sqrt(d) times the sum of its neighbors:
+    each row becomes d rows, one per neighbor. A row whose last register differs
+    from register l is refused.
     """
     n, d = neighbors.shape
     if n != state.n:
         raise ValueError(f"neighbor table of {n} vertices does not match register base {state.n}")
     if not 1 <= l < state.regs.shape[1]:
         raise ValueError(f"stage register {l} outside 1..{state.regs.shape[1] - 1}")
-    scale = -1j / np.sqrt(d)
-    k, v = state.regs[:, l - 1], state.regs[:, -1]
-    on = v == k
-    if on.all():  # the algorithm's only branch: no adjacency test, no masked copies
-        regs = np.repeat(state.regs, d, axis=0)
-        regs[:, -1] = neighbors[k].ravel()
-        amps = np.repeat(state.amps * scale, d)
-    else:
-        adj = (neighbors[k] == v[:, None]).any(axis=1)
-        src = on | adj
-        regs = np.repeat(state.regs[src], d, axis=0)
-        regs[:, -1] = neighbors[k[src]].ravel()
-        amps = np.repeat(state.amps[src] * np.where(on, scale, -1.0 / d)[src], d)
-        # off-coin rows also keep |v> and, when v ~ k, gain -i/sqrt(d) |k>; merge
-        to_k = np.column_stack([state.regs[adj, :-1], k[adj]])
-        regs = np.concatenate([regs, state.regs[~on], to_k])
-        amps = np.concatenate([amps, state.amps[~on], state.amps[adj] * scale])
-        regs, inv = np.unique(regs, axis=0, return_inverse=True)
-        amps = np.bincount(inv, amps.real, len(regs)) + 1j * np.bincount(inv, amps.imag, len(regs))
-    keep = np.abs(amps) > _PRUNE_ATOL
-    return MultiRegisterState(n=state.n, regs=regs[keep], amps=amps[keep])
+    k = state.regs[:, l - 1]
+    if (state.regs[:, -1] != k).any():
+        raise ValueError(f"stage {l} walks only rows whose last register equals register {l}")
+    regs = np.repeat(state.regs, d, axis=0)
+    regs[:, -1] = neighbors[k].ravel()
+    return MultiRegisterState(n=state.n, regs=regs, amps=np.repeat(state.amps * (-1j / np.sqrt(d)), d))
 
 
 def generalized_cnot(state: MultiRegisterState, control: int, target: int) -> MultiRegisterState:
-    """Map the target register value j to (j + i) mod n with i the control value."""
+    """Map the target register value j to (j + i) mod n with i the control value, in
+    place: `state` itself is returned, its target column overwritten."""
     R = state.regs.shape[1]
     for name, r in (("control", control), ("target", target)):
         if not 1 <= r <= R:
             raise ValueError(f"{name} register {r} outside 1..{R}")
     if control == target:
         raise ValueError("control and target registers must differ")
-    regs = state.regs.copy()
-    regs[:, target - 1] = (regs[:, target - 1] + regs[:, control - 1]) % state.n
-    return MultiRegisterState(n=state.n, regs=regs, amps=state.amps.copy())
+    col = state.regs[:, target - 1]
+    col += state.regs[:, control - 1]
+    col %= state.n
+    return state
 
 
 def run_sequence(seq: RegularGraphSequence, j) -> MultiRegisterState:

@@ -1001,6 +1001,8 @@ def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
      "factor graphs disagree on vertex count: [5, 6]"),
     (["matmul", "--graph", "circle2:1,2", "--trace"], None, "adjacency entries must be 0 or 1"),
     (["triangles", "--graph", "cubic8", "--vertex", "99"], None, "vertex 99 outside 0..7"),
+    (["pst", "--graph", "cycle:6", "--source", "0", "--target", "3", "--path", "0,x"], None,
+     "--path takes comma-separated vertex ids, got '0,x'"),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message):
     # the CLI contract: exit 1, one stderr line "error: ...", no traceback and no artifact
@@ -1011,4 +1013,16 @@ def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv
     assert main(argv + ["--out", str(out)]) == 1
     err = one_line_error(capsys)
     assert err.startswith("error: ") and message in err, err
+    assert not out.exists()
+
+
+def test_an_out_of_memory_error_without_text_is_named_by_its_type(tmp_path, capsys, monkeypatch):
+    # Python-level allocation raises a bare MemoryError(), whose text is empty
+    def build(n):
+        raise MemoryError()
+
+    monkeypatch.setitem(hqw.graphs.BUILDERS, "line3", build)
+    out = tmp_path / "x.csv"
+    assert main(["dynamics", "--graph", "line3:10000000", "--t", "1", "--out", str(out)]) == 1
+    assert one_line_error(capsys) == "error: out of memory (MemoryError)\n"
     assert not out.exists()
