@@ -36,59 +36,56 @@ TABLE_CELL_BUDGET = 10**9  # rows x columns of the largest dynamics or sweep tab
 # Argument parsing helpers
 
 
-class GraphSpec:
-    def __init__(self, family, make, n, omega_dependent=False):
-        self.family = family
-        self.make = make
-        self.n = n  # vertex count, the same for every omega
-        self.omega_dependent = omega_dependent
+def _parse_as(kind, token: str, what: str):
+    """`kind(token)` for kind int or float, refused in one line that names `what`."""
+    try:
+        return kind(token)
+    except ValueError:
+        a = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} must be {a}, got {token.strip()!r}") from None
 
 
-def _parse_weight_expr(text: str):
+def _parse_weight_expr(text: str, what: str):
     """Linear-in-omega weight: '2w+1', 'w', '4w+3', or a plain number."""
     text = text.strip()
     if "w" not in text:
-        return 0.0, float(text)
+        return 0.0, _parse_as(float, text, what)
     m = re.fullmatch(r"([0-9]*\.?[0-9]*)\s*w\s*([+-]\s*[0-9]*\.?[0-9]+)?", text)
     if not m:
         raise ValueError(f"cannot parse weight expression {text!r} (expected e.g. '2w+1')")
-    coef = float(m.group(1)) if m.group(1) else 1.0
+    coef = _parse_as(float, m.group(1), what) if m.group(1) else 1.0
     offset = float(m.group(2).replace(" ", "")) if m.group(2) else 0.0
     return coef, offset
 
 
-def _parse_number(token: str):
-    token = token.strip()
-    if re.fullmatch(r"[+-]?[0-9]+", token):
-        return int(token)
-    return float(token)
+def parse_graph_spec(text: str, sweep=False):
+    """(family, graph) of a builder spec 'family:params', or (None, graph) of a graph JSON path.
 
-
-def parse_graph_spec(text: str) -> GraphSpec:
-    """Builder spec 'family:params' or a path to a graph JSON file."""
+    circle2 weights that reference w give, in place of the graph, a maker of
+    the graph at each omega; only a run with a sweep (`sweep`) takes one.
+    """
     if text.endswith(".json") or os.path.sep in text or os.path.exists(text):
-        g = graphs.load_json_file(text)
-        return GraphSpec(family=None, make=lambda omega=None: g, n=g.n)
+        return None, graphs.load_json_file(text)
     name, _, argstr = text.partition(":")
     if name not in graphs.BUILDERS:
         raise ValueError(f"unknown graph spec {text!r}; builders: {sorted(graphs.BUILDERS)} or a .json path")
-    tokens = [tok for tok in argstr.split(",") if tok.strip()] if argstr else []
+    tokens = [tok.strip() for tok in argstr.split(",") if tok.strip()] if argstr else []
+    what = f"a parameter of graph spec {text!r}"
     if name == "circle2":
         if len(tokens) != 2:
             raise ValueError("circle2 takes two weights, e.g. circle2:1,2 or circle2:2w,2w+1")
-        (ca, oa), (cb, ob) = _parse_weight_expr(tokens[0]), _parse_weight_expr(tokens[1])
-        depends = ca != 0.0 or cb != 0.0
+        (ca, oa), (cb, ob) = (_parse_weight_expr(tok, what) for tok in tokens)
 
-        def make(omega=None):
-            if depends and omega is None:
-                raise ValueError("circle2 weights reference w; supply --sweep omega:start:stop:points")
-            w = 0.0 if omega is None else omega
-            return graphs.circle2(ca * w + oa, cb * w + ob)
+        def make(omega):
+            return graphs.circle2(ca * omega + oa, cb * omega + ob)
 
-        return GraphSpec(family="circle2", make=make, n=2, omega_dependent=depends)
-    params = [_parse_number(tok) for tok in tokens]
-    g = graphs.build(name, *params)
-    return GraphSpec(family=name, make=lambda omega=None: g, n=g.n)
+        if not (ca or cb):
+            return name, make(0.0)
+        if not sweep:
+            raise ValueError("circle2 weights reference w; supply --sweep omega:start:stop:points")
+        return name, make
+    return name, graphs.build(name, *(_parse_as(int if re.fullmatch(r"[+-]?[0-9]+", tok) else float, tok, what)
+                                      for tok in tokens))
 
 
 def _parse_amplitudes(text: str) -> np.ndarray:
@@ -101,7 +98,7 @@ def _parse_amplitudes(text: str) -> np.ndarray:
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ValueError(f"amplitude component {chunk!r} is not 're,im'")
-        comps.append(complex(float(parts[0]), float(parts[1])))
+        comps.append(complex(*(_parse_as(float, x, f"amplitude component {chunk.strip()!r}") for x in parts)))
         if not np.isfinite(comps[-1]):
             raise ValueError(f"amplitude component {chunk.strip()!r} is not finite")
     return np.array(comps, dtype=complex)
@@ -111,7 +108,7 @@ def _coin_vector(spec: str, coin_dim: int) -> np.ndarray:
     if spec == "uniform":
         vec = np.ones(coin_dim, dtype=complex)
     elif spec.startswith("basis:"):
-        k = int(spec.split(":", 1)[1])
+        k = _parse_as(int, spec.split(":", 1)[1], "coin basis index")
         if not 0 <= k < coin_dim:
             raise ValueError(f"coin basis index {k} outside 0..{coin_dim - 1}")
         vec = np.zeros(coin_dim, dtype=complex)
@@ -128,14 +125,6 @@ def _coin_vector(spec: str, coin_dim: int) -> np.ndarray:
     return vec / nrm
 
 
-_DEFAULT_COIN = {"circle2": "hadamard", "star": "fourier",
-                 "line2": "hadamard", "line3": "grover"}
-
-
-def _default_coin(family) -> str:
-    return _DEFAULT_COIN.get(family, "identity")
-
-
 def _resolve_coin(spec: str):
     """The coin `HybridWalk` realizes and checks: a name, or a custom:path file's matrix."""
     if spec.startswith("custom:"):
@@ -150,45 +139,8 @@ def _resolve_coin(spec: str):
     return spec
 
 
-def _default_initial(family, g: graphs.LabeledGraph):
-    coin_dim = len(g.labels)
-    pos = (g.n - 1) // 2 if family in ("line2", "line3") else 0
-    if family == "line2":
-        coin = np.array([1.0, -1.0j]) / np.sqrt(2)
-    elif family == "line3":
-        coin = np.ones(3, dtype=complex) / np.sqrt(3)
-    elif family == "segment_line":
-        coin = np.zeros(coin_dim, dtype=complex)
-        coin[g.labels.index("b")] = 1.0
-    else:
-        coin = np.zeros(coin_dim, dtype=complex)
-        coin[0] = 1.0
-    return coin, pos
-
-
-def _initial_state(args, family, g: graphs.LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(coin, position) vectors of the initial product state: the family default
-    unless --init-coin / --init-pos override it."""
-    coin_default, pos_default = _default_initial(family, g)
-    coin = _coin_vector(args.init_coin, len(g.labels)) if args.init_coin is not None else coin_default
-    pos = args.init_pos if args.init_pos is not None else pos_default
-    if not 0 <= pos < g.n:
-        raise ValueError(f"initial position {pos} outside 0..{g.n - 1}")
-    pos_vec = np.zeros(g.n, dtype=complex)
-    pos_vec[pos] = 1.0
-    return coin, pos_vec
-
-
-def _coords_for(family, n: int) -> np.ndarray:
-    if family in ("line2", "line3"):
-        return graphs.signed_coords(n)
-    if family == "segment_line":
-        return np.arange(1, n + 1, dtype=float)
-    return np.arange(n, dtype=float)
-
-
 def _parse_finite(text: str, what: str) -> float:
-    x = float(text)
+    x = _parse_as(float, text, what)
     if not np.isfinite(x):
         raise ValueError(f"{what} must be finite, got {text.strip()!r}")
     return x
@@ -199,7 +151,8 @@ def _parse_grid(text: str, what: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{what} grid must be start:stop:points, got {text!r}")
-    start, stop, points = _parse_finite(parts[0], what), _parse_finite(parts[1], what), int(parts[2])
+    start, stop = _parse_finite(parts[0], what), _parse_finite(parts[1], what)
+    points = _parse_as(int, parts[2], f"{what} grid points")
     if points < 2:
         raise ValueError(f"{what} grid needs at least 2 points, got {points}")
     return start, stop, points
@@ -347,25 +300,31 @@ def _chunk_rows(columns: int, dim: int) -> int:
     return max(1, min(TABLE_CHUNK_CELLS // columns, STATE_CHUNK_ENTRIES // dim))
 
 
-def _write_observables(args, lead_names, coords, chunks, line=False):
+def _write_observables(args, lead_names, chunks, line=False):
     """Write rows [*leads, P..., sigma, entropy], one per state, from the
     (leads, Trajectory) pairs of `chunks` in order, `leads` being a chunk's
-    (rows, len(lead_names)) block; `coords` name the P columns.
+    (rows, len(lead_names)) block; the first Trajectory's coords name the P columns.
 
     Each chunk's rows are checked (`_check_rows`) as it arrives, and the first
     row that fails stops the run: no later chunk is computed, and a failed run
     leaves no artifact. `_table_pieces` formats each chunk as it arrives, so
     only the rows of one chunk are held.
     """
-    header = [*lead_names, *(f"P({int(c)})" if c.is_integer() else "P(%.12g)" % c for c in coords.tolist()),
+    chunks = iter(chunks)
+    first = next(chunks)
+    header = [*lead_names, *(f"P({int(c)})" if c.is_integer() else "P(%.12g)" % c for c in first[1].coords.tolist()),
               "sigma", "entropy"]
 
-    def blocks():
-        for leads, traj in chunks:
+    def blocks(chunk):
+        while chunk is not None:
+            leads, traj = chunk
             _check_rows(traj.distributions, line)
             yield [leads, traj.distributions, np.column_stack([traj.sigmas, traj.entropies])]
+            chunk = next(chunks, None)
 
-    _emit(args, args.format, _table_pieces(header, blocks(), args.format))
+    pieces = _table_pieces(header, blocks(first), args.format)
+    del first  # `blocks` alone holds the first chunk, until it makes the next
+    _emit(args, args.format, pieces)
 
 
 def _check_rows(P, line=False):
@@ -388,27 +347,34 @@ def _check_rows(P, line=False):
 # dynamics
 
 
-def _grid_chunks(args, spec: GraphSpec, coin_spec: str, ts: np.ndarray, omegas, columns: int):
-    """One coin step at every t of the grid, for each omega in turn, in chunks
-    of `_chunk_rows` states: ((omega, t) or (t,) leads, Trajectory) pairs.
-
-    `HybridWalk.evolve` gives each row the bytes of a run at its t alone, so
-    the table does not depend on where the chunks are cut.
-    """
-    for omega in omegas:
-        g = spec.make(omega)
-        w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec))
-        coords, rows = _coords_for(spec.family, g.n), _chunk_rows(columns, w.dim)
-        psi = w.apply_coin(walk.product_state(*_initial_state(args, spec.family, g)))
-        for lo in range(0, len(ts), rows):
-            t = ts[lo:lo + rows]
-            leads = np.column_stack([t] if omega is None else [np.full(len(t), omega), t])
-            yield leads, walk.Trajectory.from_states(w.evolve(t, psi), w.coin_dim, w.pos_dim, coords)
+def _build_walk(args, family, g: graphs.LabeledGraph):
+    """The walk of a dynamics or sweep run on `g`, made by builder `family` (None
+    for a JSON graph), with its initial coin and position vectors and the
+    coordinates of its P columns: the family's conventional choices, unless
+    --coin, --init-coin or --init-pos override them. The walk comes first, so a
+    bad --coin is reported before a bad initial state."""
+    line = family in ("line2", "line3")
+    named = {"circle2": "hadamard", "star": "fourier", "line2": "hadamard", "line3": "grover"}.get(family, "identity")
+    w = walk.HybridWalk(g, coin=_resolve_coin(named if args.coin is None else args.coin))
+    if args.init_coin is not None:
+        coin = _coin_vector(args.init_coin, w.coin_dim)
+    elif line:
+        coin = np.array([1.0, -1.0j]) / np.sqrt(2) if family == "line2" else np.ones(3, dtype=complex) / np.sqrt(3)
+    else:
+        coin = np.zeros(w.coin_dim, dtype=complex)
+        coin[g.labels.index("b") if family == "segment_line" else 0] = 1.0
+    pos = args.init_pos if args.init_pos is not None else (g.n - 1) // 2 if line else 0
+    if not 0 <= pos < g.n:
+        raise ValueError(f"initial position {pos} outside 0..{g.n - 1}")
+    pos_vec = np.zeros(g.n, dtype=complex)
+    pos_vec[pos] = 1.0
+    # a line counts from its middle, -L..L; the segment line from 1
+    coords = graphs.signed_coords(g.n) if line else np.arange(g.n, dtype=float) + (family == "segment_line")
+    return w, coin, pos_vec, coords
 
 
 def cmd_dynamics(args) -> int:
-    spec = parse_graph_spec(args.graph)
-    coin_spec = _default_coin(spec.family) if args.coin is None else args.coin
+    family, graph = parse_graph_spec(args.graph, sweep=bool(args.sweep))
 
     if args.steps is not None:
         if args.t is not None and ":" in args.t:
@@ -416,14 +382,13 @@ def cmd_dynamics(args) -> int:
         if args.sweep:
             raise ValueError("trajectory mode (--steps) takes no --sweep")
         t = _parse_finite(args.t, "--t") if args.t is not None else float(np.pi / 2)
-        g = spec.make()
-        w = walk.HybridWalk(g, coin=_resolve_coin(coin_spec))
-        psi0 = walk.product_state(*_initial_state(args, spec.family, g))
-        _check_budget(args.steps + 1, g.n + 3)
-        coords, rows = _coords_for(spec.family, g.n), _chunk_rows(g.n + 3, w.dim)
+        w, coin, pos, coords = _build_walk(args, family, graph)
+        _check_budget(args.steps + 1, graph.n + 3)
+        rows = _chunk_rows(graph.n + 3, w.dim)
+        states = w.state_chunks(t, args.steps, walk.product_state(coin, pos), rows)
         chunks = ((np.arange(lo, lo + len(s))[:, None], walk.Trajectory.from_states(s, w.coin_dim, w.pos_dim, coords))
-                  for s, lo in zip(w.state_chunks(t, args.steps, psi0, rows), range(0, args.steps + 1, rows)))
-        _write_observables(args, ["step"], coords, chunks, line=spec.family in ("line2", "line3") and g.n >= 5)
+                  for s, lo in zip(states, range(0, args.steps + 1, rows)))
+        _write_observables(args, ["step"], chunks, line=family in ("line2", "line3") and graph.n >= 5)
         return EXIT_OK
 
     if args.t is None:
@@ -435,16 +400,27 @@ def cmd_dynamics(args) -> int:
         name, o_grid = _parse_sweep(args.sweep)
         if name != "omega":
             raise ValueError("dynamics sweeps only 'omega'; q sweeps live in the sweep subcommand")
-        if not spec.omega_dependent:
+        if not callable(graph):
             raise ValueError("--sweep omega needs circle2 weights that reference w, e.g. circle2:2w,2w+1")
     lead_names = ["omega", "t"] if o_grid else ["t"]
-    columns = len(lead_names) + spec.n + 2
+    columns = len(lead_names) + (graph(o_grid[0]) if o_grid else graph).n + 2
     _check_budget((t_grid[2] if t_grid else 1) * (o_grid[2] if o_grid else 1), columns)
     ts = np.linspace(*t_grid) if t_grid else np.array([t])
     # Python floats: an overflowing weight becomes inf without a numpy warning
     omegas = np.linspace(*o_grid).tolist() if o_grid else [None]
-    _write_observables(args, lead_names, _coords_for(spec.family, spec.n),
-                       _grid_chunks(args, spec, coin_spec, ts, omegas, columns))
+
+    def chunks():
+        # one coin step at every t, for each omega in turn, in chunks of `_chunk_rows` states;
+        # `HybridWalk.evolve` gives each row the bytes of a run at its t alone, wherever the chunks are cut
+        for omega in omegas:
+            w, coin, pos, coords = _build_walk(args, family, graph if omega is None else graph(omega))
+            psi, rows = w.apply_coin(walk.product_state(coin, pos)), _chunk_rows(columns, w.dim)
+            for lo in range(0, len(ts), rows):
+                t = ts[lo:lo + rows]
+                leads = np.column_stack([t] if omega is None else [np.full(len(t), omega), t])
+                yield leads, walk.Trajectory.from_states(w.evolve(t, psi), w.coin_dim, w.pos_dim, coords)
+
+    _write_observables(args, lead_names, chunks())
     return EXIT_OK
 
 
@@ -481,13 +457,10 @@ def cmd_sweep(args) -> int:
     if args.init_coin is not None and name != "q_time":
         raise ValueError(f"--init-coin applies to q_time only; {name} sets the initial coin from q")
     steps = args.steps if args.steps is not None else 30
-    spec = parse_graph_spec(args.graph) if args.graph else None
-    if spec is not None and spec.family != "line3":
+    family, g = parse_graph_spec(args.graph, sweep=True) if args.graph else ("line3", graphs.line3(steps + 8))
+    if family != "line3":
         raise ValueError("q sweeps run on the three-label line; use --graph line3:L or omit --graph")
-    g = spec.make() if spec else graphs.line3(steps + 8)
-    coords = _coords_for("line3", g.n)
-    base_coin, pos_vec = _initial_state(args, "line3", g)
-    w = walk.HybridWalk(g, coin=_resolve_coin("grover" if args.coin is None else args.coin))
+    w, base_coin, pos_vec, coords = _build_walk(args, family, g)
     _check_budget(grid[2], g.n + 3)
     qs, rows = np.linspace(*grid), _chunk_rows(g.n + 3, w.dim)
 
@@ -505,7 +478,7 @@ def cmd_sweep(args) -> int:
                 finals[k] = states[-1]
             yield qs[lo:lo + rows, None], walk.Trajectory.from_states(finals, w.coin_dim, w.pos_dim, coords)
 
-    _write_observables(args, ["q"], coords, chunks())
+    _write_observables(args, ["q"], chunks())
     return EXIT_OK
 
 
@@ -514,6 +487,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pst(args) -> int:
+    # each demo fixes its graph, endpoints and coin, and the segment demo its path
+    demo = "--segment-demo" if args.segment_demo is not None else "--tree-demo" if args.tree_demo else None
+    fixed = ("graph", "source", "target", "alpha") + (("path", "tree_demo") if args.segment_demo is not None else ())
+    given = [k for k in fixed if getattr(args, k) is not None and getattr(args, k) is not False]
+    if demo and given:
+        raise ValueError(f"{demo} takes no --{given[0].replace('_', '-')}")
     if args.segment_demo is not None:
         res = pst.segment_line_transfer(args.segment_demo)
         payload = {
@@ -533,7 +512,7 @@ def cmd_pst(args) -> int:
         else:
             if args.graph is None or args.source is None or args.target is None:
                 raise ValueError("pst needs --graph, --source and --target (or a demo flag)")
-            g = parse_graph_spec(args.graph).make()
+            g = parse_graph_spec(args.graph)[1]
             source, target = args.source, args.target
             if args.alpha:
                 alpha = _parse_amplitudes(args.alpha)
@@ -573,7 +552,7 @@ def cmd_matmul(args) -> int:
     if sum((args.entry is not None, args.matrix, args.trace)) > 1:
         raise ValueError("pick one of --entry, --matrix, --trace")
     # each distinct spec is read once; a repeated one passes the same graph again
-    factors = {s: parse_graph_spec(s).make() for s in dict.fromkeys(args.graph)}
+    factors = {s: parse_graph_spec(s)[1] for s in dict.fromkeys(args.graph)}
     seq = matmul.regular_sequence([factors[s] for s in args.graph])
     mode, shots, seed = args.mode, args.shots, args.seed
     if args.entry is not None:
@@ -599,7 +578,7 @@ def cmd_matmul(args) -> int:
 
 
 def cmd_triangles(args) -> int:
-    g = parse_graph_spec(args.graph).make()
+    g = parse_graph_spec(args.graph)[1]
     mode, shots, seed = args.mode, args.shots, args.seed
     if args.vertex is not None:
         count = matmul.triangles_at_vertex(g, args.vertex, mode=mode, shots=shots, seed=seed)

@@ -20,6 +20,10 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+# The most amplitudes of a state (labels x n), edges of a built graph and entries of a dense sector (n^2,
+# n <= 4096): 256 MiB per state or n x n complex array, of which building a sector's propagator holds about four.
+DENSE_SECTOR_ENTRIES = 2**24
+
 
 class Edge(NamedTuple):
     u: int
@@ -205,6 +209,16 @@ def bfs_path(graph: LabeledGraph, source: int, target: int) -> tuple[int, ...]:
 # Builders
 
 
+def _check_size(labels: int, n: int, edges: int = 0):
+    """Refuse a graph whose states (labels x n amplitudes) or edges would be over
+    DENSE_SECTOR_ENTRIES; a builder calls it on its parameters, before its first edge."""
+    if labels * n > DENSE_SECTOR_ENTRIES:
+        raise ValueError(f"a state of {labels} labels x {n} vertices is over the limit "
+                         f"of {DENSE_SECTOR_ENTRIES} amplitudes")
+    if edges > DENSE_SECTOR_ENTRIES:
+        raise ValueError(f"a graph of {edges} edges is over the limit of {DENSE_SECTOR_ENTRIES} edges")
+
+
 def circle2(a: float, b: float) -> LabeledGraph:
     """Two vertices joined by two labeled parallel connections of weights a, b."""
     return LabeledGraph(2, (Edge(0, 1, "0", float(a)), Edge(0, 1, "1", float(b))), ("0", "1"))
@@ -218,6 +232,7 @@ def star(N: int) -> LabeledGraph:
     """
     if N < 2:
         raise ValueError(f"star needs N >= 2, got {N}")
+    _check_size(N, N, N - 1)
     edges = tuple(Edge(0, j, str(j)) for j in range(1, N))
     return LabeledGraph(N, edges, tuple(str(j) for j in range(N)))
 
@@ -227,6 +242,7 @@ def line2(L: int) -> LabeledGraph:
     if L < 1:
         raise ValueError(f"line2 needs L >= 1, got {L}")
     n = 2 * L + 1
+    _check_size(2, n, n - 1)
     edges = tuple(Edge(i, i + 1, str(i % 2)) for i in range(n - 1))
     return LabeledGraph(n, edges, ("0", "1"))
 
@@ -236,6 +252,7 @@ def line3(L: int) -> LabeledGraph:
     if L < 1:
         raise ValueError(f"line3 needs L >= 1, got {L}")
     n = 2 * L + 1
+    _check_size(3, n, n - 1)
     edges = tuple(Edge(i, i + 1, str(i % 3)) for i in range(n - 1))
     return LabeledGraph(n, edges, ("0", "1", "2"))
 
@@ -249,6 +266,7 @@ def segment_line(M: int) -> LabeledGraph:
     """
     if M < 2:
         raise ValueError(f"segment_line needs M >= 2, got {M}")
+    _check_size(2, M, M - 1)
     edges = tuple(Edge(k, k + 1, "b" if k % 2 == 0 else "r") for k in range(M - 1))
     return LabeledGraph(M, edges, ("r", "b"))
 
@@ -257,6 +275,7 @@ def fock_g0(n_max: int, g: float = 1.0) -> LabeledGraph:
     """Self-loop ladder with weights +g*n/2 (label 0) and -g*n/2 (label 1)."""
     if n_max < 1:
         raise ValueError(f"fock_g0 needs n_max >= 1, got {n_max}")
+    _check_size(2, n_max + 1, 2 * (n_max + 1))
     edges = []
     for v in range(n_max + 1):
         edges.append(Edge(v, v, "0", g * v / 2.0))
@@ -269,6 +288,7 @@ def fock_g0p(n_max: int) -> LabeledGraph:
     if n_max < 1:
         raise ValueError(f"fock_g0p needs n_max >= 1, got {n_max}")
     side = n_max + 1
+    _check_size(2, side * side, 2 * side * side)
     edges = []
     for n in range(side):
         for m in range(side):
@@ -283,6 +303,7 @@ def cycle(n: int) -> LabeledGraph:
     """n-cycle under a single label (2-regular for n >= 3)."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
+    _check_size(1, n, n)
     edges = tuple(Edge(i, (i + 1) % n, "0") for i in range(n))
     return LabeledGraph(n, edges, ("0",))
 
@@ -291,6 +312,7 @@ def complete(n: int) -> LabeledGraph:
     """Complete graph on n vertices under a single label."""
     if n < 2:
         raise ValueError(f"complete needs n >= 2, got {n}")
+    _check_size(1, n, n * (n - 1) // 2)
     edges = tuple(Edge(u, v, "0") for u in range(n) for v in range(u + 1, n))
     return LabeledGraph(n, edges, ("0",))
 

@@ -43,14 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .graphs import LabeledGraph, circle2, subgraph_adjacency
+from .graphs import DENSE_SECTOR_ENTRIES, LabeledGraph, _check_size, circle2, subgraph_adjacency
 
 COIN_UNITARY_ATOL = 1e-10
 _MATCHING_ZERO_ATOL = 1e-14
 _PAIR_BLOCK = 2**14  # (time, pair) entries per block of HybridWalk.evolve's rotations
-# The most amplitudes of a state (coin_dim x n) and entries of a dense sector (n^2, n <= 4096):
-# 256 MiB per state or n x n complex array, of which building a sector's propagator holds about four.
-DENSE_SECTOR_ENTRIES = 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +163,9 @@ class HybridWalk:
         self.coin_dim = len(graph.labels)
         self.pos_dim = graph.n
         self.dim = self.coin_dim * self.pos_dim
-        if self.dim > DENSE_SECTOR_ENTRIES:
-            raise ValueError(f"a state of {self.coin_dim} labels x {self.pos_dim} vertices is over the limit "
-                             f"of {DENSE_SECTOR_ENTRIES} amplitudes")
+        if not self.coin_dim:
+            raise ValueError("a walk needs a graph with at least one label")
+        _check_size(self.coin_dim, self.pos_dim)
         self.coin = make_coin(coin, self.coin_dim)
         self._identity_coin = np.array_equal(self.coin, np.eye(self.coin_dim))
         # The propagator, over flat indices c * n + v: the self-loop phases of

@@ -355,7 +355,7 @@ def test_nan_probabilities_fail_the_sum_check_and_the_line_guard(tmp_path):
                       sigmas=np.zeros(2), entropies=np.zeros(2))
     args = Namespace(format="csv", out=str(tmp_path / "x.csv"), command="dynamics")
     with pytest.raises(NumericalViolation, match="sum to nan"):
-        _write_observables(args, ["step"], np.arange(7.0), [(np.arange(2).reshape(-1, 1), traj)])
+        _write_observables(args, ["step"], [(np.arange(2).reshape(-1, 1), traj)])
     assert not os.path.exists(args.out)
 
 
@@ -1003,6 +1003,39 @@ def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
     (["triangles", "--graph", "cubic8", "--vertex", "99"], None, "vertex 99 outside 0..7"),
     (["pst", "--graph", "cycle:6", "--source", "0", "--target", "3", "--path", "0,x"], None,
      "--path takes comma-separated vertex ids, got '0,x'"),
+    # builders refuse, from their parameters, a graph whose states or edges are over 2^24
+    (["dynamics", "--graph", "star:99999999999999999999", "--t", "1"], None,
+     "a state of 99999999999999999999 labels x 99999999999999999999 vertices is over the limit of 16777216"),
+    (["dynamics", "--graph", "line3:10000000", "--t", "1"], None,
+     "a state of 3 labels x 20000001 vertices is over the limit of 16777216 amplitudes"),
+    (["pst", "--segment-demo", "30000000"], None,
+     "a state of 2 labels x 30000000 vertices is over the limit of 16777216 amplitudes"),
+    (["dynamics", "--graph", "complete:6000", "--t", "1"], None,
+     "a graph of 17997000 edges is over the limit of 16777216 edges"),
+    (["triangles", "--graph", "complete:5794"], None, "a graph of 16782321 edges is over the limit"),
+    (["matmul", "--graph", "cycle:16777217", "--trace"], None,
+     "a state of 1 labels x 16777217 vertices is over the limit"),
+    # numbers that do not parse name their option
+    (["dynamics", "--graph", "star:3", "--t", "abc"], None, "--t must be a number, got 'abc'"),
+    (["sweep", "--sweep", "q_mix2:a:1:3"], None, "sweep q_mix2 must be a number, got 'a'"),
+    (["dynamics", "--graph", "star:abc", "--t", "1"], None,
+     "a parameter of graph spec 'star:abc' must be a number, got 'abc'"),
+    (["dynamics", "--graph", "circle2:1,x", "--t", "1"], None,
+     "a parameter of graph spec 'circle2:1,x' must be a number, got 'x'"),
+    (["dynamics", "--graph", "star:3", "--t", "0:1:1e3"], None, "--t grid points must be an integer, got '1e3'"),
+    (["dynamics", "--graph", "star:3", "--t", "1", "--init-coin", "basis:x"], None,
+     "coin basis index must be an integer, got 'x'"),
+    (["dynamics", "--graph", "DOC", "--t", "1"], {"n": 2, "labels": [], "edges": []},
+     "a walk needs a graph with at least one label"),
+    # the demos fix their graph, endpoints and coin, and the segment demo its path
+    (["pst", "--tree-demo", "--alpha", "[a,0;0,0;1,0]"], None, "--tree-demo takes no --alpha"),
+    (["pst", "--tree-demo", "--graph", "cubic8", "--source", "0", "--target", "5"], None,
+     "--tree-demo takes no --graph"),
+    (["pst", "--segment-demo", "5", "--path", "0,1"], None, "--segment-demo takes no --path"),
+    (["pst", "--segment-demo", "5", "--tree-demo"], None, "--segment-demo takes no --tree-demo"),
+    # the walk is built before the initial state: a bad coin is named first
+    (["dynamics", "--graph", "star:4", "--t", "1", "--coin", "bogus", "--init-pos", "9"], None,
+     "unknown coin 'bogus'"),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message):
     # the CLI contract: exit 1, one stderr line "error: ...", no traceback and no artifact

@@ -161,6 +161,27 @@ def test_builder_param_validation():
         graphs.build("moebius", 4)
 
 
+@pytest.mark.parametrize("family, size, message", [
+    ("star", 4097, "a state of 4097 labels x 4097 vertices is over the limit of 16777216 amplitudes"),
+    ("line2", 2**22, "a state of 2 labels x 8388609 vertices"),
+    ("line3", 2796203, "a state of 3 labels x 5592407 vertices"),
+    ("segment_line", 2**23 + 1, "a state of 2 labels x 8388609 vertices"),
+    ("fock_g0", 2**23, "a state of 2 labels x 8388609 vertices"),
+    ("fock_g0p", 2896, "a state of 2 labels x 8392609 vertices"),
+    ("cycle", 2**24 + 1, "a state of 1 labels x 16777217 vertices"),
+    ("complete", 5794, "a graph of 16782321 edges is over the limit of 16777216 edges"),
+])
+def test_a_builder_over_the_limit_raises_before_its_first_edge(monkeypatch, family, size, message):
+    def edge(*args):
+        raise AssertionError("an edge was made")
+
+    monkeypatch.setattr(graphs, "Edge", edge)
+    with pytest.raises(ValueError, match=message):
+        graphs.build(family, size)
+    with pytest.raises(AssertionError, match="an edge was made"):  # one size smaller is at the limit
+        graphs.build(family, size - 1)
+
+
 def test_graph_validation():
     with pytest.raises(ValueError, match="outside"):
         LabeledGraph(3, (Edge(0, 5, "0"),), ("0",))
