@@ -41,6 +41,10 @@ def _parse_as(kind, token: str, what: str):
     try:
         return kind(token)
     except ValueError:
+        digits = token.strip().lstrip("+-")
+        if kind is int and digits.isdecimal():  # an integer that int() refuses only for its length
+            raise ValueError(f"{what} has {len(digits)} digits, over Python's limit of "
+                             f"{sys.get_int_max_str_digits()} digits for an integer") from None
         a = "an integer" if kind is int else "a number"
         raise ValueError(f"{what} must be {a}, got {token.strip()!r}") from None
 
@@ -70,7 +74,8 @@ def parse_graph_spec(text: str, sweep=False):
     if name not in graphs.BUILDERS:
         raise ValueError(f"unknown graph spec {text!r}; builders: {sorted(graphs.BUILDERS)} or a .json path")
     tokens = [tok.strip() for tok in argstr.split(",") if tok.strip()] if argstr else []
-    what = f"a parameter of graph spec {text!r}"
+    # a spec too long to echo, as one holding an integer past Python's digit limit, is named by its family
+    what = f"a parameter of graph spec {text if len(text) <= 100 else name + ':...'!r}"
     if name == "circle2":
         if len(tokens) != 2:
             raise ValueError("circle2 takes two weights, e.g. circle2:1,2 or circle2:2w,2w+1")

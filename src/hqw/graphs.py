@@ -6,8 +6,10 @@ edges tagged with a string label and a real weight. Self-loops are allowed
 vertex pair are allowed only under distinct labels. Each label selects a
 subgraph whose weighted adjacency matrix becomes one Hamiltonian block.
 
-Construction validates the edges once into read-only numpy columns, in edge order, that
-every graph consumer reads: `u`, `v` (int64 endpoints), `c` (label index), `w` (weight).
+A graph is its read-only numpy edge columns, in edge order, validated once at
+construction: `u`, `v` (int64 endpoints), `c` (label index), `w` (weight). Every
+graph consumer reads them; `load_json` and the builders make them directly, and
+`Edge` tuples exist only on the tuple entry point and the `edges` view.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -32,23 +34,37 @@ class Edge(NamedTuple):
     weight: float = 1.0
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    n: int
-    edges: tuple[Edge, ...]
-    labels: tuple[str, ...]
+def _endpoints(col) -> np.ndarray:
+    """The int64 column of integer endpoints; one beyond int64 becomes -1, outside every 0..n-1."""
+    try:
+        return np.fromiter(col, dtype=np.int64, count=len(col))
+    except OverflowError:
+        return np.array([x if -2**63 <= x < 2**63 else -1 for x in col], dtype=np.int64)
 
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"graph needs an integer vertex count, got n={self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        if self.n > np.iinfo(np.int64).max:
-            raise ValueError(f"graph has n={self.n} vertices, beyond the int64 range")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("label set contains duplicates")
-        m, index = len(self.edges), {lab: c for c, lab in enumerate(self.labels)}
-        us, vs, names, weights = tuple(zip(*self.edges)) or ((),) * 4
+
+def _label_column(labels, names) -> np.ndarray:
+    """The index of each name in `labels`, -1 for a name not among them."""
+    index = {lab: c for c, lab in enumerate(labels)}
+    return np.fromiter(map(index.get, names, repeat(-1)), dtype=np.intp, count=len(names))
+
+
+class LabeledGraph:
+    """n vertices, a tuple of distinct labels, and the validated edge columns.
+
+    The columns, read-only and in edge order, are what every graph consumer
+    reads: `u`, `v` (int64 endpoints), `c` (label index) and `w` (weight).
+    `LabeledGraph(n, edges, labels)` takes `Edge` tuples; `from_columns` takes
+    the columns themselves, as `load_json` and the builders do. Both end in the
+    same checks. `edges` is a tuple of `Edge` made on first use, and two graphs
+    are equal when their n, labels and columns are.
+    """
+
+    __slots__ = ("n", "labels", "u", "v", "c", "w", "_edges")
+
+    def __init__(self, n, edges, labels):
+        edges, labels = tuple(edges), tuple(labels)
+        m = len(edges)
+        us, vs, names, weights = tuple(zip(*edges)) or ((),) * 4
         ends, nonint = [us, vs], np.zeros(m, dtype=bool)
         types = set(map(type, us))
         types.update(map(type, vs))
@@ -57,29 +73,80 @@ class LabeledGraph:
                 ok = [isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in col]
                 nonint |= ~np.array(ok, dtype=bool)
                 ends[k] = [x if y else -1 for x, y in zip(col, ok)]
-        try:
-            u, v = (np.fromiter(col, dtype=np.int64, count=m) for col in ends)
-        except OverflowError:  # an endpoint beyond int64 is outside 0..n-1
-            u, v = (np.array([x if 0 <= x < self.n else -1 for x in col], np.int64) for col in ends)
-        c = np.fromiter(map(index.get, names, repeat(-1)), dtype=np.intp, count=m)
         w = np.fromiter(weights, dtype=float, count=m)
+        self._validate(n, labels, *(_endpoints(col) for col in ends), _label_column(labels, names), w,
+                       edges.__getitem__, nonint)
+        self._edges = edges
+
+    @classmethod
+    def from_columns(cls, n, labels, u, v, c, w, edge=None) -> LabeledGraph:
+        """The graph of edge columns u, v (integer endpoints), c (label index) and w (weight).
+
+        A refused edge i is named by `edge(i)`, an `Edge` (default: made from the columns).
+        """
+        g = cls.__new__(cls)
+        g._edges = None
+        cols = (np.asarray(col).astype(dt, casting="safe", copy=False)
+                for col, dt in ((u, np.int64), (v, np.int64), (c, np.intp), (w, float)))
+        g._validate(n, tuple(labels), *cols, edge or g.edge)
+        return g
+
+    def _validate(self, n, labels, u, v, c, w, edge, nonint=None):
+        """Check n, the labels and then every edge, and keep the columns read-only."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"graph needs an integer vertex count, got n={n!r}")
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={n}")
+        if n > np.iinfo(np.int64).max:
+            raise ValueError(f"graph has n={n} vertices, beyond the int64 range")
+        if len(set(labels)) != len(labels):
+            raise ValueError("label set contains duplicates")
+        self.n, self.labels = n, labels
+        for name, col in zip("uvcw", (u, v, c, w)):
+            col = col.view()  # read-only here, whatever the caller does with its own array
+            col.flags.writeable = False
+            setattr(self, name, col)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         key = np.lexsort((hi, lo, c))  # stable: edges with one key stay in edge order
-        dup = np.zeros(m, dtype=bool)
+        dup = np.zeros(len(u), dtype=bool)
         dup[key[1:]] = (np.diff(c[key]) == 0) & (np.diff(lo[key]) == 0) & (np.diff(hi[key]) == 0)
         checks = [(nonint, "edge {e} has non-integer endpoints"),
-                  ((lo < 0) | (hi >= self.n), "edge {e} has endpoint outside 0..%d" % (self.n - 1)),
-                  (c < 0, "edge {e} uses unknown label {e.label!r}"),
+                  ((lo < 0) | (hi >= n), "edge {e} has endpoint outside 0..%d" % (n - 1)),
+                  ((c < 0) | (c >= len(labels)), "edge {e} uses unknown label {e.label!r}"),
                   (~np.isfinite(w), "edge {e} has a non-finite weight"),
                   (dup, "duplicate edge for pair {pair} under label {e.label!r}")]
+        checks = [(mask, text) for mask, text in checks if mask is not None]
         bad = np.logical_or.reduce([mask for mask, _ in checks])
         if bad.any():  # the first bad edge: every edge before it is valid and unrepeated
-            i = bad.argmax()
+            i = int(bad.argmax())
             text = next(text for mask, text in checks if mask[i])
-            raise ValueError(text.format(e=self.edges[i], pair=(int(lo[i]), int(hi[i]))))
-        for name, col in zip("uvcw", (u, v, c, w)):
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+            raise ValueError(text.format(e=edge(i), pair=(int(lo[i]), int(hi[i]))))
+
+    def edge(self, i: int) -> Edge:
+        """Edge i, made from the columns (an unknown label index stands for its label)."""
+        c = int(self.c[i])
+        return Edge(int(self.u[i]), int(self.v[i]), self.labels[c] if 0 <= c < len(self.labels) else c,
+                    float(self.w[i]))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            rows = zip(self.u.tolist(), self.v.tolist(), map(self.labels.__getitem__, self.c.tolist()),
+                       self.w.tolist())
+            self._edges = tuple(map(Edge._make, rows))
+        return self._edges
+
+    def __eq__(self, other):
+        if not isinstance(other, LabeledGraph):
+            return NotImplemented
+        return self.n == other.n and self.labels == other.labels and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in "uvcw")
+
+    def __hash__(self):
+        return hash((self.n, self.labels, len(self.u)))
+
+    def __repr__(self):
+        return f"LabeledGraph(n={self.n!r}, edges={self.edges!r}, labels={self.labels!r})"
 
 
 @dataclass(frozen=True)
@@ -132,8 +199,8 @@ def validate_proper_coloring(graph: LabeledGraph) -> ColoringReport:
     first = first[inverse]  # the first incidence with each incidence's (vertex, label)
     violations = []
     for i in np.flatnonzero(first != np.arange(len(key))).tolist():
-        e = graph.edges[hop[i // 2]]
-        violations.append((e[i % 2], e.label, graph.edges[hop[first[i] // 2]], e))
+        e = graph.edge(hop[i // 2])
+        violations.append((e[i % 2], e.label, graph.edge(hop[first[i] // 2]), e))
     return ColoringReport(proper=not violations, violations=tuple(violations))
 
 
@@ -165,7 +232,7 @@ def path_colors(graph: LabeledGraph, path: Iterable[int]) -> tuple[str, ...]:
     colors = []
     for u, v in zip(path, path[1:]):
         on = (lo == min(u, v)) & (hi == max(u, v)) & (lo != hi)
-        labels = [graph.edges[i].label for i in np.flatnonzero(on).tolist()]
+        labels = [graph.labels[c] for c in graph.c[on].tolist()]
         if not labels:
             raise ValueError(f"path vertices {u} and {v} are not adjacent")
         if len(labels) > 1:
@@ -233,8 +300,14 @@ def star(N: int) -> LabeledGraph:
     if N < 2:
         raise ValueError(f"star needs N >= 2, got {N}")
     _check_size(N, N, N - 1)
-    edges = tuple(Edge(0, j, str(j)) for j in range(1, N))
-    return LabeledGraph(N, edges, tuple(str(j) for j in range(N)))
+    j = np.arange(1, N)
+    return LabeledGraph.from_columns(N, map(str, range(N)), np.zeros_like(j), j, j, np.ones(N - 1))
+
+
+def _path(n: int, labels, c) -> LabeledGraph:
+    """The path 0-1-...-(n-1), edge (i, i+1) under label index c[i]."""
+    i = np.arange(n - 1)
+    return LabeledGraph.from_columns(n, labels, i, i + 1, c, np.ones(n - 1))
 
 
 def line2(L: int) -> LabeledGraph:
@@ -243,8 +316,7 @@ def line2(L: int) -> LabeledGraph:
         raise ValueError(f"line2 needs L >= 1, got {L}")
     n = 2 * L + 1
     _check_size(2, n, n - 1)
-    edges = tuple(Edge(i, i + 1, str(i % 2)) for i in range(n - 1))
-    return LabeledGraph(n, edges, ("0", "1"))
+    return _path(n, ("0", "1"), np.arange(n - 1) % 2)
 
 
 def line3(L: int) -> LabeledGraph:
@@ -253,8 +325,7 @@ def line3(L: int) -> LabeledGraph:
         raise ValueError(f"line3 needs L >= 1, got {L}")
     n = 2 * L + 1
     _check_size(3, n, n - 1)
-    edges = tuple(Edge(i, i + 1, str(i % 3)) for i in range(n - 1))
-    return LabeledGraph(n, edges, ("0", "1", "2"))
+    return _path(n, ("0", "1", "2"), np.arange(n - 1) % 3)
 
 
 def segment_line(M: int) -> LabeledGraph:
@@ -267,8 +338,14 @@ def segment_line(M: int) -> LabeledGraph:
     if M < 2:
         raise ValueError(f"segment_line needs M >= 2, got {M}")
     _check_size(2, M, M - 1)
-    edges = tuple(Edge(k, k + 1, "b" if k % 2 == 0 else "r") for k in range(M - 1))
-    return LabeledGraph(M, edges, ("r", "b"))
+    return _path(M, ("r", "b"), np.arange(1, M) % 2)  # segment k is "b" (index 1) for even k
+
+
+def _ladder(n: int, w) -> LabeledGraph:
+    """Self-loops (v, v) under label "0" with weight w[0][v], each followed by one under "1" with w[1][v]."""
+    v = np.repeat(np.arange(n), 2)
+    return LabeledGraph.from_columns(n, ("0", "1"), v, v, np.tile([0, 1], n),
+                                      np.column_stack(w).astype(float).reshape(-1))
 
 
 def fock_g0(n_max: int, g: float = 1.0) -> LabeledGraph:
@@ -276,11 +353,12 @@ def fock_g0(n_max: int, g: float = 1.0) -> LabeledGraph:
     if n_max < 1:
         raise ValueError(f"fock_g0 needs n_max >= 1, got {n_max}")
     _check_size(2, n_max + 1, 2 * (n_max + 1))
-    edges = []
-    for v in range(n_max + 1):
-        edges.append(Edge(v, v, "0", g * v / 2.0))
-        edges.append(Edge(v, v, "1", -g * v / 2.0))
-    return LabeledGraph(n_max + 1, tuple(edges), ("0", "1"))
+    # Python arithmetic through an object column: -g * 0 / 2.0 is +0.0 for an integer g, and
+    # an inf * 0 raises no numpy warning, as in Python
+    with np.errstate(all="ignore"):
+        v = np.arange(n_max + 1, dtype=object)
+        w = g * v / 2.0, -g * v / 2.0
+    return _ladder(n_max + 1, w)
 
 
 def fock_g0p(n_max: int) -> LabeledGraph:
@@ -289,14 +367,9 @@ def fock_g0p(n_max: int) -> LabeledGraph:
         raise ValueError(f"fock_g0p needs n_max >= 1, got {n_max}")
     side = n_max + 1
     _check_size(2, side * side, 2 * side * side)
-    edges = []
-    for n in range(side):
-        for m in range(side):
-            v = n * side + m
-            w = (n + m + 1) / 2.0
-            edges.append(Edge(v, v, "0", w))
-            edges.append(Edge(v, v, "1", -w))
-    return LabeledGraph(side * side, tuple(edges), ("0", "1"))
+    n, m = np.divmod(np.arange(side * side), side)  # vertex n * side + m
+    w = (n + m + 1) / 2.0
+    return _ladder(side * side, (w, -w))
 
 
 def cycle(n: int) -> LabeledGraph:
@@ -304,17 +377,18 @@ def cycle(n: int) -> LabeledGraph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
     _check_size(1, n, n)
-    edges = tuple(Edge(i, (i + 1) % n, "0") for i in range(n))
-    return LabeledGraph(n, edges, ("0",))
+    i = np.arange(n)
+    return LabeledGraph.from_columns(n, ("0",), i, (i + 1) % n, np.zeros_like(i), np.ones(n))
 
 
 def complete(n: int) -> LabeledGraph:
     """Complete graph on n vertices under a single label."""
     if n < 2:
         raise ValueError(f"complete needs n >= 2, got {n}")
-    _check_size(1, n, n * (n - 1) // 2)
-    edges = tuple(Edge(u, v, "0") for u in range(n) for v in range(u + 1, n))
-    return LabeledGraph(n, edges, ("0",))
+    m = n * (n - 1) // 2
+    _check_size(1, n, m)
+    u, v = np.triu_indices(n, 1)  # (0, 1), (0, 2), ..., (n-2, n-1)
+    return LabeledGraph.from_columns(n, ("0",), u, v, np.zeros(m, dtype=np.intp), np.ones(m))
 
 
 def cubic8() -> LabeledGraph:
@@ -361,6 +435,47 @@ def signed_coords(n: int) -> np.ndarray:
 _SCHEMA_HINT = '{"n": int, "labels": [str, ...], "edges": [[u, v, label, weight?], ...]}'
 
 
+def _check_record(rec):
+    """Raise on an edge record that is malformed, naming it."""
+    # exact type tests: JSON gives int, float, bool, str, None, list or dict
+    if type(rec) is not list or not 3 <= len(rec) <= 4:
+        raise ValueError(f"edge record {rec!r} is not [u, v, label] or [u, v, label, weight]")
+    u, v, label, weight = rec if len(rec) == 4 else (*rec, 1.0)
+    if type(u) is not int or type(v) is not int:
+        raise ValueError(f"edge record {rec!r} has non-integer endpoints")
+    if type(label) is not str:
+        raise ValueError(f"edge record {rec!r} has a non-string label")
+    if type(weight) is not float and type(weight) is not int:
+        raise ValueError(f"edge record {rec!r} has a non-numeric weight")
+    try:
+        float(weight)
+    except OverflowError:
+        raise ValueError(f"edge record {rec!r} has a weight beyond the float range") from None
+
+
+def _typed_columns(records: list):
+    """The (u, v, label, weight) columns of JSON edge records, or None if a column
+    fails one of `_check_record`'s tests, tested column by column."""
+    if not set(map(type, records)) <= {list}:
+        return None
+    size = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+    if not ((size >= 3) & (size <= 4)).all():
+        return None
+    fields = list(zip(*records)) or [()] * 3  # a 3-field record ends the zip at its label
+    us, vs, names = fields[:3]
+    weighted = size == 4
+    ws = fields[3] if len(fields) == 4 else [rec[3] for rec in compress(records, weighted)]
+    if not ({*map(type, us), *map(type, vs)} <= {int} and set(map(type, names)) <= {str}
+            and set(map(type, ws)) <= {int, float}):
+        return None
+    w = np.ones(len(records))
+    try:
+        w[weighted] = np.fromiter(ws, dtype=float, count=len(ws))
+    except OverflowError:  # an integer weight beyond the float range
+        return None
+    return us, vs, names, w
+
+
 def load_json(text: str) -> LabeledGraph:
     """Parse a graph document; weight defaults to 1.0 when omitted."""
     enabled = gc.isenabled()
@@ -384,22 +499,18 @@ def load_json(text: str) -> LabeledGraph:
             raise ValueError('"labels" must be a list of strings')
         if not isinstance(raw_edges, list):
             raise ValueError(f'"edges" must be a list of edge records; expected {_SCHEMA_HINT}')
-        edges = []
-        for rec in raw_edges:  # exact type tests: JSON gives int, float, bool, str, None, list or dict
-            if type(rec) is not list or not 3 <= len(rec) <= 4:
-                raise ValueError(f"edge record {rec!r} is not [u, v, label] or [u, v, label, weight]")
-            u, v, label, weight = rec if len(rec) == 4 else (*rec, 1.0)
-            if type(u) is not int or type(v) is not int:
-                raise ValueError(f"edge record {rec!r} has non-integer endpoints")
-            if type(label) is not str:
-                raise ValueError(f"edge record {rec!r} has a non-string label")
-            if type(weight) is not float and type(weight) is not int:
-                raise ValueError(f"edge record {rec!r} has a non-numeric weight")
-            try:  # tuple.__new__: an Edge without the NamedTuple's Python-level __new__
-                edges.append(tuple.__new__(Edge, (u, v, label, float(weight))))
-            except OverflowError:
-                raise ValueError(f"edge record {rec!r} has a weight beyond the float range") from None
-        return LabeledGraph(n, tuple(edges), tuple(labels))
+        cols = _typed_columns(raw_edges)
+        if cols is None:  # some record is malformed: name the first
+            for rec in raw_edges:
+                _check_record(rec)
+        us, vs, names, w = cols
+        u, v, c = _endpoints(us), _endpoints(vs), _label_column(labels, names)
+
+        def edge(i):  # the Edge that names record i
+            rec = raw_edges[i]
+            return Edge(*rec[:3], float(rec[3]) if len(rec) == 4 else 1.0)
+
+        return LabeledGraph.from_columns(n, labels, u, v, c, w, edge)
     finally:
         if enabled:
             gc.enable()
@@ -410,7 +521,8 @@ def save_json(graph: LabeledGraph) -> str:
     doc = {
         "n": graph.n,
         "labels": list(graph.labels),
-        "edges": [[e.u, e.v, e.label, e.weight] for e in graph.edges],
+        "edges": [[u, v, graph.labels[c], w] for u, v, c, w in
+                  zip(graph.u.tolist(), graph.v.tolist(), graph.c.tolist(), graph.w.tolist())],
     }
     return json.dumps(doc)
 

@@ -122,10 +122,10 @@ def make_plan(graph: LabeledGraph, source: int, target: int, path=None) -> PstPl
         )
     loop = np.flatnonzero(graph.u == graph.v)
     if loop.size:
-        raise ValueError(f"transfer protocol requires no self-loops; offending edge: {graph.edges[loop[0]]}")
+        raise ValueError(f"transfer protocol requires no self-loops; offending edge: {graph.edge(loop[0])}")
     bad = np.flatnonzero(np.abs(graph.w - 1.0) > 1e-12)
     if bad.size:
-        raise ValueError(f"transfer protocol requires unit edge weights; offending edge: {graph.edges[bad[0]]}")
+        raise ValueError(f"transfer protocol requires unit edge weights; offending edge: {graph.edge(bad[0])}")
     if source == target:
         raise ValueError("source and target must be distinct vertices")
     if path is None:

@@ -18,9 +18,10 @@ O(dim) in one vectorized pass: one phase multiply over the state (skipped when
 no label has a self-loop) and one gather/scatter of 2x2 rotations over the
 pairs of every matching, with cos and sin taken once per distinct weight. A
 label without edges costs nothing (`star`'s label "0"). Each dense sector
-costs one eigh at construction, then O(n^2); one on more than
-sqrt(DENSE_SECTOR_ENTRIES) = 4096 vertices is refused before it is built, and
-a walk whose states exceed DENSE_SECTOR_ENTRIES amplitudes before its coin.
+costs one eigh at construction, then O(n^2); a walk whose dense sectors hold
+more than DENSE_SECTOR_ENTRIES entries together (n^2 each, so one sector on at
+most 4096 vertices) is refused before the first eigh, and a walk whose states
+exceed DENSE_SECTOR_ENTRIES amplitudes before its coin.
 `HybridWalk.evolve` takes an array of times in the same pass; each row has the
 bytes of a call at its time alone, as phases and rotations are elementwise and
 a dense sector takes one 1-row product (a gemv) per time, not one gemm whose
@@ -173,8 +174,8 @@ class HybridWalk:
         # their distinct weights and each pair's index into them, so cos and sin
         # are taken once per weight; (slice, eigenvalues, V, V^H) of each dense sector.
         n = self.pos_dim
-        phase, pairs, self._dense = np.zeros(self.dim), [], []
-        for c, lab in enumerate(graph.labels):
+        phase, pairs, dense = np.zeros(self.dim), [], []
+        for c in range(self.coin_dim):
             on = graph.c == c
             u, v, w = graph.u[on], graph.v[on], graph.w[on]
             loop = u == v
@@ -185,11 +186,18 @@ class HybridWalk:
                     np.bincount(np.concatenate([u[hop], v[hop]]), minlength=n).max() <= 1:
                 pairs.append((c * n + np.minimum(u[hop], v[hop]), c * n + np.maximum(u[hop], v[hop]), w[hop]))
             else:
-                if int(n) ** 2 > DENSE_SECTOR_ENTRIES:
-                    raise ValueError(f"label {lab!r} is a dense sector on {n} vertices; its {n} x {n} "
-                                     f"eigendecomposition is over the limit of {DENSE_SECTOR_ENTRIES} entries")
-                ew, V = linalg.hermitian_eig(subgraph_adjacency(graph, lab))
-                self._dense.append((slice(c * n, (c + 1) * n), ew, V, V.conj().T))
+                dense.append(c)
+        # one budget for the walk's dense sectors, each of which holds V and V^H, refused before the first eigh
+        if dense and int(n) ** 2 > DENSE_SECTOR_ENTRIES:
+            raise ValueError(f"label {self.labels[dense[0]]!r} is a dense sector on {n} vertices; its {n} x {n} "
+                             f"eigendecomposition is over the limit of {DENSE_SECTOR_ENTRIES} entries")
+        if len(dense) * int(n) ** 2 > DENSE_SECTOR_ENTRIES:
+            raise ValueError(f"{len(dense)} dense sectors on {n} vertices need {len(dense)} x {n} x {n} "
+                             f"eigendecomposition entries, over the limit of {DENSE_SECTOR_ENTRIES} entries per walk")
+        self._dense = []
+        for c in dense:
+            ew, V = linalg.hermitian_eig(subgraph_adjacency(graph, self.labels[c]))
+            self._dense.append((slice(c * n, (c + 1) * n), ew, V, V.conj().T))
         # the largest |w| of any phase w*t: self-loop weights, matching weights, dense eigenvalues
         self._rate = max(float(np.abs(x).max(initial=0.0))
                          for x in [phase, *(w for _, _, w in pairs), *(ew for _, ew, _, _ in self._dense)])

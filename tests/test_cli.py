@@ -1036,6 +1036,17 @@ def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
     # the walk is built before the initial state: a bad coin is named first
     (["dynamics", "--graph", "star:4", "--t", "1", "--coin", "bogus", "--init-pos", "9"], None,
      "unknown coin 'bogus'"),
+    # an integer past Python's 4300-digit int-string limit is named by its length, not echoed
+    (["dynamics", "--graph", "star:3", "--t", "0:1:" + "1" * 5000], None,
+     "error: --t grid points has 5000 digits, over Python's limit of 4300 digits for an integer"),
+    (["dynamics", "--graph", "star:" + "1" * 5000, "--t", "1"], None,
+     "error: a parameter of graph spec 'star:...' has 5000 digits, over Python's limit of 4300 digits for an integer"),
+    # 64 labels, each the dense sector of the path 0-1-2, ask for 64 eigendecompositions of 1024 x 1024
+    (["dynamics", "--graph", "DOC", "--t", "1"],
+     {"n": 1024, "labels": [str(k) for k in range(64)],
+      "edges": [[a, a + 1, str(k)] for k in range(64) for a in (0, 1)]},
+     "error: 64 dense sectors on 1024 vertices need 64 x 1024 x 1024 eigendecomposition entries, "
+     "over the limit of 16777216 entries per walk"),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message):
     # the CLI contract: exit 1, one stderr line "error: ...", no traceback and no artifact

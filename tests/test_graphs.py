@@ -172,13 +172,14 @@ def test_builder_param_validation():
     ("complete", 5794, "a graph of 16782321 edges is over the limit of 16777216 edges"),
 ])
 def test_a_builder_over_the_limit_raises_before_its_first_edge(monkeypatch, family, size, message):
-    def edge(*args):
-        raise AssertionError("an edge was made")
+    class NoColumns:  # a builder's edges are numpy columns: its first use of numpy makes one
+        def __getattr__(self, name):
+            raise AssertionError("an edge column was made")
 
-    monkeypatch.setattr(graphs, "Edge", edge)
+    monkeypatch.setattr(graphs, "np", NoColumns())
     with pytest.raises(ValueError, match=message):
         graphs.build(family, size)
-    with pytest.raises(AssertionError, match="an edge was made"):  # one size smaller is at the limit
+    with pytest.raises(AssertionError, match="an edge column was made"):  # one size smaller is at the limit
         graphs.build(family, size - 1)
 
 
@@ -294,6 +295,87 @@ def test_json_round_trip_preserves_weights_bit_exact():
     w = 0.1 + 0.7  # not exactly representable sum
     g = LabeledGraph(2, (Edge(0, 1, "0", w),), ("0",))
     assert load_json(save_json(g)).edges[0].weight == w
+
+
+BUILDER_PARAMS = {"circle2": (1.5, -2.0), "star": (5,), "line2": (3,), "line3": (4,), "segment_line": (5,),
+                  "fock_g0": (3, 0.5), "fock_g0p": (2,), "cycle": (5,), "complete": (5,), "cubic8": ()}
+
+
+def test_every_graph_equals_its_tuple_and_json_round_trips():
+    assert set(BUILDER_PARAMS) == set(graphs.BUILDERS)
+    rng = np.random.default_rng(47)
+    cases = [graphs.build(family, *args) for family, args in BUILDER_PARAMS.items()]
+    cases += [graphs.fock_g0(3, 2), graphs.fock_g0(2, -1.5), hypercube(4)]
+    cases += [random_properly_colored_graph(rng) for _ in range(10)] + [random_labeled_graph(rng) for _ in range(30)]
+    for g in cases:
+        again = LabeledGraph(g.n, g.edges, g.labels)
+        assert again == g, g
+        for k in "uvcw":
+            a, b = getattr(again, k), getattr(g, k)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g, k)  # bit for bit, -0.0 included
+        assert load_json(save_json(g)) == g, g
+    assert graphs.cycle(5) != graphs.cycle(6) and graphs.line2(3) != graphs.segment_line(7)
+    assert graphs.star(5) != LabeledGraph(5, graphs.star(5).edges[1:], graphs.star(5).labels)
+
+
+def test_a_loaded_graph_holds_its_columns_and_not_its_records():
+    import gc
+    import tracemalloc
+
+    d, n = 12, 1 << 12  # Q12: 24,576 edges
+    text = json.dumps({"n": n, "labels": [str(b) for b in range(d)],
+                       "edges": [[v, v ^ (1 << b), str(b)] for v in range(n) for b in range(d) if v < v ^ (1 << b)]})
+    tracemalloc.start()
+    try:
+        g = load_json(text)
+        del text
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(g.u) == 24576 and held < 1.5 * 2**20, held  # the four columns are 0.75 MiB
+
+
+# one malformed record of each kind, and the message that names it among well-formed records; the first
+# record error wins over every graph error (range, label, weight, duplicate), and the first graph error next
+GOOD_RECORDS = [[0, 1, "a"], [1, 2, "b", 2.5], [2, 3, "a", 1]]
+BAD_RECORDS = {
+    "non-list": ("x", "edge record 'x' is not [u, v, label] or [u, v, label, weight]"),
+    "length": ([0, 1], "edge record [0, 1] is not [u, v, label] or [u, v, label, weight]"),
+    "float": ([0.5, 1, "a"], "edge record [0.5, 1, 'a'] has non-integer endpoints"),
+    "bool": ([0, True, "b"], "edge record [0, True, 'b'] has non-integer endpoints"),
+    "label": ([0, 1, 2], "edge record [0, 1, 2] has a non-string label"),
+    "weight": ([0, 1, "a", "1"], "edge record [0, 1, 'a', '1'] has a non-numeric weight"),
+    "overflow": ([0, 3, "b", 10**309], f"edge record [0, 3, 'b', {10**309}] has a weight beyond the float range"),
+}
+BAD_EDGE_RECORDS = {
+    "outside": ([0, 9, "a"], "edge Edge(u=0, v=9, label='a', weight=1.0) has endpoint outside 0..3"),
+    "beyond-int64": ([1, 2**70, "b", 3],
+                     "edge Edge(u=1, v=1180591620717411303424, label='b', weight=3.0) has endpoint outside 0..3"),
+    "unknown": ([1, 3, "z"], "edge Edge(u=1, v=3, label='z', weight=1.0) uses unknown label 'z'"),
+    "non-finite": ([0, 2, "b", float("inf")], "edge Edge(u=0, v=2, label='b', weight=inf) has a non-finite weight"),
+    "duplicate": ([3, 2, "a", 4.0], "duplicate edge for pair (2, 3) under label 'a'"),
+}
+
+
+def _load_error(records) -> str:
+    with pytest.raises(ValueError) as exc:
+        load_json(json.dumps({"n": 4, "labels": ["a", "b"], "edges": GOOD_RECORDS + records}))
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("kind", [*BAD_RECORDS, *BAD_EDGE_RECORDS])
+def test_load_json_names_a_bad_record_after_good_ones(kind):
+    record, message = {**BAD_RECORDS, **BAD_EDGE_RECORDS}[kind]
+    assert _load_error([record]) == message
+    assert _load_error([record, [0, 3, "b"]]) == message
+
+
+def test_load_json_names_the_first_record_error_then_the_first_edge_error():
+    bad = {**BAD_RECORDS, **BAD_EDGE_RECORDS}
+    for first, second in ((a, b) for a in bad for b in bad if a != b):
+        winner = first if first in BAD_RECORDS or second in BAD_EDGE_RECORDS else second
+        assert _load_error([bad[first][0], [0, 3, "b"], bad[second][0]]) == bad[winner][1], (first, second)
 
 
 def test_json_rejects_bad_documents():

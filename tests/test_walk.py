@@ -235,6 +235,23 @@ def test_a_dense_sector_over_the_limit_is_refused_before_it_is_built(monkeypatch
         HybridWalk(cycle(n))
 
 
+def test_the_dense_sectors_of_one_walk_share_one_budget(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("dense sector built")
+
+    def bent(k):  # k labels on 1024 vertices, each the dense sector of the path 0-1-2
+        labels = tuple(map(str, range(k)))
+        return LabeledGraph(1024, tuple(Edge(a, a + 1, lab) for lab in labels for a in (0, 1)), labels)
+
+    monkeypatch.setattr(walk, "subgraph_adjacency", unreachable)
+    monkeypatch.setattr(linalg, "hermitian_eig", unreachable)
+    with pytest.raises(ValueError, match=re.escape("17 dense sectors on 1024 vertices need 17 x 1024 x 1024 "
+                                                   "eigendecomposition entries, over the limit of 16777216")):
+        HybridWalk(bent(17))
+    with pytest.raises(AssertionError, match="dense sector built"):  # 16 x 1024^2 is the budget
+        HybridWalk(bent(16))
+
+
 def test_a_state_over_the_limit_is_refused_before_its_coin(monkeypatch):
     def unreachable(*args):
         raise AssertionError("walk built")
