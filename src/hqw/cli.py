@@ -36,17 +36,23 @@ TABLE_CELL_BUDGET = 10**9  # rows x columns of the largest dynamics or sweep tab
 # Argument parsing helpers
 
 
-def _parse_as(kind, token: str, what: str):
-    """`kind(token)` for kind int or float, refused in one line that names `what`."""
+def _parse_as(kind, token: str, what: str, brief=None):
+    """`kind(token)` for kind int or float, refused in one line that names `what`.
+
+    An integer that int() refuses only for Python's int-string digit limit is
+    named by its length, and by `brief` if given (a `what` that echoes the token).
+    """
     try:
         return kind(token)
     except ValueError:
-        digits = token.strip().lstrip("+-")
-        if kind is int and digits.isdecimal():  # an integer that int() refuses only for its length
-            raise ValueError(f"{what} has {len(digits)} digits, over Python's limit of "
-                             f"{sys.get_int_max_str_digits()} digits for an integer") from None
+        text = token.strip()
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        limit = sys.get_int_max_str_digits()
+        if kind is int and digits.isdecimal() and 0 < limit < len(digits):
+            raise ValueError(f"{brief or what} has {len(digits)} digits, over Python's limit of "
+                             f"{limit} digits for an integer") from None
         a = "an integer" if kind is int else "a number"
-        raise ValueError(f"{what} must be {a}, got {token.strip()!r}") from None
+        raise ValueError(f"{what} must be {a}, got {text!r}") from None
 
 
 def _parse_weight_expr(text: str, what: str):
@@ -74,8 +80,7 @@ def parse_graph_spec(text: str, sweep=False):
     if name not in graphs.BUILDERS:
         raise ValueError(f"unknown graph spec {text!r}; builders: {sorted(graphs.BUILDERS)} or a .json path")
     tokens = [tok.strip() for tok in argstr.split(",") if tok.strip()] if argstr else []
-    # a spec too long to echo, as one holding an integer past Python's digit limit, is named by its family
-    what = f"a parameter of graph spec {text if len(text) <= 100 else name + ':...'!r}"
+    what = f"a parameter of graph spec {text!r}"
     if name == "circle2":
         if len(tokens) != 2:
             raise ValueError("circle2 takes two weights, e.g. circle2:1,2 or circle2:2w,2w+1")
@@ -89,7 +94,8 @@ def parse_graph_spec(text: str, sweep=False):
         if not sweep:
             raise ValueError("circle2 weights reference w; supply --sweep omega:start:stop:points")
         return name, make
-    return name, graphs.build(name, *(_parse_as(int if re.fullmatch(r"[+-]?[0-9]+", tok) else float, tok, what)
+    brief = f"a parameter of graph spec {name + ':...'!r}"
+    return name, graphs.build(name, *(_parse_as(int if re.fullmatch(r"[+-]?[0-9]+", tok) else float, tok, what, brief)
                                       for tok in tokens))
 
 

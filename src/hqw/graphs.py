@@ -9,15 +9,15 @@ subgraph whose weighted adjacency matrix becomes one Hamiltonian block.
 A graph is its read-only numpy edge columns, in edge order, validated once at
 construction: `u`, `v` (int64 endpoints), `c` (label index), `w` (weight). Every
 graph consumer reads them; `load_json` and the builders make them directly, and
-`Edge` tuples exist only on the tuple entry point and the `edges` view.
+`Edge` tuples exist only on the tuple entry point and in what `edges` returns.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass
-from itertools import compress, repeat
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -55,11 +55,12 @@ class LabeledGraph:
     reads: `u`, `v` (int64 endpoints), `c` (label index) and `w` (weight).
     `LabeledGraph(n, edges, labels)` takes `Edge` tuples; `from_columns` takes
     the columns themselves, as `load_json` and the builders do. Both end in the
-    same checks. `edges` is a tuple of `Edge` made on first use, and two graphs
-    are equal when their n, labels and columns are.
+    same checks. `edges` makes a tuple of `Edge` from the columns on each call,
+    and two graphs are equal when their n, labels and columns are. Like the
+    columns, every field is read-only.
     """
 
-    __slots__ = ("n", "labels", "u", "v", "c", "w", "_edges")
+    __slots__ = ("n", "labels", "u", "v", "c", "w")
 
     def __init__(self, n, edges, labels):
         edges, labels = tuple(edges), tuple(labels)
@@ -76,7 +77,6 @@ class LabeledGraph:
         w = np.fromiter(weights, dtype=float, count=m)
         self._validate(n, labels, *(_endpoints(col) for col in ends), _label_column(labels, names), w,
                        edges.__getitem__, nonint)
-        self._edges = edges
 
     @classmethod
     def from_columns(cls, n, labels, u, v, c, w, edge=None) -> LabeledGraph:
@@ -85,7 +85,6 @@ class LabeledGraph:
         A refused edge i is named by `edge(i)`, an `Edge` (default: made from the columns).
         """
         g = cls.__new__(cls)
-        g._edges = None
         cols = (np.asarray(col).astype(dt, casting="safe", copy=False)
                 for col, dt in ((u, np.int64), (v, np.int64), (c, np.intp), (w, float)))
         g._validate(n, tuple(labels), *cols, edge or g.edge)
@@ -101,11 +100,12 @@ class LabeledGraph:
             raise ValueError(f"graph has n={n} vertices, beyond the int64 range")
         if len(set(labels)) != len(labels):
             raise ValueError("label set contains duplicates")
-        self.n, self.labels = n, labels
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
         for name, col in zip("uvcw", (u, v, c, w)):
             col = col.view()  # read-only here, whatever the caller does with its own array
             col.flags.writeable = False
-            setattr(self, name, col)
+            object.__setattr__(self, name, col)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         key = np.lexsort((hi, lo, c))  # stable: edges with one key stay in edge order
         dup = np.zeros(len(u), dtype=bool)
@@ -130,11 +130,17 @@ class LabeledGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        if self._edges is None:
-            rows = zip(self.u.tolist(), self.v.tolist(), map(self.labels.__getitem__, self.c.tolist()),
-                       self.w.tolist())
-            self._edges = tuple(map(Edge._make, rows))
-        return self._edges
+        return tuple(map(Edge._make, zip(self.u.tolist(), self.v.tolist(),
+                                         map(self.labels.__getitem__, self.c.tolist()), self.w.tolist())))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the checks, not by assigning fields
+        return LabeledGraph.from_columns, (self.n, self.labels, self.u, self.v, self.c, self.w)
 
     def __eq__(self, other):
         if not isinstance(other, LabeledGraph):
@@ -146,7 +152,7 @@ class LabeledGraph:
         return hash((self.n, self.labels, len(self.u)))
 
     def __repr__(self):
-        return f"LabeledGraph(n={self.n!r}, edges={self.edges!r}, labels={self.labels!r})"
+        return f"LabeledGraph(n={self.n!r}, labels={self.labels!r}, {len(self.u)} edges)"
 
 
 @dataclass(frozen=True)
@@ -435,8 +441,8 @@ def signed_coords(n: int) -> np.ndarray:
 _SCHEMA_HINT = '{"n": int, "labels": [str, ...], "edges": [[u, v, label, weight?], ...]}'
 
 
-def _check_record(rec):
-    """Raise on an edge record that is malformed, naming it."""
+def _check_record(rec) -> float:
+    """The weight of a JSON edge record; raise on one that is malformed, naming it."""
     # exact type tests: JSON gives int, float, bool, str, None, list or dict
     if type(rec) is not list or not 3 <= len(rec) <= 4:
         raise ValueError(f"edge record {rec!r} is not [u, v, label] or [u, v, label, weight]")
@@ -448,32 +454,9 @@ def _check_record(rec):
     if type(weight) is not float and type(weight) is not int:
         raise ValueError(f"edge record {rec!r} has a non-numeric weight")
     try:
-        float(weight)
+        return float(weight)
     except OverflowError:
         raise ValueError(f"edge record {rec!r} has a weight beyond the float range") from None
-
-
-def _typed_columns(records: list):
-    """The (u, v, label, weight) columns of JSON edge records, or None if a column
-    fails one of `_check_record`'s tests, tested column by column."""
-    if not set(map(type, records)) <= {list}:
-        return None
-    size = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
-    if not ((size >= 3) & (size <= 4)).all():
-        return None
-    fields = list(zip(*records)) or [()] * 3  # a 3-field record ends the zip at its label
-    us, vs, names = fields[:3]
-    weighted = size == 4
-    ws = fields[3] if len(fields) == 4 else [rec[3] for rec in compress(records, weighted)]
-    if not ({*map(type, us), *map(type, vs)} <= {int} and set(map(type, names)) <= {str}
-            and set(map(type, ws)) <= {int, float}):
-        return None
-    w = np.ones(len(records))
-    try:
-        w[weighted] = np.fromiter(ws, dtype=float, count=len(ws))
-    except OverflowError:  # an integer weight beyond the float range
-        return None
-    return us, vs, names, w
 
 
 def load_json(text: str) -> LabeledGraph:
@@ -499,11 +482,9 @@ def load_json(text: str) -> LabeledGraph:
             raise ValueError('"labels" must be a list of strings')
         if not isinstance(raw_edges, list):
             raise ValueError(f'"edges" must be a list of edge records; expected {_SCHEMA_HINT}')
-        cols = _typed_columns(raw_edges)
-        if cols is None:  # some record is malformed: name the first
-            for rec in raw_edges:
-                _check_record(rec)
-        us, vs, names, w = cols
+        # every record's types first, in record order, then the columns: no Edge per record
+        w = np.fromiter(map(_check_record, raw_edges), dtype=float, count=len(raw_edges))
+        us, vs, names = (tuple(zip(*raw_edges)) or ((),) * 3)[:3]  # a 3-field record ends the zip at its label
         u, v, c = _endpoints(us), _endpoints(vs), _label_column(labels, names)
 
         def edge(i):  # the Edge that names record i

@@ -15,13 +15,14 @@ Performance model: no propagator matrix is formed or cached. The sectors are
 classified once, at construction, into one propagator over the whole state.
 Per step and per time, every diagonal and matching sector together costs
 O(dim) in one vectorized pass: one phase multiply over the state (skipped when
-no label has a self-loop) and one gather/scatter of 2x2 rotations over the
-pairs of every matching, with cos and sin taken once per distinct weight. A
-label without edges costs nothing (`star`'s label "0"). Each dense sector
-costs one eigh at construction, then O(n^2); a walk whose dense sectors hold
-more than DENSE_SECTOR_ENTRIES entries together (n^2 each, so one sector on at
-most 4096 vertices) is refused before the first eigh, and a walk whose states
-exceed DENSE_SECTOR_ENTRIES amplitudes before its coin.
+no label has a self-loop) and a gather/scatter of 2x2 rotations over the pairs
+of every matching, in blocks of _PAIR_BLOCK (time, pair) entries so that its
+temporaries stay cache-sized however wide the state, with cos and sin taken
+once per distinct weight. A label without edges costs nothing (`star`'s label
+"0"). Each dense sector costs one eigh at construction, then O(n^2); a walk
+whose dense sectors hold more than DENSE_SECTOR_ENTRIES entries together (n^2
+each, so one sector on at most 4096 vertices) is refused before the first eigh,
+and a walk whose states exceed DENSE_SECTOR_ENTRIES amplitudes before its coin.
 `HybridWalk.evolve` takes an array of times in the same pass; each row has the
 bytes of a call at its time alone, as phases and rotations are elementwise and
 a dense sector takes one 1-row product (a gemv) per time, not one gemm whose
@@ -252,18 +253,22 @@ class HybridWalk:
             np.exp(out, out=out)
             out *= psi
         if self._pairs is not None:
-            # blocks of times keep the (times, pairs) temporaries cache-sized
+            # blocks of times and of pairs keep every (times, pairs) temporary cache-sized,
+            # so a wide state reuses the same few heap pages step after step
             p, q, w, of_pair = self._pairs
-            xp, xq = psi[p], psi[q]
             rows, trows = out.reshape(-1, self.dim), t.reshape(-1, 1)
-            block = max(1, _PAIR_BLOCK // len(p))
+            width = min(len(p), _PAIR_BLOCK)
+            block = _PAIR_BLOCK // width
             for k in range(0, len(rows), block):
                 wt = w * trows[k:k + block]
-                c, s = np.cos(wt), -1j * np.sin(wt)
-                if len(w) > 1:  # one distinct weight broadcasts as it is
-                    c, s = c.take(of_pair, axis=-1), s.take(of_pair, axis=-1)
-                rows[k:k + block, p] = c * xp + s * xq
-                rows[k:k + block, q] = s * xp + c * xq
+                cw, sw = np.cos(wt), -1j * np.sin(wt)
+                for j in range(0, len(p), width):
+                    pj, qj, c, s = p[j:j + width], q[j:j + width], cw, sw
+                    if len(w) > 1:  # one distinct weight broadcasts as it is
+                        c, s = cw.take(of_pair[j:j + width], axis=-1), sw.take(of_pair[j:j + width], axis=-1)
+                    xp, xq = psi[pj], psi[qj]
+                    rows[k:k + block, pj] = c * xp + s * xq
+                    rows[k:k + block, qj] = s * xp + c * xq
         for sl, ew, V, Vh in self._dense:
             out[..., sl] = ((np.exp(-1j * ew * tcol) * (Vh @ psi[sl]))[..., None, :] @ V.T)[..., 0, :]
         return out

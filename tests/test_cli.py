@@ -1047,6 +1047,14 @@ def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
       "edges": [[a, a + 1, str(k)] for k in range(64) for a in (0, 1)]},
      "error: 64 dense sectors on 1024 vertices need 64 x 1024 x 1024 eigendecomposition entries, "
      "over the limit of 16777216 entries per walk"),
+    # one sign may lead a long integer; a token with two signs is no integer, and a long spec is echoed whole
+    (["dynamics", "--graph", "star:3", "--t", "0:1:+" + "1" * 5000], None,
+     "error: --t grid points has 5000 digits, over Python's limit of 4300 digits for an integer"),
+    (["dynamics", "--graph", "star:3", "--t", "0:1:-+5"], None, "error: --t grid points must be an integer, got '-+5'"),
+    (["dynamics", "--graph", "star:+-3", "--t", "1"], None,
+     "error: a parameter of graph spec 'star:+-3' must be a number, got '+-3'"),
+    (["dynamics", "--graph", "star:" + "x" * 200, "--t", "1"], None,
+     f"error: a parameter of graph spec 'star:{'x' * 200}' must be a number, got '{'x' * 200}'"),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message):
     # the CLI contract: exit 1, one stderr line "error: ...", no traceback and no artifact

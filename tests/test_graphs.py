@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -316,6 +318,20 @@ def test_every_graph_equals_its_tuple_and_json_round_trips():
         assert load_json(save_json(g)) == g, g
     assert graphs.cycle(5) != graphs.cycle(6) and graphs.line2(3) != graphs.segment_line(7)
     assert graphs.star(5) != LabeledGraph(5, graphs.star(5).edges[1:], graphs.star(5).labels)
+
+
+def test_a_graph_is_read_only():
+    g = graphs.star(4)
+    for name, value in [("n", 5), ("labels", ("a",)), ("u", g.v), ("w", np.zeros(3))]:
+        with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+            setattr(g, name, value)
+    with pytest.raises(AttributeError, match="cannot delete field 'n'"):
+        del g.n
+    with pytest.raises(ValueError, match="read-only"):
+        g.u[0] = 2
+    assert g == graphs.star(4) and repr(g) == "LabeledGraph(n=4, labels=('0', '1', '2', '3'), 3 edges)"
+    for again in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert again == g and not again.u.flags.writeable
 
 
 def test_a_loaded_graph_holds_its_columns_and_not_its_records():

@@ -192,6 +192,37 @@ def test_fused_propagator_is_bit_identical_to_the_per_sector_kernels():
     assert np.array_equal(w.evolve(grid, psi), per_sector_evolve(g, grid, psi))
 
 
+def test_blocks_of_pairs_give_the_bytes_of_one_pass(monkeypatch):
+    # 300 pairs with repeated and distinct weights, rotated in blocks of 64 pairs
+    rng = np.random.default_rng(5)
+    base = line3(150)
+    g = LabeledGraph(base.n, tuple(Edge(e.u, e.v, e.label, float(rng.choice([1.0, 0.5, rng.uniform(0.2, 2.0)])))
+                                   for e in base.edges), base.labels)
+    monkeypatch.setattr(walk, "_PAIR_BLOCK", 64)
+    w = HybridWalk(g, coin="grover")
+    assert len(w._pairs[0]) > 4 * walk._PAIR_BLOCK and len(w._pairs[2]) > 1
+    psi = rng.normal(size=w.dim) + 1j * rng.normal(size=w.dim)
+    for t in (0.37, -2.6, np.linspace(-3.0, 9.0, 7)):
+        assert np.array_equal(w.evolve(t, psi), per_sector_evolve(g, t, psi))
+
+
+def test_a_wide_matching_holds_only_block_sized_temporaries():
+    n = 1 << 18  # one perfect matching: 131,072 pairs on a 4 MiB state
+    u = np.arange(0, n, 2)
+    w = HybridWalk(LabeledGraph.from_columns(n, ("0",), u, u + 1, np.zeros_like(u), np.ones(len(u))),
+                   coin="identity")
+    psi = coin_position_state(1, n, 0, 0)
+    tracemalloc.start()
+    try:
+        out = w.evolve(np.pi / 2, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(abs(out[1]) - 1.0) < 1e-12
+    # the result and a few (times, pairs) blocks; full-width gathers and products would add 2 MiB each
+    assert peak < out.nbytes + 8 * 16 * walk._PAIR_BLOCK, peak
+
+
 def test_a_rows_bytes_do_not_depend_on_the_call_that_made_it():
     # diagonal (fock_g0), matchings (line3, star), dense (cycle, complete, cubic8), mixed (random)
     rng = np.random.default_rng(11)
