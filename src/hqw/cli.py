@@ -36,6 +36,10 @@ TABLE_CELL_BUDGET = 10**9  # rows x columns of the largest dynamics or sweep tab
 # Argument parsing helpers
 
 
+class _TooLong(argparse.ArgumentTypeError, ValueError):
+    """An integer token that int() refuses only for Python's int-string digit limit."""
+
+
 def _parse_as(kind, token: str, what: str, brief=None):
     """`kind(token)` for kind int or float, refused in one line that names `what`.
 
@@ -49,10 +53,19 @@ def _parse_as(kind, token: str, what: str, brief=None):
         digits = text[1:] if text[:1] in ("+", "-") else text
         limit = sys.get_int_max_str_digits()
         if kind is int and digits.isdecimal() and 0 < limit < len(digits):
-            raise ValueError(f"{brief or what} has {len(digits)} digits, over Python's limit of "
-                             f"{limit} digits for an integer") from None
+            raise _TooLong(f"{brief or what} has {len(digits)} digits, over Python's limit of "
+                           f"{limit} digits for an integer") from None
         a = "an integer" if kind is int else "a number"
         raise ValueError(f"{what} must be {a}, got {text!r}") from None
+
+
+def _int_option(token: str) -> int:
+    """argparse type of the integer options: `_parse_as`, so that a token too long for int() is named
+    by its digit count, and any other bad token by argparse as "invalid int value: 'x'"."""
+    return _parse_as(int, token, "its value")
+
+
+_int_option.__name__ = "int"  # the type argparse names for a bad token
 
 
 def _parse_weight_expr(text: str, what: str):
@@ -268,6 +281,7 @@ def _table_pieces(header, chunks, fmt: str):
         else:
             yield head + "\n".join(map(",".join, rows)) + "\n"
         head = ""
+        del blocks, texts, cells, rows  # this chunk's cells go before the next chunk is made
     yield head + (("]" if sep == "\n" else "\n  ]") + "\n}\n" if fmt == "json" else "")
 
 
@@ -331,6 +345,7 @@ def _write_observables(args, lead_names, chunks, line=False):
             leads, traj = chunk
             _check_rows(traj.distributions, line)
             yield [leads, traj.distributions, np.column_stack([traj.sigmas, traj.entropies])]
+            del chunk, traj  # the states of this chunk go before the next is made
             chunk = next(chunks, None)
 
     pieces = _table_pieces(header, blocks(first), args.format)
@@ -339,11 +354,12 @@ def _write_observables(args, lead_names, chunks, line=False):
 
 
 def _check_rows(P, line=False):
-    """Raise at the first row of the (rows, positions) distributions `P` with mass
+    """Raise at the first row of the (..., positions) distributions `P` with mass
     in the boundary band of a truncated line (`line`), or with a sum off 1. The band,
     sites [0, 1, -2, -1], must stay empty: the walker spreads at most one site per
     step, so mass there means the truncation is too small for the step count. A row
     failing both (NaN does) reports the band."""
+    P = P.reshape(-1, P.shape[-1])
     band = P[:, [0, 1, -2, -1]].sum(axis=1) if line else np.zeros(len(P))
     totals = P.sum(axis=1)
     k = np.argmax(~(band <= 1e-12) | ~(np.abs(totals - 1.0) <= PROB_SUM_ATOL))  # 0 if none fails
@@ -352,6 +368,16 @@ def _check_rows(P, line=False):
             f"boundary band carries probability {band[k]:.3e}; enlarge the line truncation")
     if not abs(totals[k] - 1.0) <= PROB_SUM_ATOL:
         raise linalg.NumericalViolation(f"probability columns sum to {totals[k]:.12g}, not 1")
+
+
+def _stepped(w, coords, leads, t, psi, steps: int, line=False):
+    """(leads, Trajectory) of `psi`, one state or a stack, stepped `steps` times (coin, then `evolve`) at the
+    times `t` that broadcast against it. Each state before the last is checked (`_check_rows`) as it is made,
+    so a doomed run stops at its first bad step; `_write_observables` checks the last."""
+    for _ in range(steps):
+        _check_rows(walk.position_distribution(psi, w.coin_dim, w.pos_dim), line)
+        psi = w.evolve(t, w.apply_coin(psi))
+    return leads, walk.Trajectory.from_states(psi, w.coin_dim, w.pos_dim, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +447,15 @@ def cmd_dynamics(args) -> int:
     omegas = np.linspace(*o_grid).tolist() if o_grid else [None]
 
     def chunks():
-        # one coin step at every t, for each omega in turn, in chunks of `_chunk_rows` states;
+        # one step of the initial state at every t, for each omega in turn, in chunks of `_chunk_rows` times;
         # `HybridWalk.evolve` gives each row the bytes of a run at its t alone, wherever the chunks are cut
         for omega in omegas:
             w, coin, pos, coords = _build_walk(args, family, graph if omega is None else graph(omega))
-            psi, rows = w.apply_coin(walk.product_state(coin, pos)), _chunk_rows(columns, w.dim)
+            psi, rows = walk.product_state(coin, pos), _chunk_rows(columns, w.dim)
             for lo in range(0, len(ts), rows):
                 t = ts[lo:lo + rows]
                 leads = np.column_stack([t] if omega is None else [np.full(len(t), omega), t])
-                yield leads, walk.Trajectory.from_states(w.evolve(t, psi), w.coin_dim, w.pos_dim, coords)
+                yield _stepped(w, coords, leads, t, psi, 1)
 
     _write_observables(args, lead_names, chunks())
     return EXIT_OK
@@ -473,23 +499,21 @@ def cmd_sweep(args) -> int:
         raise ValueError("q sweeps run on the three-label line; use --graph line3:L or omit --graph")
     w, base_coin, pos_vec, coords = _build_walk(args, family, g)
     _check_budget(grid[2], g.n + 3)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     qs, rows = np.linspace(*grid), _chunk_rows(g.n + 3, w.dim)
 
     def chunks():
-        # per q only the final state is kept, and each chunk of states up to it is
-        # checked as it is made, so a failing q stops; `rows` bounds both chunks
+        # each chunk of qs steps as one stack of states, which `rows` bounds; the initial stack
+        # is built in the call, so that only `_stepped` holds it while it steps
         for lo in range(0, len(qs), rows):
-            chunk = qs[lo:lo + rows].tolist()
-            finals = np.empty((len(chunk), w.dim), dtype=complex)
-            for k, q in enumerate(chunk):
-                psi0 = walk.product_state(_sweep_initial_coin(name, q, base_coin), pos_vec)
-                t = q * np.pi if name == "q_time" else 3 * np.pi / 2
-                for states in w.state_chunks(t, steps, psi0, rows):
-                    _check_rows(walk.position_distribution(states, w.coin_dim, w.pos_dim), line=True)
-                finals[k] = states[-1]
-            yield qs[lo:lo + rows, None], walk.Trajectory.from_states(finals, w.coin_dim, w.pos_dim, coords)
+            q = qs[lo:lo + rows].tolist()
+            # Python floats: a step time q * pi that overflows becomes inf without a numpy warning
+            t = [x * np.pi for x in q] if name == "q_time" else 3 * np.pi / 2
+            yield _stepped(w, coords, qs[lo:lo + rows, None], t, np.array(
+                [walk.product_state(_sweep_initial_coin(name, x, base_coin), pos_vec) for x in q]), steps, line=True)
 
-    _write_observables(args, ["q"], chunks())
+    _write_observables(args, ["q"], chunks(), line=True)
     return EXIT_OK
 
 
@@ -620,19 +644,19 @@ def _build_parser() -> _Parser:
     def common(p, with_walk=True, with_shots=False):
         if with_shots:  # matmul and triangles: exact projections or seeded binomial draws
             p.add_argument("--mode", choices=("exact", "shots"), default="exact")
-            p.add_argument("--shots", type=int, default=20000)
-            p.add_argument("--seed", type=int)
+            p.add_argument("--shots", type=_int_option, default=20000)
+            p.add_argument("--seed", type=_int_option)
         p.add_argument("--out", help="output path (default out/<cmd>-<confighash>.<ext>)")
         if with_walk:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
             p.add_argument("--coin", help="identity|hadamard|fourier|grover|custom:path.json")
             p.add_argument("--init-coin", help="uniform | basis:k | amp:[re,im;...]")
-            p.add_argument("--init-pos", type=int, help="initial vertex id")
+            p.add_argument("--init-pos", type=_int_option, help="initial vertex id")
 
     p = sub.add_parser("dynamics", help="one-step observables on t / (omega,t) grids, or a fixed-t trajectory")
     p.add_argument("--graph", required=True, help="builder spec (e.g. star:10, circle2:2w,2w+1) or graph JSON path")
     p.add_argument("--t", help="evolution time: single value or start:stop:points")
-    p.add_argument("--steps", type=int, help="trajectory mode: number of steps at fixed --t")
+    p.add_argument("--steps", type=_int_option, help="trajectory mode: number of steps at fixed --t")
     p.add_argument("--sweep", help="omega:start:stop:points (circle2 weights referencing w)")
     common(p)
     p.set_defaults(func=cmd_dynamics)
@@ -641,17 +665,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--sweep", required=True,
                    help=f"name:start:stop:points with name in {', '.join(SWEEP_PARAMS)}")
     p.add_argument("--graph", help="override line3:L (default line3:steps+8)")
-    p.add_argument("--steps", type=int, help="walk steps per grid point (default 30)")
+    p.add_argument("--steps", type=_int_option, help="walk steps per grid point (default 30)")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pst", help="perfect state transfer transcript")
     p.add_argument("--graph", help="properly colored graph (builder spec or JSON path)")
-    p.add_argument("--source", type=int)
-    p.add_argument("--target", type=int)
+    p.add_argument("--source", type=_int_option)
+    p.add_argument("--target", type=_int_option)
     p.add_argument("--path", help="comma-separated vertex ids overriding the BFS path")
     p.add_argument("--alpha", help="coin amplitudes [re,im;...] (default uniform)")
-    p.add_argument("--segment-demo", type=int, metavar="M",
+    p.add_argument("--segment-demo", type=_int_option, metavar="M",
                    help="run the alternating segment-line transfer to position M")
     p.add_argument("--tree-demo", action="store_true",
                    help="run the 3-colored tree transfer (coin (|c2>+|c3>)/sqrt(2), vertex 0 to 14)")
@@ -669,7 +693,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("triangles", help="triangle counts of a regular graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--vertex", type=int, help="count triangles at one vertex (default: whole graph)")
+    p.add_argument("--vertex", type=_int_option, help="count triangles at one vertex (default: whole graph)")
     common(p, with_walk=False, with_shots=True)
     p.set_defaults(func=cmd_triangles)
 

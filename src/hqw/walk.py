@@ -7,26 +7,28 @@ with coin-major flat indexing (index = c * pos_dim + v).
 
 The evolution exploits the block structure: each coin sector evolves under
 its own S_c, with closed forms for diagonal (self-loop) and matching blocks
-and an eigendecomposition fallback for everything else. Reference walkers
-(continuous, discrete coined) and the closed-form two-vertex-circle oracle
-live here as well, so equivalences can always be checked two ways.
+and an eigendecomposition fallback for everything else. The reference walkers
+that the tests check it against (continuous, discrete coined, the closed-form
+two-vertex-circle oracle) live in `tests/_reference.py`.
 
 Performance model: no propagator matrix is formed or cached. The sectors are
 classified once, at construction, into one propagator over the whole state.
 Per step and per time, every diagonal and matching sector together costs
 O(dim) in one vectorized pass: one phase multiply over the state (skipped when
 no label has a self-loop) and a gather/scatter of 2x2 rotations over the pairs
-of every matching, in blocks of _PAIR_BLOCK (time, pair) entries so that its
+of every matching, in blocks of _PAIR_BLOCK (row, pair) entries so that its
 temporaries stay cache-sized however wide the state, with cos and sin taken
-once per distinct weight. A label without edges costs nothing (`star`'s label
-"0"). Each dense sector costs one eigh at construction, then O(n^2); a walk
-whose dense sectors hold more than DENSE_SECTOR_ENTRIES entries together (n^2
-each, so one sector on at most 4096 vertices) is refused before the first eigh,
-and a walk whose states exceed DENSE_SECTOR_ENTRIES amplitudes before its coin.
-`HybridWalk.evolve` takes an array of times in the same pass; each row has the
-bytes of a call at its time alone, as phases and rotations are elementwise and
-a dense sector takes one 1-row product (a gemv) per time, not one gemm whose
-rounding would depend on the number of times.
+once per time and distinct weight. A label without edges costs nothing
+(`star`'s label "0"). Each dense sector costs one eigh at construction, then
+O(n^2); a walk whose dense sectors hold more than DENSE_SECTOR_ENTRIES entries
+together (n^2 each, so one sector on at most 4096 vertices) is refused before
+the first eigh, and a walk whose states exceed DENSE_SECTOR_ENTRIES amplitudes
+before its coin. `HybridWalk.apply_coin`, `evolve` and `step` take a stack of
+states (..., dim), one state being the empty stack, and times that broadcast
+against it. Each row has the bytes of the call on its state alone at its time
+alone: the coin is one gemm per row, phases and rotations are elementwise, and
+a dense sector is one gemv per state and one 1-row product per row, not gemms
+whose rounding would depend on the number of rows.
 
 Observables: `entanglement_entropy` takes each state's Schmidt values over
 the positions it reaches (those where some coin row is nonzero), since
@@ -49,7 +51,7 @@ from .graphs import DENSE_SECTOR_ENTRIES, LabeledGraph, _check_size, circle2, su
 
 COIN_UNITARY_ATOL = 1e-10
 _MATCHING_ZERO_ATOL = 1e-14
-_PAIR_BLOCK = 2**14  # (time, pair) entries per block of HybridWalk.evolve's rotations
+_PAIR_BLOCK = 2**14  # (row, pair) entries per block of HybridWalk.evolve's rotations
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +220,25 @@ class HybridWalk:
 
     def _check_dim(self, psi: np.ndarray) -> np.ndarray:
         psi = np.asarray(psi, dtype=complex)
-        if psi.shape != (self.dim,):
+        if psi.shape[-1:] != (self.dim,):
             raise ValueError(
                 f"state of dim {psi.shape} does not match coin {self.coin_dim} x position {self.pos_dim}"
             )
         return psi
 
     def apply_coin(self, psi, coin=None) -> np.ndarray:
-        """Apply the coin (default: the walk's own) on the label factor only."""
+        """Apply the coin (default: the walk's own) on the label factor of each state of a (..., dim) stack."""
         psi = self._check_dim(psi)
         C = self.coin if coin is None else make_coin(coin, self.coin_dim)
-        return (C @ psi.reshape(self.coin_dim, self.pos_dim)).reshape(-1)
+        return (C @ psi.reshape(psi.shape[:-1] + (self.coin_dim, self.pos_dim))).reshape(psi.shape)
 
     def evolve(self, t, psi) -> np.ndarray:
-        """Apply exp(-iHt) only (no coin).
+        """Apply exp(-iHt) only (no coin) to a stack of states `psi` (..., dim).
 
-        `t` is a scalar or a 1-D array of times; an array gives one state per
-        time, stacked along a leading axis, and each row has the bytes of the
-        call at its time alone. A time whose phase w*t is not finite is refused
-        before any exp, cos or sin.
+        The times `t` broadcast against the stack `psi.shape[:-1]` (a single
+        state is the empty stack), and each row of the result has the bytes of
+        the call on its state alone at its time alone. A time whose phase w*t
+        is not finite is refused before any exp, cos or sin.
         """
         psi = self._check_dim(psi)
         t = np.asarray(t, dtype=float)
@@ -244,8 +246,8 @@ class HybridWalk:
         if bad:
             raise ValueError(f"evolution time t = {bad[0]:.12g} gives a non-finite phase w*t "
                              f"(largest |w| = {self._rate:.12g})")
-        tcol = t.reshape(t.shape + (1,))
-        out = np.empty(t.shape + psi.shape, dtype=complex)
+        tcol = t[..., None]
+        out = np.empty(np.broadcast(tcol, psi).shape, dtype=complex)
         if self._phase is None:
             out[...] = psi
         else:
@@ -253,35 +255,36 @@ class HybridWalk:
             np.exp(out, out=out)
             out *= psi
         if self._pairs is not None:
-            # blocks of times and of pairs keep every (times, pairs) temporary cache-sized,
-            # so a wide state reuses the same few heap pages step after step
+            # blocks of pairs keep every (rows, pairs) temporary cache-sized, so a
+            # wide state reuses the same few heap pages step after step
             p, q, w, of_pair = self._pairs
-            rows, trows = out.reshape(-1, self.dim), t.reshape(-1, 1)
-            width = min(len(p), _PAIR_BLOCK)
-            block = _PAIR_BLOCK // width
-            for k in range(0, len(rows), block):
-                wt = w * trows[k:k + block]
-                cw, sw = np.cos(wt), -1j * np.sin(wt)
-                for j in range(0, len(p), width):
-                    pj, qj, c, s = p[j:j + width], q[j:j + width], cw, sw
-                    if len(w) > 1:  # one distinct weight broadcasts as it is
-                        c, s = cw.take(of_pair[j:j + width], axis=-1), sw.take(of_pair[j:j + width], axis=-1)
-                    xp, xq = psi[pj], psi[qj]
-                    rows[k:k + block, pj] = c * xp + s * xq
-                    rows[k:k + block, qj] = s * xp + c * xq
+            wt = w * tcol
+            cw, sw = np.cos(wt), -1j * np.sin(wt)
+            width = _PAIR_BLOCK // max(1, out.size // self.dim) or 1
+            for j in range(0, len(p), width):
+                pj, qj, c, s = p[j:j + width], q[j:j + width], cw, sw
+                if len(w) > 1:  # one distinct weight broadcasts as it is
+                    c, s = cw.take(of_pair[j:j + width], axis=-1), sw.take(of_pair[j:j + width], axis=-1)
+                xp, xq = psi.take(pj, axis=-1), psi.take(qj, axis=-1)
+                for ij, a, b in ((pj, c, s), (qj, s, c)):  # a * xp + b * xq, summed in place: one temporary fewer
+                    y = a * xp
+                    y += b * xq
+                    out[..., ij] = y
         for sl, ew, V, Vh in self._dense:
-            out[..., sl] = ((np.exp(-1j * ew * tcol) * (Vh @ psi[sl]))[..., None, :] @ V.T)[..., 0, :]
+            amp = np.exp(-1j * ew * tcol) * (Vh @ psi[..., sl, None])[..., 0]  # one gemv per state
+            out[..., sl] = (amp[..., None, :] @ V.T)[..., 0, :]  # and one 1-row product per row
         return out
 
-    def step(self, t: float, psi, coin=None) -> np.ndarray:
-        """One walk step at a single time t: coin first (an identity walk coin is skipped), then exp(-iHt)."""
+    def step(self, t, psi, coin=None) -> np.ndarray:
+        """One walk step of a stack of states at times t, as `evolve` takes them: coin first
+        (an identity walk coin is skipped), then exp(-iHt)."""
         if coin is None and self._identity_coin:
-            return self.evolve(float(t), psi)
-        return self.evolve(float(t), self.apply_coin(psi, coin))
+            return self.evolve(t, psi)
+        return self.evolve(t, self.apply_coin(psi, coin))
 
     def step_operator(self, t: float, coin=None) -> np.ndarray:
-        """Dense matrix of one step, one basis column at a time; for small dimensions."""
-        return np.column_stack([self.step(t, e, coin) for e in np.eye(self.dim)])
+        """Dense matrix of one step: the step of every basis state, as one stack; for small dimensions."""
+        return self.step(t, np.eye(self.dim), coin).T
 
     def state_chunks(self, t: float, steps: int, psi0, rows: int):
         """Yield psi0 and the `steps` states after it, in order, as (k, dim)
@@ -368,54 +371,7 @@ def entanglement_entropy(psi, coin_dim: int, pos_dim: int):
 
 
 # ---------------------------------------------------------------------------
-# Reference walkers
-
-
-def continuous_walk(A, t: float, psi) -> np.ndarray:
-    """Plain continuous-time walk exp(-iAt) on the position space."""
-    return linalg.evolve(A, t, psi)
-
-
-def line_reference_hamiltonian(n: int) -> np.ndarray:
-    """Tridiagonal line Hamiltonian with 1/sqrt(2) on-site and -1/(2 sqrt(2)) hopping."""
-    H = np.eye(n, dtype=complex) / np.sqrt(2)
-    off = -1.0 / (2 * np.sqrt(2))
-    idx = np.arange(n - 1)
-    H[idx, idx + 1] = off
-    H[idx + 1, idx] = off
-    return H
-
-
-def discrete_coined_walk(steps: int, coin, psi0, L: int, coords=None) -> Trajectory:
-    """Standard coined line walk: coin, then shift coin-0 right / coin-1 left.
-
-    The line is truncated to positions -L..L; L must be at least `steps` so the
-    wavefront never touches the (cyclic) boundary.
-    """
-    n = 2 * L + 1
-    if n < 2 * steps + 1:
-        raise ValueError(f"truncated line of {n} sites is too small for {steps} steps")
-    C = make_coin(coin, 2)
-    psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (2 * n,):
-        raise ValueError(f"state of dim {psi.shape} does not match 2 x {n}")
-    states = np.empty((steps + 1, 2, n), dtype=complex)
-    states[0] = psi.reshape(2, n)
-    for k in range(steps):
-        mat = C @ states[k]
-        states[k + 1, 0] = np.roll(mat[0], 1)
-        states[k + 1, 1] = np.roll(mat[1], -1)
-    coords = np.arange(-L, L + 1) if coords is None else coords
-    return Trajectory.from_states(states.reshape(steps + 1, 2 * n), 2, n, coords)
-
-
-# ---------------------------------------------------------------------------
-# Closed forms for the two-vertex circle
-
-
-def oracle_p1_two_cycle(a: float, b: float, t: float) -> float:
-    """Occupation probability of vertex 1 after one Hadamard-coin step at time t."""
-    return 0.5 * (1.0 - np.cos((a + b) * t) * np.cos((a - b) * t))
+# CNOT on the two-vertex circle
 
 
 CNOT = np.array([[1, 0, 0, 0],

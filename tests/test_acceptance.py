@@ -6,11 +6,10 @@ import time
 import numpy as np
 
 from _graphgen import random_properly_colored_graph, random_regular_sequence, random_transfer_case
+from _reference import discrete_coined_walk, line_reference_hamiltonian, oracle_p1_two_cycle
 from hqw import linalg, matmul, pst, walk
 from hqw.graphs import circle2, cubic8, line2, line3, signed_coords, star
-from hqw.walk import (HybridWalk, cnot_realizability, coin_position_state,
-                      discrete_coined_walk, entanglement_entropy,
-                      line_reference_hamiltonian, oracle_p1_two_cycle,
+from hqw.walk import (HybridWalk, cnot_realizability, coin_position_state, entanglement_entropy,
                       position_distribution, product_state, std_dev)
 
 

@@ -660,6 +660,9 @@ STREAMED = [
     ["dynamics", "--graph", "star:6", "--t", "0.1:6:11", "--init-coin", "basis:2"],
     ["dynamics", "--graph", "circle2:2w,2w+1", "--t", "0:6.2832:5", "--sweep", "omega:0:3:4"],
     ["sweep", "--sweep", "q_mix2:0:1:7", "--steps", "5"],
+    ["sweep", "--sweep", "q_time:0:2:7", "--steps", "5"],
+    ["sweep", "--sweep", "q_phase3:0:4:7", "--steps", "5"],
+    ["sweep", "--sweep", "q_mix2:0:1:7", "--steps", "0"],
 ]
 
 
@@ -1055,6 +1058,15 @@ def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
      "error: a parameter of graph spec 'star:+-3' must be a number, got '+-3'"),
     (["dynamics", "--graph", "star:" + "x" * 200, "--t", "1"], None,
      f"error: a parameter of graph spec 'star:{'x' * 200}' must be a number, got '{'x' * 200}'"),
+    # argparse's integer options name a long token by its digit count, and echo any other bad token
+    (["dynamics", "--graph", "star:3", "--t", "1", "--steps", "1" * 5000], None,
+     "error: argument --steps: its value has 5000 digits, over Python's limit of 4300 digits for an integer"),
+    (["matmul", "--graph", "cubic8", "--trace", "--mode", "shots", "--seed", "1", "--shots", "1" * 5000], None,
+     "error: argument --shots: its value has 5000 digits, over Python's limit of 4300 digits for an integer"),
+    (["dynamics", "--graph", "star:3", "--t", "1", "--steps", "x"], None,
+     "error: argument --steps: invalid int value: 'x'"),
+    # a sweep checks its step count itself
+    (["sweep", "--sweep", "q_mix2:0:1:5", "--steps", "-1"], None, "error: steps must be >= 0, got -1"),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message):
     # the CLI contract: exit 1, one stderr line "error: ...", no traceback and no artifact
@@ -1062,7 +1074,11 @@ def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv
         (tmp_path / "in.json").write_text(json.dumps(doc))
         argv = [a.replace("DOC", str(tmp_path / "in.json")) for a in argv]
     out = tmp_path / "x.out"
-    assert main(argv + ["--out", str(out)]) == 1
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # argparse refuses its own options by SystemExit, with the same exit code
+        code = exc.code
+    assert code == 1
     err = one_line_error(capsys)
     assert err.startswith("error: ") and message in err, err
     assert not out.exists()

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from _graphgen import random_properly_colored_graph
+from _reference import continuous_walk, discrete_coined_walk, line_reference_hamiltonian, oracle_p1_two_cycle
 from hqw import linalg, walk
 from hqw.graphs import (Edge, LabeledGraph, circle2, complete, cubic8, cycle, fock_g0, line2, line3,
                         adjacency, signed_coords, star, subgraph_adjacency)
-from hqw.walk import (HybridWalk, cnot_realizability, coin_position_state,
-                      continuous_walk, discrete_coined_walk, entanglement_entropy,
-                      line_reference_hamiltonian, make_coin, oracle_p1_two_cycle,
+from hqw.walk import (HybridWalk, cnot_realizability, coin_position_state, entanglement_entropy, make_coin,
                       permutation_coin, position_distribution, product_state, std_dev)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -238,6 +237,14 @@ def test_a_rows_bytes_do_not_depend_on_the_call_that_made_it():
             assert grid[k].tobytes() == want, (g.labels, k)
             assert w.evolve(ts[k:k + 1], psi)[0].tobytes() == want, (g.labels, k)
             assert w.evolve(ts[k:k + 5], psi)[0].tobytes() == want, (g.labels, k)
+        # a (k, dim) stack, at one time per row or at one scalar time, through evolve and a coined step
+        stack = rng.normal(size=(len(ts), w.dim)) + 1j * rng.normal(size=(len(ts), w.dim))
+        for f in (w.evolve, w.step):
+            rows, at_one_t = f(ts, stack), f(ts[3], stack)
+            for k in range(len(ts)):
+                assert rows[k].tobytes() == f(float(ts[k]), stack[k]).tobytes(), (f.__name__, g.labels, k)
+                assert at_one_t[k].tobytes() == f(float(ts[3]), stack[k]).tobytes(), (f.__name__, g.labels, k)
+            assert f(ts[:5], stack[:5])[2].tobytes() == rows[2].tobytes(), (f.__name__, g.labels)
 
 
 def test_one_step_on_a_long_line_allocates_no_dense_block():
