@@ -143,7 +143,8 @@ def _coin_vector(spec: str, coin_dim: int) -> np.ndarray:
             raise ValueError(f"coin amplitudes have {vec.shape[0]} components, coin dim is {coin_dim}")
     else:
         raise ValueError(f"unknown coin init {spec!r}; use uniform, basis:k or amp:[re,im;...]")
-    nrm = np.linalg.norm(vec)
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        nrm = np.linalg.norm(vec)
     if nrm == 0 or (spec.startswith("amp:") and abs(nrm - 1.0) > 1e-6):
         raise ValueError(f"coin init is not normalized: ||v|| = {nrm:.9g}")
     return vec / nrm
@@ -478,6 +479,8 @@ def _sweep_initial_coin(name: str, q: float, base_default: np.ndarray) -> np.nda
         if 3 * q * q > 2.0 + 1e-12:
             raise ValueError(f"q_mix3 needs 3q^2 <= 2, got q={q}")
         return np.array([1.0, np.sqrt(3) * q, np.sqrt(max(2 - 3 * q * q, 0.0))]) / np.sqrt(3)
+    if name in ("q_phase2", "q_phase3") and not np.isfinite(q * np.pi):  # a Python float: no overflow warning
+        raise ValueError(f"{name} phase q*pi is not finite at q = {q:.12g}")
     if name == "q_phase2":
         return np.array([1.0, np.exp(-1j * q * np.pi), 0.0]) / np.sqrt(2)
     if name == "q_phase3":

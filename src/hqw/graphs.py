@@ -187,14 +187,6 @@ def subgraph_adjacency(graph: LabeledGraph, label: str) -> np.ndarray:
     return S
 
 
-def adjacency(graph: LabeledGraph) -> np.ndarray:
-    """Full weighted adjacency: the sum of all per-label blocks."""
-    A = np.zeros((graph.n, graph.n), dtype=complex)
-    for label in graph.labels:
-        A += subgraph_adjacency(graph, label)
-    return A
-
-
 def validate_proper_coloring(graph: LabeledGraph) -> ColoringReport:
     """Check that no vertex has two incident non-loop edges sharing a label; violations in edge-scan order."""
     hop = np.flatnonzero(graph.u != graph.v)
@@ -218,12 +210,6 @@ def common_degree(n: int, ends) -> int:
     if len(set(deg)) != 1:
         raise NotRegularError(deg)
     return deg[0]
-
-
-def validate_regular(graph: LabeledGraph) -> int:
-    """Return the common degree d (self-loops excluded), or raise NotRegularError."""
-    hop = graph.u != graph.v
-    return common_degree(graph.n, np.concatenate([graph.u[hop], graph.v[hop]]))
 
 
 def path_colors(graph: LabeledGraph, path: Iterable[int]) -> tuple[str, ...]:

@@ -1,5 +1,5 @@
 """Dense complex linear algebra: Hermitian eigendecompositions, unitary time
-evolution, tensor products, partial traces, entropies and fidelities.
+evolution, Shannon entropies and fidelities.
 
 Everything here works on plain numpy arrays (complex128). Matrices are
 row-major, eigenvalues come back ascending, and entropies are in bits.
@@ -54,47 +54,8 @@ def evolve(H, t: float, psi) -> np.ndarray:
     return V @ (np.exp(-1j * w * t) * (V.conj().T @ psi))
 
 
-def kron(A, B) -> np.ndarray:
-    """Tensor product A (x) B; dimensions multiply."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
-
-
-def partial_trace_coin(rho, coin_dim: int, pos_dim: int) -> np.ndarray:
-    """Trace out the coin factor of a density operator on coin (x) position."""
-    rho = as_matrix(rho)
-    if rho.shape[0] != coin_dim * pos_dim:
-        raise ValueError(
-            f"density operator of dim {rho.shape[0]} does not factor as "
-            f"{coin_dim} x {pos_dim}"
-        )
-    return np.einsum("cpcq->pq", rho.reshape(coin_dim, pos_dim, coin_dim, pos_dim))
-
-
-def require_density_operator(rho) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity (both within 1e-10) of a density operator."""
-    rho = require_hermitian(rho)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"density operator trace {tr:.12g} is not 1 within 1e-10")
-    wmin = float(np.linalg.eigvalsh(rho).min())
-    if wmin < -1e-10:
-        raise ValueError(f"density operator has negative eigenvalue {wmin:.3e}")
-    return rho
-
-
-def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy of a density operator, in bits.
-
-    Eigenvalues up to ENTROPY_EIGENVALUE_CUTOFF contribute zero.
-    """
-    rho = require_density_operator(rho)
-    w = np.linalg.eigvalsh(rho)
-    w = w[w > ENTROPY_EIGENVALUE_CUTOFF]
-    return max(0.0, float(-(w * np.log2(w)).sum()))
-
-
 def entropy_of_probabilities(p) -> float:
-    """Shannon entropy in bits of a probability vector (cutoff as for entropy)."""
+    """Shannon entropy in bits of a probability vector; entries up to ENTROPY_EIGENVALUE_CUTOFF add zero."""
     p = np.asarray(p, dtype=float)
     p = p[p > ENTROPY_EIGENVALUE_CUTOFF]
     return max(0.0, float(-(p * np.log2(p)).sum()))
@@ -116,12 +77,3 @@ def fidelity(psi, phi) -> float:
 def is_unitary(U, atol: float = 1e-10) -> bool:
     U = as_matrix(U)
     return bool(np.abs(U.conj().T @ U - np.eye(U.shape[0])).max() <= atol)
-
-
-def phase_distance(U, V) -> float:
-    """Distance 1 - |tr(U^H V)| / dim between unitaries, modulo a global phase."""
-    U = as_matrix(U)
-    V = as_matrix(V)
-    if U.shape != V.shape:
-        raise ValueError(f"operator dims differ: {U.shape} vs {V.shape}")
-    return float(1.0 - abs(np.trace(U.conj().T @ V)) / U.shape[0])

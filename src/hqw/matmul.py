@@ -17,15 +17,15 @@ matrix and trace walk the columns in blocks of at most max(2^14, D) rows, D =
 d_1...d_K, each final row adding its |amp|^2 to entry (last register, register
 1) in row order: O(n D) array work, and besides the tables and the output the
 block sets the peak memory. Walks over 2^24 register entries are refused. Only
-`product_matrix`'s output and the classical oracles are n x n.
+`product_matrix`'s output and `classical_product` are n x n.
 
 Exact projection is the default readout; a seeded binomial sampler stands in
 for hardware-style amplitude estimation: every entry point draws entry (i, j)
 from a generator seeded by [seed, i, j] (`sample_projector`) and takes the value
 D * (hits / shots), so entries, matrices, traces and triangle counts agree; the
 matrix and trace draw no entry of projection 0, which always reads 0.
-Classical oracles for products and triangle counts live here too, so every
-quantum result can be cross-checked.
+`classical_product` multiplies the same tables as integers, the baseline every
+quantum product is checked against; the triangle oracles live in `tests/_reference.py`.
 """
 
 from __future__ import annotations
@@ -298,25 +298,10 @@ def triangle_count(g, mode: str = "exact", shots: int | None = None, seed=None) 
 
 
 # ---------------------------------------------------------------------------
-# Classical oracles: the only n x n adjacency matrices, built from the tables
+# Classical product: the integer baseline, built from the tables
 
 
 def classical_product(seq: RegularGraphSequence) -> np.ndarray:
     """Integer matrix product A^(K) @ ... @ A^(1), each row of A @ C summing the rows
     of C its table names; the verification baseline, and the adjacency for K = 1."""
     return reduce(lambda C, table: C[table].sum(axis=1), seq.tables, np.eye(seq.n, dtype=int))
-
-
-def classical_triangles_at_vertex(g, k: int) -> int:
-    """Enumerate neighbor pairs of k that are themselves adjacent."""
-    A = classical_product(regular_sequence([g]))
-    nbrs = np.nonzero(A[k])[0]
-    return int(A[np.ix_(nbrs, nbrs)].sum()) // 2
-
-
-def classical_triangle_count(g) -> int:
-    """Enumerate all vertex triples; O(n^3) and independent of the walk."""
-    A = classical_product(regular_sequence([g]))
-    n = A.shape[0]
-    return sum(1 for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)
-               if A[a, b] and A[b, c] and A[a, c])

@@ -167,7 +167,8 @@ def run_pst(plan: PstPlan, alpha) -> tuple[np.ndarray, PstTranscript]:
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (N,):
         raise ValueError(f"alpha must supply {N} coin amplitudes, got shape {alpha.shape}")
-    nrm = np.linalg.norm(alpha)
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        nrm = np.linalg.norm(alpha)
     if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError(f"alpha is not normalized: ||alpha|| = {nrm:.12g}")
 

@@ -8,8 +8,8 @@ with coin-major flat indexing (index = c * pos_dim + v).
 The evolution exploits the block structure: each coin sector evolves under
 its own S_c, with closed forms for diagonal (self-loop) and matching blocks
 and an eigendecomposition fallback for everything else. The reference walkers
-that the tests check it against (continuous, discrete coined, the closed-form
-two-vertex-circle oracle) live in `tests/_reference.py`.
+and dense oracles that the tests check it against (the assembled Hamiltonian,
+the step matrix, the CNOT search) live in `tests/_reference.py`.
 
 Performance model: no propagator matrix is formed or cached. The sectors are
 classified once, at construction, into one propagator over the whole state.
@@ -35,8 +35,6 @@ the positions it reaches (those where some coin row is nonzero), since
 all-zero columns add no singular value. States that reach every position share
 one stacked SVD; every other state gets its own SVD over its reached columns,
 so a line walk that has spread over r of its n positions costs O(r), not O(n).
-A 1000-step `line3:20000` trajectory took 16.5-17.5 s with full-width SVDs
-and takes 10.8-11.3 s (fresh processes, 2 vCPU x86_64, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .graphs import DENSE_SECTOR_ENTRIES, LabeledGraph, _check_size, circle2, subgraph_adjacency
+from .graphs import DENSE_SECTOR_ENTRIES, LabeledGraph, _check_size, subgraph_adjacency
 
 COIN_UNITARY_ATOL = 1e-10
 _MATCHING_ZERO_ATOL = 1e-14
@@ -75,20 +73,6 @@ def fourier_coin(dim: int) -> np.ndarray:
 def grover_coin(dim: int) -> np.ndarray:
     """Reflection 2|s><s| - I about the uniform coin state."""
     return 2.0 / dim * np.ones((dim, dim), dtype=complex) - np.eye(dim)
-
-
-def permutation_coin(dim: int, swaps) -> np.ndarray:
-    """Permutation built from disjoint transpositions; unlisted indices stay fixed."""
-    perm = list(range(dim))
-    touched = set()
-    for i, j in swaps:
-        if i in touched or j in touched:
-            raise ValueError(f"transpositions are not disjoint at index {i if i in touched else j}")
-        touched.update((i, j))
-        perm[i], perm[j] = perm[j], perm[i]
-    C = np.zeros((dim, dim), dtype=complex)
-    C[perm, np.arange(dim)] = 1.0
-    return C
 
 
 _NAMED_COINS = {"identity": identity_coin, "fourier": fourier_coin, "grover": grover_coin}
@@ -210,14 +194,6 @@ class HybridWalk:
             p, q, w = map(np.concatenate, zip(*pairs))
             self._pairs = (p, q, *np.unique(w, return_inverse=True))
 
-    def hamiltonian(self) -> np.ndarray:
-        """Assemble the full block-diagonal Hamiltonian sum_c |c><c| (x) S_c."""
-        H = np.zeros((self.dim, self.dim), dtype=complex)
-        p = self.pos_dim
-        for idx, lab in enumerate(self.labels):
-            H[idx * p:(idx + 1) * p, idx * p:(idx + 1) * p] = subgraph_adjacency(self.graph, lab)
-        return H
-
     def _check_dim(self, psi: np.ndarray) -> np.ndarray:
         psi = np.asarray(psi, dtype=complex)
         if psi.shape[-1:] != (self.dim,):
@@ -226,11 +202,10 @@ class HybridWalk:
             )
         return psi
 
-    def apply_coin(self, psi, coin=None) -> np.ndarray:
-        """Apply the coin (default: the walk's own) on the label factor of each state of a (..., dim) stack."""
+    def apply_coin(self, psi) -> np.ndarray:
+        """Apply the walk's coin on the label factor of each state of a (..., dim) stack."""
         psi = self._check_dim(psi)
-        C = self.coin if coin is None else make_coin(coin, self.coin_dim)
-        return (C @ psi.reshape(psi.shape[:-1] + (self.coin_dim, self.pos_dim))).reshape(psi.shape)
+        return (self.coin @ psi.reshape(psi.shape[:-1] + (self.coin_dim, self.pos_dim))).reshape(psi.shape)
 
     def evolve(self, t, psi) -> np.ndarray:
         """Apply exp(-iHt) only (no coin) to a stack of states `psi` (..., dim).
@@ -275,16 +250,12 @@ class HybridWalk:
             out[..., sl] = (amp[..., None, :] @ V.T)[..., 0, :]  # and one 1-row product per row
         return out
 
-    def step(self, t, psi, coin=None) -> np.ndarray:
+    def step(self, t, psi) -> np.ndarray:
         """One walk step of a stack of states at times t, as `evolve` takes them: coin first
-        (an identity walk coin is skipped), then exp(-iHt)."""
-        if coin is None and self._identity_coin:
+        (an identity coin is skipped), then exp(-iHt)."""
+        if self._identity_coin:
             return self.evolve(t, psi)
-        return self.evolve(t, self.apply_coin(psi, coin))
-
-    def step_operator(self, t: float, coin=None) -> np.ndarray:
-        """Dense matrix of one step: the step of every basis state, as one stack; for small dimensions."""
-        return self.step(t, np.eye(self.dim), coin).T
+        return self.evolve(t, self.apply_coin(psi))
 
     def state_chunks(self, t: float, steps: int, psi0, rows: int):
         """Yield psi0 and the `steps` states after it, in order, as (k, dim)
@@ -368,45 +339,3 @@ def entanglement_entropy(psi, coin_dim: int, pos_dim: int):
             s2[i, :len(s)] = s ** 2
     ents = [linalg.entropy_of_probabilities(p) for p in s2]
     return ents[0] if psi.ndim == 1 else np.array(ents).reshape(psi.shape[:-1])
-
-
-# ---------------------------------------------------------------------------
-# CNOT on the two-vertex circle
-
-
-CNOT = np.array([[1, 0, 0, 0],
-                 [0, 1, 0, 0],
-                 [0, 0, 0, 1],
-                 [0, 0, 1, 0]], dtype=complex)
-
-
-def cnot_realizability(a: float, b: float):
-    """Smallest verified t at which the (a, b) circle step realizes a CNOT.
-
-    A candidate needs cos(at) = +-1 and sin(bt) = +-1 simultaneously, which
-    pins t = pi(1+2l)/(2b) with k = a(1+2l)/(2b) an integer; such (k, l) exist
-    exactly when a/b = 2k/(1+2l). The search is bounded by k, l <= 10**4
-    and every hit is verified against the CNOT matrix (up to a global phase,
-    with a diagonal phase coin) before it is returned. Returns None when no
-    bounded candidate verifies.
-    """
-    if a <= 0 or b <= 0:
-        raise ValueError(f"weights must be positive, got a={a}, b={b}")
-    walk = HybridWalk(circle2(a, b), coin="identity")
-    for l in range(10**4 + 1):
-        k_exact = a * (1 + 2 * l) / (2 * b)
-        k = round(k_exact)
-        if k > 10**4:
-            break
-        if k < 1 or abs(k_exact - k) > 1e-9 * max(1.0, abs(k_exact)):
-            continue
-        t = np.pi * (1 + 2 * l) / (2 * b)
-        eps0 = np.cos(a * t)
-        eps1 = np.sin(b * t)
-        if abs(abs(eps0) - 1.0) > 1e-9 or abs(abs(eps1) - 1.0) > 1e-9:
-            continue
-        coin = np.diag([1.0, 1j * np.sign(eps0) * np.sign(eps1)]).astype(complex)
-        W = walk.step_operator(t, coin=coin)
-        if linalg.phase_distance(W, CNOT) < 1e-9:
-            return float(t)
-    return None

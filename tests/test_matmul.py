@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from _graphgen import random_regular_adjacency, random_regular_sequence
+from _reference import adjacency, classical_triangle_count, classical_triangles_at_vertex
 from hqw import linalg
-from hqw.graphs import Edge, LabeledGraph, adjacency, circle2, complete, cubic8, cycle, star
-from hqw.matmul import (MultiRegisterState, classical_product, classical_triangle_count,
-                        classical_triangles_at_vertex, generalized_cnot, initial_state,
+from hqw.graphs import Edge, LabeledGraph, circle2, complete, cubic8, cycle, star
+from hqw.matmul import (MultiRegisterState, classical_product, generalized_cnot, initial_state,
                         product_entry, product_matrix, product_trace,
                         projection_probability, regular_sequence, run_sequence,
                         sample_projector, stage_walk, triangle_count,

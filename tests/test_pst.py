@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from _graphgen import random_properly_colored_graph, random_transfer_case
+from _reference import permutation_coin
 from hqw import linalg
 from hqw.cli import _json_pieces
 from hqw.graphs import Edge, LabeledGraph, subgraph_adjacency, validate_proper_coloring
 from hqw.pst import (STEP_TIME, PstStage, PstTranscript, demo_tree, make_plan, run_pst, segment_line_transfer,
                      verify_pst)
-from hqw.walk import permutation_coin
 
 
 def three_vertex_path():
