@@ -177,6 +177,8 @@ def _parse_grid(text: str, what: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ValueError(f"{what} grid must be start:stop:points, got {text!r}")
     start, stop = _parse_finite(parts[0], what), _parse_finite(parts[1], what)
+    if not np.isfinite(stop - start):  # Python floats: the overflow is inf, without numpy's warning
+        raise ValueError(f"{what} grid {text!r} spans more than the float range: stop - start is not finite")
     points = _parse_as(int, parts[2], f"{what} grid points")
     if points < 2:
         raise ValueError(f"{what} grid needs at least 2 points, got {points}")
@@ -658,7 +660,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("dynamics", help="one-step observables on t / (omega,t) grids, or a fixed-t trajectory")
     p.add_argument("--graph", required=True, help="builder spec (e.g. star:10, circle2:2w,2w+1) or graph JSON path")
-    p.add_argument("--t", help="evolution time: single value or start:stop:points")
+    p.add_argument("--t", help="evolution time: single value or start:stop:points (a negative start needs --t=-1:1:3)")
     p.add_argument("--steps", type=_int_option, help="trajectory mode: number of steps at fixed --t")
     p.add_argument("--sweep", help="omega:start:stop:points (circle2 weights referencing w)")
     common(p)

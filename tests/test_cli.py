@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from _graphgen import hypercube
+from console_checks import run
 
 import hqw
 from hqw.cli import _table_pieces, main
@@ -80,6 +81,14 @@ def test_dynamics_validation_errors(tmp_path):
                  "--sweep", "omega:0:1:3"]) == 1  # weights do not reference w
     assert main(["dynamics", "--graph", "circle2:2w,2w+1", "--t", "0:1:5"]) == 1  # w needs a sweep
     assert main(["dynamics", "--graph", "star:10", "--t", "0:1:1"]) == 1  # grid < 2 points
+
+
+def test_a_negative_grid_start_is_written_with_equals(tmp_path):
+    # argparse takes "-1:1:3" for an option, so `--t -1:1:3` cannot work; `--t=-1:1:3` does
+    out = tmp_path / "neg.csv"
+    assert main(["dynamics", "--graph", "star:3", "--t=-1:1:3", "--out", str(out)]) == 0
+    header, rows = csv_rows(out)
+    assert header[0] == "t" and [row[0] for row in rows] == [-1, 0, 1]
 
 
 def test_dynamics_deterministic_output(tmp_path):
@@ -375,6 +384,15 @@ def test_cli_paths_do_not_import_numpy_ma(tmp_path):
                          env=dict(os.environ, PYTHONPATH=src))
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] False", res.stdout
+
+
+def test_console_checks_run_reads_the_childs_exit_stdout_and_peak_rss(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(hqw.__file__)))
+    res = run([sys.executable, "-m", "hqw.cli"], ["pst", "--tree-demo", "--out", str(tmp_path / "tree.json")],
+              timeout=120)
+    assert res.code == 0, res.stderr
+    assert "fidelity 1" in res.stdout.splitlines(), res.stdout
+    assert res.rss_mb > 0 and res.seconds > 0
 
 
 def test_runs_with_out_do_not_load_openssl(tmp_path):
@@ -1095,6 +1113,13 @@ def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
      "error: coin init is not normalized: ||v|| = inf"),
     (["pst", "--graph", "line3:5", "--source", "0", "--target", "3", "--alpha", "[1e200,0;1e200,0;0,0]"], None,
      "error: alpha is not normalized: ||alpha|| = inf"),
+    # a grid whose stop - start overflows is refused before np.linspace, which would warn twice and give nan
+    (["dynamics", "--graph", "star:3", "--t=-1e308:1e308:3"], None,
+     "error: --t grid '-1e308:1e308:3' spans more than the float range: stop - start is not finite"),
+    (["sweep", "--sweep", "q_time:-1e308:1e308:3", "--graph", "line3:5", "--steps", "1"], None,
+     "error: sweep q_time grid '-1e308:1e308:3' spans more than the float range: stop - start is not finite"),
+    (["dynamics", "--graph", "circle2:w,1", "--t", "1", "--sweep", "omega:-1e308:1e308:3"], None,
+     "error: sweep omega grid '-1e308:1e308:3' spans more than the float range: stop - start is not finite"),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message):
     # the CLI contract: exit 1, one stderr line "error: ...", no traceback and no artifact
