@@ -360,10 +360,11 @@ def _check_rows(P, line=False):
     """Raise at the first row of the (..., positions) distributions `P` with mass
     in the boundary band of a truncated line (`line`), or with a sum off 1. The band,
     sites [0, 1, -2, -1], must stay empty: the walker spreads at most one site per
-    step, so mass there means the truncation is too small for the step count. A row
-    failing both (NaN does) reports the band."""
+    step, so mass there means the truncation is too small for the step count. A line
+    of fewer than 5 sites, on which those sites overlap, has no band. A row failing
+    both (NaN does) reports the band."""
     P = P.reshape(-1, P.shape[-1])
-    band = P[:, [0, 1, -2, -1]].sum(axis=1) if line else np.zeros(len(P))
+    band = P[:, [0, 1, -2, -1]].sum(axis=1) if line and P.shape[-1] >= 5 else np.zeros(len(P))
     totals = P.sum(axis=1)
     k = np.argmax(~(band <= 1e-12) | ~(np.abs(totals - 1.0) <= PROB_SUM_ATOL))  # 0 if none fails
     if not band[k] <= 1e-12:
@@ -413,7 +414,7 @@ def _build_walk(args, family, g: graphs.LabeledGraph):
     return w, coin, pos_vec, coords
 
 
-def cmd_dynamics(args) -> int:
+def cmd_dynamics(args):
     family, graph = parse_graph_spec(args.graph, sweep=bool(args.sweep))
 
     if args.steps is not None:
@@ -428,8 +429,8 @@ def cmd_dynamics(args) -> int:
         states = w.state_chunks(t, args.steps, walk.product_state(coin, pos), rows)
         chunks = ((np.arange(lo, lo + len(s))[:, None], walk.Trajectory.from_states(s, w.coin_dim, w.pos_dim, coords))
                   for s, lo in zip(states, range(0, args.steps + 1, rows)))
-        _write_observables(args, ["step"], chunks, line=family in ("line2", "line3") and graph.n >= 5)
-        return EXIT_OK
+        _write_observables(args, ["step"], chunks, line=family in ("line2", "line3"))
+        return
 
     if args.t is None:
         raise ValueError("dynamics needs --t (single value or start:stop:points grid)")
@@ -461,7 +462,6 @@ def cmd_dynamics(args) -> int:
                 yield _stepped(w, coords, leads, t, psi, 1)
 
     _write_observables(args, lead_names, chunks())
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +490,7 @@ def _sweep_initial_coin(name: str, q: float, base_default: np.ndarray) -> np.nda
     raise ValueError(f"unknown sweep parameter {name!r}; choices: {SWEEP_PARAMS}")
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     if not args.sweep:
         raise ValueError(f"sweep needs --sweep name:start:stop:points with name in {SWEEP_PARAMS}")
     name, grid = _parse_sweep(args.sweep)
@@ -519,14 +519,13 @@ def cmd_sweep(args) -> int:
                 [walk.product_state(_sweep_initial_coin(name, x, base_coin), pos_vec) for x in q]), steps, line=True)
 
     _write_observables(args, ["q"], chunks(), line=True)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # pst
 
 
-def cmd_pst(args) -> int:
+def cmd_pst(args):
     # each demo fixes its graph, endpoints and coin, and the segment demo its path
     demo = "--segment-demo" if args.segment_demo is not None else "--tree-demo" if args.tree_demo else None
     fixed = ("graph", "source", "target", "alpha") + (("path", "tree_demo") if args.segment_demo is not None else ())
@@ -569,12 +568,10 @@ def cmd_pst(args) -> int:
         payload["path_colors"] = list(plan.path_labels)
         fidelity = transcript.fidelity
 
+    if not fidelity > 1 - 1e-6:
+        raise linalg.NumericalViolation(f"transfer fidelity {fidelity:.9g} below 1 - 1e-6")
     _emit(args, "json", _json_pieces(payload))
     print("fidelity %.12g" % fidelity)
-    if not fidelity > 1 - 1e-6:
-        print(f"transfer fidelity {fidelity:.9g} below 1 - 1e-6", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +585,7 @@ def _emit_result(args, obj: dict):
     _emit(args, "json", _json_pieces(obj))
 
 
-def cmd_matmul(args) -> int:
+def cmd_matmul(args):
     if sum((args.entry is not None, args.matrix, args.trace)) > 1:
         raise ValueError("pick one of --entry, --matrix, --trace")
     # each distinct spec is read once; a repeated one passes the same graph again
@@ -614,10 +611,9 @@ def cmd_matmul(args) -> int:
         chunks = ([np.column_stack(np.divmod(np.arange(lo, min(lo + rows, len(C))), seq.n)), C[lo:lo + rows, None]]
                   for lo in range(0, len(C), rows))
         _emit(args, "csv", _table_pieces(["i", "j", "value"], chunks, "csv"))
-    return EXIT_OK
 
 
-def cmd_triangles(args) -> int:
+def cmd_triangles(args):
     g = parse_graph_spec(args.graph)[1]
     mode, shots, seed = args.mode, args.shots, args.seed
     if args.vertex is not None:
@@ -628,7 +624,6 @@ def cmd_triangles(args) -> int:
         obj = {"triangles": count, "mode": mode}
     _emit_result(args, obj)
     print(f"triangles = {count}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +701,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code. A command returns on success and raises on
+    failure; every failure is reported here, in one stderr line."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except linalg.NumericalViolation as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

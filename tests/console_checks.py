@@ -65,7 +65,7 @@ class Case(NamedTuple):
     argv: list  # hqw arguments; "{d}" is the scratch directory, and `--out {d}/<out>` is appended
     out: str
     timeout: float
-    code: int = 0  # a nonzero code also needs exactly one stderr line and no artifact
+    code: int = 0  # 0 needs an empty stderr; a nonzero code exactly one stderr line and no artifact
     rss_mb: Optional[float] = None  # the run's peak RSS must be below this
     lines: Optional[int] = None  # the artifact's exact line count
     check: Optional[Callable[[str, Result], Optional[str]]] = None  # (scratch directory, result) -> failure text
@@ -182,8 +182,10 @@ def failures(case: Case, d: str, res: Result) -> list:
         return [f"exit {res.code}, expected {case.code}: {res.stderr.strip()[-300:]!r}"]
     out = os.path.join(d, case.out)
     bad = []
-    if case.code and len(res.stderr.splitlines()) != 1:
-        bad.append(f"{len(res.stderr.splitlines())} stderr lines, expected 1: {res.stderr.strip()[-300:]!r}")
+    stderr_lines = 1 if case.code else 0  # a run that succeeds prints nothing on stderr
+    if len(res.stderr.splitlines()) != stderr_lines:
+        bad.append(f"{len(res.stderr.splitlines())} stderr lines, expected {stderr_lines}: "
+                   f"{res.stderr.strip()[-300:]!r}")
     if case.code and os.path.exists(out):
         bad.append("left an artifact")
     if case.rss_mb is not None and not res.rss_mb < case.rss_mb:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _graphgen import random_properly_colored_graph, random_transfer_case
+from _graphgen import hypercube, random_properly_colored_graph, random_transfer_case
 from _reference import permutation_coin
 from hqw import linalg
 from hqw.cli import _json_pieces
@@ -16,13 +16,6 @@ from hqw.pst import (STEP_TIME, PstStage, PstTranscript, demo_tree, make_plan, r
 
 def three_vertex_path():
     return LabeledGraph(3, (Edge(0, 1, "0"), Edge(1, 2, "1")), ("0", "1"))
-
-
-def hypercube(dim):
-    """Q_dim, edge v ~ v ^ 2^k colored k: a proper dim-coloring."""
-    n = 2**dim
-    edges = tuple(Edge(v, v ^ (1 << k), str(k)) for v in range(n) for k in range(dim) if v < v ^ (1 << k))
-    return LabeledGraph(n, edges, tuple(str(k) for k in range(dim)))
 
 
 def dense_state(stage, plan):
