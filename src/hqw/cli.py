@@ -374,14 +374,20 @@ def _check_rows(P, line=False):
         raise linalg.NumericalViolation(f"probability columns sum to {totals[k]:.12g}, not 1")
 
 
-def _stepped(w, coords, leads, t, psi, steps: int, line=False):
-    """(leads, Trajectory) of `psi`, one state or a stack, stepped `steps` times (coin, then `evolve`) at the
-    times `t` that broadcast against it. Each state before the last is checked (`_check_rows`) as it is made,
-    so a doomed run stops at its first bad step; `_write_observables` checks the last."""
-    for _ in range(steps):
-        _check_rows(walk.position_distribution(psi, w.coin_dim, w.pos_dim), line)
-        psi = w.evolve(t, w.apply_coin(psi))
-    return leads, walk.Trajectory.from_states(psi, w.coin_dim, w.pos_dim, coords)
+def _stepped(w, coords, leads, t, psi, steps: int, line=False, keep=1):
+    """(leads, Trajectory) of the last `keep` of `psi`, one state or a stack, and the `steps` states after it,
+    each step being the coin, then `evolve` at the times `t` that broadcast against it. `_write_observables`
+    checks those rows, and each other state is checked (`_check_rows`) before it is stepped, so a doomed run
+    stops at its first bad step. One kept stack is the rows as it is; more, of a one-state stack, fill a block."""
+    rows = np.empty((keep, w.dim), dtype=complex) if keep > 1 else None
+    for i in range(steps + 1):
+        if i <= steps - keep:
+            _check_rows(walk.position_distribution(psi, w.coin_dim, w.pos_dim), line)
+        elif rows is not None:
+            rows[i - steps - 1] = psi
+        if i < steps:
+            psi = w.evolve(t, w.apply_coin(psi))
+    return leads, walk.Trajectory.from_states(psi if rows is None else rows, w.coin_dim, w.pos_dim, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +431,23 @@ def cmd_dynamics(args):
         t = _parse_finite(args.t, "--t") if args.t is not None else float(np.pi / 2)
         w, coin, pos, coords = _build_walk(args, family, graph)
         _check_budget(args.steps + 1, graph.n + 3)
-        rows = _chunk_rows(graph.n + 3, w.dim)
-        states = w.state_chunks(t, args.steps, walk.product_state(coin, pos), rows)
-        chunks = ((np.arange(lo, lo + len(s))[:, None], walk.Trajectory.from_states(s, w.coin_dim, w.pos_dim, coords))
-                  for s, lo in zip(states, range(0, args.steps + 1, rows)))
-        _write_observables(args, ["step"], chunks, line=family in ("line2", "line3"))
+        if args.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {args.steps}")
+        line, rows = family in ("line2", "line3"), _chunk_rows(graph.n + 3, w.dim)
+
+        def trajectory():
+            # every state of a chunk is a row: a later chunk starts one step after the last row before it,
+            # taken once that row has passed its check; the chunk goes once it is written
+            psi = walk.product_state(coin, pos)[None]
+            for lo in range(0, args.steps + 1, rows):
+                k = min(rows, args.steps + 1 - lo)
+                psi = w.step(t, psi) if lo else psi
+                chunk = _stepped(w, coords, np.arange(lo, lo + k)[:, None], t, psi, k - 1, keep=k)
+                psi = chunk[1].states[-1:]
+                yield chunk
+                del chunk
+
+        _write_observables(args, ["step"], trajectory(), line=line)
         return
 
     if args.t is None:

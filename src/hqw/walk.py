@@ -203,8 +203,11 @@ class HybridWalk:
         return psi
 
     def apply_coin(self, psi) -> np.ndarray:
-        """Apply the walk's coin on the label factor of each state of a (..., dim) stack."""
+        """Apply the walk's coin on the label factor of each state of a (..., dim) stack;
+        an identity coin returns the stack as it is."""
         psi = self._check_dim(psi)
+        if self._identity_coin:
+            return psi
         return (self.coin @ psi.reshape(psi.shape[:-1] + (self.coin_dim, self.pos_dim))).reshape(psi.shape)
 
     def evolve(self, t, psi) -> np.ndarray:
@@ -251,42 +254,20 @@ class HybridWalk:
         return out
 
     def step(self, t, psi) -> np.ndarray:
-        """One walk step of a stack of states at times t, as `evolve` takes them: coin first
-        (an identity coin is skipped), then exp(-iHt)."""
-        if self._identity_coin:
-            return self.evolve(t, psi)
+        """One walk step of a stack of states at times t, as `evolve` takes them: coin first, then exp(-iHt)."""
         return self.evolve(t, self.apply_coin(psi))
 
-    def state_chunks(self, t: float, steps: int, psi0, rows: int):
-        """Yield psi0 and the `steps` states after it, in order, as (k, dim)
-        blocks of at most `rows` states each.
-
-        Each state is `step(t, ...)` of the one before, as in `run`; a block is
-        a fresh array that the caller may keep. The initial norm and `steps`
-        are checked before the first block.
-        """
+    def run(self, t: float, steps: int, psi0, coords=None) -> Trajectory:
+        """psi0 and the `steps` states after it, each a `step` of the one before, with their observables."""
         psi = self._check_dim(psi0)
         nrm = np.linalg.norm(psi)
         if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
             raise ValueError(f"initial state is not normalized: ||psi0|| = {nrm:.12g}")
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
-        for lo in range(0, steps + 1, rows):
-            block = np.empty((min(rows, steps + 1 - lo), self.dim), dtype=complex)
-            block[0] = psi if lo == 0 else self.step(t, psi)
-            for k in range(1, len(block)):
-                block[k] = self.step(t, block[k - 1])
-            psi = block[-1]
-            yield block
-
-    def run(self, t: float, steps: int, psi0, coords=None) -> Trajectory:
-        """Repeat the step `steps` times and return every state with its
-        observables: `state_chunks` as one block of steps + 1 states.
-
-        Memory grows with `steps`; to hold a bounded number of states at a
-        time, consume `state_chunks` with a smaller `rows` instead.
-        """
-        (states,) = self.state_chunks(t, steps, psi0, steps + 1)
+        states = [psi]
+        for _ in range(steps):
+            states.append(self.step(t, states[-1]))
         coords = np.arange(self.pos_dim) if coords is None else coords
         return Trajectory.from_states(states, self.coin_dim, self.pos_dim, coords)
 

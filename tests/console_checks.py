@@ -12,7 +12,8 @@ standard library and numpy only; pytest does not collect it. Peak RSS is the
 child's own `ru_maxrss` from `os.wait4` (KiB on Linux), not the maximum over
 every child reaped so far that `RUSAGE_CHILDREN` gives. Linux starts that
 reading at this process's own peak, which the script keeps at its imports and
-prints at the end.
+prints at the end, beside the BLAS thread variables that every run inherits
+(the bytes of a dense sector's rows can depend on them).
 """
 
 import json
@@ -203,6 +204,12 @@ def failures(case: Case, d: str, res: Result) -> list:
     return [b for b in bad if b]
 
 
+def blas_threads() -> str:
+    """The BLAS thread variables that every run inherits: a dense sector's bytes can depend on them."""
+    return ", ".join(f"{k}={os.environ.get(k, 'unset')}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                                   "MKL_NUM_THREADS"))
+
+
 def main(cmd) -> int:
     failed = []
     with tempfile.TemporaryDirectory() as d:
@@ -217,6 +224,7 @@ def main(cmd) -> int:
                 failed.append(case.name)
     floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"this process's own peak RSS, the floor of each reading: {floor:.1f} MB")
+    print(f"BLAS thread variables of every run: {blas_threads()}")
     if failed:
         print(f"{len(failed)} of {len(CASES)} cases failed: {', '.join(failed)}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from _graphgen import hypercube
-from console_checks import Case, Result, failures, run
+from console_checks import Case, Result, blas_threads, failures, run
 
 import hqw
 from hqw.cli import _table_pieces, main
@@ -269,6 +269,13 @@ def test_console_checks_run_reads_the_childs_exit_stdout_and_peak_rss(tmp_path, 
     assert res.rss_mb > 0 and res.seconds > 0
 
 
+def test_console_checks_name_the_blas_threads_of_their_runs(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert blas_threads() == "OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=2, MKL_NUM_THREADS=unset"
+
+
 def test_console_checks_fail_a_successful_run_that_writes_to_stderr(tmp_path):
     case = Case("quiet", [], "x.out", 10)
     assert failures(case, str(tmp_path), Result(0, "", "", 1.0, 0.1)) == []
@@ -331,6 +338,17 @@ def test_a_q_time_sweep_writes_one_row_per_q(tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("graph", ["star:60", "cycle:300", "complete:40", "line3:30", "fock_g0:10"])
+def test_a_trajectorys_step_1_row_is_the_grid_row_at_its_t(tmp_path, graph):
+    # Fourier, identity (dense sectors), Grover and identity (phases only) coins: a trajectory
+    # steps a stack of one state, a grid one state at a stack of times, with the same arithmetic
+    traj, grid = tmp_path / "traj.csv", tmp_path / "grid.csv"
+    assert main(["dynamics", "--graph", graph, "--steps", "1", "--t", "0.8", "--out", str(traj)]) == 0
+    assert main(["dynamics", "--graph", graph, "--t", "0.8", "--out", str(grid)]) == 0
+    step_1, row = read(traj).splitlines()[2], read(grid).splitlines()[1]
+    assert step_1.split(",", 1)[1] == row.split(",", 1)[1]
+
+
 def test_a_line_under_5_vertices_has_no_boundary_band(tmp_path):
     # the band's sites [0, 1, -2, -1] count vertex 1 of line3:1 twice, so neither subcommand checks it there
     out = tmp_path / "x.csv"
@@ -372,8 +390,8 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
 OUTSIDE_CALLERS = (
     "linalg.evolve", "graphs.subgraph_adjacency", "matmul.classical_product", "matmul.regular_sequence",
     "matmul.product_entry", "matmul.triangles_at_vertex", "graphs.star", "graphs.cubic8",
-    "walk.coin_position_state", "walk.HybridWalk.run", "walk.HybridWalk.state_chunks",
-    "walk.HybridWalk.apply_coin", "walk.HybridWalk.evolve", "walk.HybridWalk.step", "walk.Trajectory.from_states",
+    "walk.coin_position_state", "walk.HybridWalk.run", "walk.HybridWalk.apply_coin", "walk.HybridWalk.evolve",
+    "walk.HybridWalk.step", "walk.Trajectory.from_states",
     "pst.make_plan", "pst.demo_tree", "pst.run_pst",
 )
 
@@ -553,8 +571,8 @@ def test_a_doomed_line_run_stops_at_its_first_bad_row(tmp_path, capsys, monkeypa
     out = tmp_path / "x.csv"
     assert main(argv + ["--steps", "1000", "--out", str(out)]) == 2
     short = one_line_error(capsys)
-    calls, step = [], HybridWalk.step
-    monkeypatch.setattr(HybridWalk, "step", lambda self, *a, **k: calls.append(1) or step(self, *a, **k))
+    calls, evolve = [], HybridWalk.evolve
+    monkeypatch.setattr(HybridWalk, "evolve", lambda self, *a, **k: calls.append(1) or evolve(self, *a, **k))
     assert main(argv + ["--steps", "100000", "--out", str(out)]) == 2
     # the band trips a few steps in: the run stops within its first chunk of states
     assert len(calls) <= 2 * cli._chunk_rows(14, 33), len(calls)
@@ -599,6 +617,18 @@ def test_a_failure_in_a_later_chunk_leaves_the_old_artifact_alone(tmp_path, caps
     assert one_line_error(capsys) == expected
     assert read(out) == "old\n" and out.stat().st_mode & 0o777 == 0o640
     assert os.listdir(tmp_path) == ["x.csv"]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8, 13])
+def test_a_trajectory_has_the_bytes_of_one_chunk_in_chunks_of(tmp_path, monkeypatch, rows):
+    import hqw.cli as cli
+
+    argv = ["dynamics", "--graph", "line3:20", "--steps", "12", "--t", "0.7"]
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    assert main(argv + ["--out", str(whole)]) == 0  # 13 rows: one chunk
+    monkeypatch.setattr(cli, "_chunk_rows", lambda columns, dim: rows)
+    assert main(argv + ["--out", str(chunked)]) == 0
+    assert read(chunked) == read(whole)
 
 
 @pytest.mark.parametrize("argv, code", [(["dynamics", "--graph", "star:5", "--t", "0:1:4", "--init-pos", "9"], 1),
@@ -1066,6 +1096,7 @@ def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
     # a long irregular graph: the message names two vertices, not every degree
     (["triangles", "--graph", "line2:20000"], None,
      "graph is not regular: 40001 vertices, degree 1 at vertex 0 and 2 at vertex 1", 1),
+    (["dynamics", "--graph", "line3:5", "--steps", "-1", "--t", "0.8"], None, "error: steps must be >= 0, got -1", 1),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message, code):
     """The CLI contract: exit 1 (validation) or 2 (numerical invariant), one stderr line that starts
