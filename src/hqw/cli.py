@@ -328,15 +328,14 @@ def _chunk_rows(columns: int, dim: int) -> int:
     return max(1, min(TABLE_CHUNK_CELLS // columns, STATE_CHUNK_ENTRIES // dim))
 
 
-def _write_observables(args, lead_names, chunks, line=False):
+def _write_observables(args, lead_names, chunks):
     """Write rows [*leads, P..., sigma, entropy], one per state, from the
     (leads, Trajectory) pairs of `chunks` in order, `leads` being a chunk's
     (rows, len(lead_names)) block; the first Trajectory's coords name the P columns.
 
-    Each chunk's rows are checked (`_check_rows`) as it arrives, and the first
-    row that fails stops the run: no later chunk is computed, and a failed run
-    leaves no artifact. `_table_pieces` formats each chunk as it arrives, so
-    only the rows of one chunk are held.
+    `_table_pieces` formats each chunk as it arrives, so only the rows of one
+    chunk are held. A chunk that fails its check in `_stepped` stops the run:
+    no later chunk is computed, and a failed run leaves no artifact.
     """
     chunks = iter(chunks)
     first = next(chunks)
@@ -346,7 +345,6 @@ def _write_observables(args, lead_names, chunks, line=False):
     def blocks(chunk):
         while chunk is not None:
             leads, traj = chunk
-            _check_rows(traj.distributions, line)
             yield [leads, traj.distributions, np.column_stack([traj.sigmas, traj.entropies])]
             del chunk, traj  # the states of this chunk go before the next is made
             chunk = next(chunks, None)
@@ -356,38 +354,38 @@ def _write_observables(args, lead_names, chunks, line=False):
     _emit(args, args.format, pieces)
 
 
-def _check_rows(P, line=False):
+def _check_rows(P, band):
     """Raise at the first row of the (..., positions) distributions `P` with mass
-    in the boundary band of a truncated line (`line`), or with a sum off 1. The band,
-    sites [0, 1, -2, -1], must stay empty: the walker spreads at most one site per
-    step, so mass there means the truncation is too small for the step count. A line
-    of fewer than 5 sites, on which those sites overlap, has no band. A row failing
-    both (NaN does) reports the band."""
+    on the sites `band`, the run's boundary band (`_build_walk`), or with a sum
+    off 1. A row failing both (NaN does) reports the band."""
     P = P.reshape(-1, P.shape[-1])
-    band = P[:, [0, 1, -2, -1]].sum(axis=1) if line and P.shape[-1] >= 5 else np.zeros(len(P))
+    mass = P[:, band].sum(axis=1)
     totals = P.sum(axis=1)
-    k = np.argmax(~(band <= 1e-12) | ~(np.abs(totals - 1.0) <= PROB_SUM_ATOL))  # 0 if none fails
-    if not band[k] <= 1e-12:
+    k = np.argmax(~(mass <= 1e-12) | ~(np.abs(totals - 1.0) <= PROB_SUM_ATOL))  # 0 if none fails
+    if not mass[k] <= 1e-12:
         raise linalg.NumericalViolation(
-            f"boundary band carries probability {band[k]:.3e}; enlarge the line truncation")
+            f"boundary band carries probability {mass[k]:.3e}; enlarge the line truncation")
     if not abs(totals[k] - 1.0) <= PROB_SUM_ATOL:
         raise linalg.NumericalViolation(f"probability columns sum to {totals[k]:.12g}, not 1")
 
 
-def _stepped(w, coords, leads, t, psi, steps: int, line=False, keep=1):
-    """(leads, Trajectory) of the last `keep` of `psi`, one state or a stack, and the `steps` states after it,
-    each step being the coin, then `evolve` at the times `t` that broadcast against it. `_write_observables`
-    checks those rows, and each other state is checked (`_check_rows`) before it is stepped, so a doomed run
-    stops at its first bad step. One kept stack is the rows as it is; more, of a one-state stack, fill a block."""
+def _stepped(w, coords, band, t, psi, steps: int, keep=1):
+    """Trajectory of the last `keep` of `psi`, one state or a stack, and the `steps` states after it, each
+    step being the coin, then `evolve` at the times `t` that broadcast against it. Every state is checked
+    once (`_check_rows` with the run's boundary `band`): each other state before it is stepped, so a doomed
+    run stops at its first bad step, and the kept rows from the Trajectory's own distributions. One kept
+    stack is the rows as it is; more, of a one-state stack, fill a block."""
     rows = np.empty((keep, w.dim), dtype=complex) if keep > 1 else None
     for i in range(steps + 1):
         if i <= steps - keep:
-            _check_rows(walk.position_distribution(psi, w.coin_dim, w.pos_dim), line)
+            _check_rows(walk.position_distribution(psi, w.coin_dim, w.pos_dim), band)
         elif rows is not None:
             rows[i - steps - 1] = psi
         if i < steps:
             psi = w.evolve(t, w.apply_coin(psi))
-    return leads, walk.Trajectory.from_states(psi if rows is None else rows, w.coin_dim, w.pos_dim, coords)
+    traj = walk.Trajectory.from_states(psi if rows is None else rows, w.coin_dim, w.pos_dim, coords)
+    _check_rows(traj.distributions, band)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +394,10 @@ def _stepped(w, coords, leads, t, psi, steps: int, line=False, keep=1):
 
 def _build_walk(args, family, g: graphs.LabeledGraph):
     """The walk of a dynamics or sweep run on `g`, made by builder `family` (None
-    for a JSON graph), with its initial coin and position vectors and the
-    coordinates of its P columns: the family's conventional choices, unless
-    --coin, --init-coin or --init-pos override them. The walk comes first, so a
-    bad --coin is reported before a bad initial state."""
+    for a JSON graph), with its initial coin and position vectors, the
+    coordinates of its P columns and its boundary band: the family's conventional
+    choices, unless --coin, --init-coin or --init-pos override them. The walk
+    comes first, so a bad --coin is reported before a bad initial state."""
     line = family in ("line2", "line3")
     named = {"circle2": "hadamard", "star": "fourier", "line2": "hadamard", "line3": "grover"}.get(family, "identity")
     w = walk.HybridWalk(g, coin=_resolve_coin(named if args.coin is None else args.coin))
@@ -417,7 +415,10 @@ def _build_walk(args, family, g: graphs.LabeledGraph):
     pos_vec[pos] = 1.0
     # a line counts from its middle, -L..L; the segment line from 1
     coords = graphs.signed_coords(g.n) if line else np.arange(g.n, dtype=float) + (family == "segment_line")
-    return w, coin, pos_vec, coords
+    # a line's band must stay empty: the walker spreads one site per step, so mass there means the truncation
+    # is too short for the run; a line under 5 sites, on which the band's sites overlap, has none
+    band = [0, 1, g.n - 2, g.n - 1] if line and g.n >= 5 else []
+    return w, coin, pos_vec, coords, band
 
 
 def cmd_dynamics(args):
@@ -429,25 +430,25 @@ def cmd_dynamics(args):
         if args.sweep:
             raise ValueError("trajectory mode (--steps) takes no --sweep")
         t = _parse_finite(args.t, "--t") if args.t is not None else float(np.pi / 2)
-        w, coin, pos, coords = _build_walk(args, family, graph)
+        w, coin, pos, coords, band = _build_walk(args, family, graph)
         _check_budget(args.steps + 1, graph.n + 3)
         if args.steps < 0:
             raise ValueError(f"steps must be >= 0, got {args.steps}")
-        line, rows = family in ("line2", "line3"), _chunk_rows(graph.n + 3, w.dim)
+        rows = _chunk_rows(graph.n + 3, w.dim)
 
         def trajectory():
             # every state of a chunk is a row: a later chunk starts one step after the last row before it,
-            # taken once that row has passed its check; the chunk goes once it is written
+            # which `_stepped` has checked; the chunk goes once it is written
             psi = walk.product_state(coin, pos)[None]
             for lo in range(0, args.steps + 1, rows):
                 k = min(rows, args.steps + 1 - lo)
                 psi = w.step(t, psi) if lo else psi
-                chunk = _stepped(w, coords, np.arange(lo, lo + k)[:, None], t, psi, k - 1, keep=k)
-                psi = chunk[1].states[-1:]
-                yield chunk
-                del chunk
+                traj = _stepped(w, coords, band, t, psi, k - 1, keep=k)
+                psi = traj.states[-1:]
+                yield np.arange(lo, lo + k)[:, None], traj
+                del traj
 
-        _write_observables(args, ["step"], trajectory(), line=line)
+        _write_observables(args, ["step"], trajectory())
         return
 
     if args.t is None:
@@ -472,12 +473,12 @@ def cmd_dynamics(args):
         # one step of the initial state at every t, for each omega in turn, in chunks of `_chunk_rows` times;
         # `HybridWalk.evolve` gives each row the bytes of a run at its t alone, wherever the chunks are cut
         for omega in omegas:
-            w, coin, pos, coords = _build_walk(args, family, graph if omega is None else graph(omega))
+            w, coin, pos, coords, band = _build_walk(args, family, graph if omega is None else graph(omega))
             psi, rows = walk.product_state(coin, pos), _chunk_rows(columns, w.dim)
             for lo in range(0, len(ts), rows):
                 t = ts[lo:lo + rows]
                 leads = np.column_stack([t] if omega is None else [np.full(len(t), omega), t])
-                yield _stepped(w, coords, leads, t, psi, 1)
+                yield leads, _stepped(w, coords, band, t, psi, 1)
 
     _write_observables(args, lead_names, chunks())
 
@@ -503,9 +504,7 @@ def _sweep_initial_coin(name: str, q: float, base_default: np.ndarray) -> np.nda
         raise ValueError(f"{name} phase q*pi is not finite at q = {q:.12g}")
     if name == "q_phase2":
         return np.array([1.0, np.exp(-1j * q * np.pi), 0.0]) / np.sqrt(2)
-    if name == "q_phase3":
-        return np.array([1.0, np.exp(-1j * q * np.pi), 1.0]) / np.sqrt(3)
-    raise ValueError(f"unknown sweep parameter {name!r}; choices: {SWEEP_PARAMS}")
+    return np.array([1.0, np.exp(-1j * q * np.pi), 1.0]) / np.sqrt(3)  # q_phase3: `cmd_sweep` refuses other names
 
 
 def cmd_sweep(args):
@@ -520,7 +519,7 @@ def cmd_sweep(args):
     family, g = parse_graph_spec(args.graph, sweep=True) if args.graph else ("line3", graphs.line3(steps + 8))
     if family != "line3":
         raise ValueError("q sweeps run on the three-label line; use --graph line3:L or omit --graph")
-    w, base_coin, pos_vec, coords = _build_walk(args, family, g)
+    w, base_coin, pos_vec, coords, band = _build_walk(args, family, g)
     _check_budget(grid[2], g.n + 3)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -533,10 +532,10 @@ def cmd_sweep(args):
             q = qs[lo:lo + rows].tolist()
             # Python floats: a step time q * pi that overflows becomes inf without a numpy warning
             t = [x * np.pi for x in q] if name == "q_time" else 3 * np.pi / 2
-            yield _stepped(w, coords, qs[lo:lo + rows, None], t, np.array(
-                [walk.product_state(_sweep_initial_coin(name, x, base_coin), pos_vec) for x in q]), steps, line=True)
+            yield qs[lo:lo + rows, None], _stepped(w, coords, band, t, np.array(
+                [walk.product_state(_sweep_initial_coin(name, x, base_coin), pos_vec) for x in q]), steps)
 
-    _write_observables(args, ["q"], chunks(), line=True)
+    _write_observables(args, ["q"], chunks())
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,8 @@ CASES = [
          code=2),
     Case("doomed-q_mix2", ["sweep", "--sweep", "q_mix2:0:1:5", "--graph", "line3:5", "--steps", "1000000"],
          "doomed-sweep.csv", 20, code=2),
+    Case("doomed-line-grid", ["dynamics", "--graph", "line3:5", "--t", "0:1:3", "--init-pos", "0"],
+         "doomed-grid.csv", 20, code=2),
     Case("huge-star", ["dynamics", "--graph", "star:99999999999999999999", "--t", "1"], "huge.csv", 10, code=1),
     Case("readme-q_mix2", ["sweep", "--sweep", "q_mix2:0:1:41"], "q_mix2.csv", 300, lines=42,
          check=_entropies_in_range),

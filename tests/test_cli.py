@@ -13,6 +13,7 @@ from console_checks import Case, Result, blas_threads, failures, run
 import hqw
 from hqw.cli import _table_pieces, main
 from hqw.graphs import complete, cycle, line3, save_json, star
+from hqw.walk import HybridWalk, position_distribution, product_state
 
 
 def read(path):
@@ -105,10 +106,17 @@ def test_dynamics_custom_init_and_graph_file(tmp_path):
     gpath = tmp_path / "graph.json"
     gpath.write_text(save_json(star(4)))
     out = tmp_path / "o.csv"
-    assert main(["dynamics", "--graph", str(gpath), "--t", "0:2:4", "--coin", "grover",
-                 "--init-coin", "basis:1", "--init-pos", "2", "--out", str(out)]) == 0
-    header, rows = csv_rows(out)
-    assert header[1:5] == ["P(0)", "P(1)", "P(2)", "P(3)"]
+    w = HybridWalk(star(4), coin="grover")
+    for init_coin, coin in (("basis:1", np.eye(w.coin_dim)[1]), ("uniform", np.ones(w.coin_dim))):
+        assert main(["dynamics", "--graph", str(gpath), "--t", "0:2:4", "--coin", "grover",
+                     "--init-coin", init_coin, "--init-pos", "2", "--out", str(out)]) == 0
+        header, rows = csv_rows(out)
+        assert header[1:5] == ["P(0)", "P(1)", "P(2)", "P(3)"]
+        # each row is one step of the library walk from the same state, at its t
+        psi = product_state(coin / np.linalg.norm(coin), np.eye(4)[2])
+        for row, t in zip(rows, np.linspace(0, 2, 4), strict=True):
+            P = position_distribution(w.step(t, psi), w.coin_dim, w.pos_dim)
+            np.testing.assert_allclose(row[1:5], P, atol=1e-11, err_msg=init_coin)
 
 
 def test_sweep_q_time_localization(tmp_path):
@@ -223,23 +231,32 @@ def test_triangles_cli(tmp_path):
     assert json.loads(read(out3))["triangles"] == 0
 
 
-def test_nan_probabilities_fail_the_sum_check_and_the_line_guard(tmp_path):
-    from argparse import Namespace
-
-    from hqw.cli import _check_rows, _write_observables
+def test_nan_probabilities_fail_the_sum_check_and_the_line_guard(monkeypatch):
+    from hqw import walk
+    from hqw.cli import _check_rows, _stepped
     from hqw.linalg import NumericalViolation
-    from hqw.walk import Trajectory
 
-    P = np.full((2, 7), 1 / 7)
-    P[1, 3] = np.nan
     with pytest.raises(NumericalViolation, match="boundary band carries probability nan"):
-        _check_rows(np.full((1, 7), np.nan), line=True)
-    traj = Trajectory(coords=np.arange(7.0), states=np.zeros((2, 7)), distributions=P,
-                      sigmas=np.zeros(2), entropies=np.zeros(2))
-    args = Namespace(format="csv", out=str(tmp_path / "x.csv"), command="dynamics")
+        _check_rows(np.full((1, 7), np.nan), [0, 1, 5, 6])
     with pytest.raises(NumericalViolation, match="sum to nan"):
-        _write_observables(args, ["step"], [(np.arange(2).reshape(-1, 1), traj)])
-    assert not os.path.exists(args.out)
+        _check_rows(np.full((1, 7), np.nan), [])
+    # a NaN in row 1 of every distribution: `_stepped` checks a kept row and a state about to be stepped
+    distribution = walk.position_distribution
+
+    def nan_row_1(states, *dims):
+        P = distribution(states, *dims)
+        P[1:2, 3] = np.nan
+        return P
+
+    monkeypatch.setattr(walk, "position_distribution", nan_row_1)
+    w = HybridWalk(star(4), coin="grover")
+    psi = np.array([product_state(np.eye(w.coin_dim)[0], np.eye(4)[v]) for v in (0, 1)])
+    calls, evolve = [], w.evolve
+    monkeypatch.setattr(w, "evolve", lambda *a: calls.append(1) or evolve(*a))
+    for steps in (0, 3):
+        with pytest.raises(NumericalViolation, match="sum to nan"):
+            _stepped(w, np.arange(4.0), [], 0.5, psi, steps)
+    assert calls == []  # the initial stack fails before its first step
 
 
 def test_cli_paths_do_not_import_numpy_ma(tmp_path):
@@ -639,7 +656,9 @@ def test_a_failure_in_the_first_chunk_makes_no_directory(tmp_path, capsys, argv,
     assert os.listdir(tmp_path) == []
 
 
-def test_artifacts_replace_the_old_file_and_keep_its_permissions(tmp_path):
+def test_artifacts_replace_the_old_file_and_keep_its_permissions(tmp_path, capsys):
+    import stat
+
     out, link = tmp_path / "x.csv", tmp_path / "link.csv"
     out.write_text("old\n")
     out.chmod(0o640)
@@ -653,6 +672,11 @@ def test_artifacts_replace_the_old_file_and_keep_its_permissions(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+    # a device cannot be replaced by a renamed temporary file, so the table goes into it
+    capsys.readouterr()
+    assert main(argv + ["--out", os.devnull]) == 0
+    assert capsys.readouterr() == (f"wrote {os.devnull}\n", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_a_long_trajectory_holds_one_chunk_of_states(tmp_path):
@@ -1097,6 +1121,16 @@ def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
     (["triangles", "--graph", "line2:20000"], None,
      "graph is not regular: 40001 vertices, degree 1 at vertex 0 and 2 at vertex 1", 1),
     (["dynamics", "--graph", "line3:5", "--steps", "-1", "--t", "0.8"], None, "error: steps must be >= 0, got -1", 1),
+    # a t grid on a truncated line is checked against its boundary band, as a trajectory or sweep is
+    *((["dynamics", "--graph", graph, "--t", "0:1:3", *init], None, "numerical invariant violated: boundary band "
+       f"carries probability {mass}; enlarge the line truncation\n", 2)
+      for graph, init, mass in (("line3:5", ["--init-pos", "0"], "1.000e+00"), ("line3:2", [], "1.532e-01"),
+                                ("line2:5", ["--init-pos", "0"], "1.000e+00"))),
+    (["sweep", "--sweep", ""], None, "error: sweep needs --sweep name:start:stop:points with name in "
+     "('q_time', 'q_mix2', 'q_mix3', 'q_phase2', 'q_phase3')\n", 1),
+    *((["dynamics", "--graph", graph, "--t", "1"], None,
+       "error: circle2 takes two weights, e.g. circle2:1,2 or circle2:2w,2w+1\n", 1)
+      for graph in ("circle2:1", "circle2:1,2,3")),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message, code):
     """The CLI contract: exit 1 (validation) or 2 (numerical invariant), one stderr line that starts
