@@ -27,7 +27,6 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 PROB_SUM_ATOL = 1e-9
-TABLE_CHUNK_CELLS = 1 << 14  # cells per chunk of a written table
 STATE_CHUNK_ENTRIES = 1 << 16  # amplitudes per chunk of states behind a streamed table (1 MiB)
 TABLE_CELL_BUDGET = 10**9  # rows x columns of the largest dynamics or sweep table
 
@@ -323,9 +322,9 @@ def _check_budget(rows: int, columns: int):
 def _chunk_rows(columns: int, dim: int) -> int:
     """Rows per chunk of every streamed table, t-grids and `matmul --matrix`
     included: at most STATE_CHUNK_ENTRIES amplitudes (1 MiB of states) behind
-    them, and at most TABLE_CHUNK_CELLS cells, which bound the temporaries of
+    them, and at most graphs.BLOCK_ENTRIES cells, which bound the temporaries of
     the one `_table_pieces` pass that formats the chunk."""
-    return max(1, min(TABLE_CHUNK_CELLS // columns, STATE_CHUNK_ENTRIES // dim))
+    return max(1, min(graphs.BLOCK_ENTRIES // columns, STATE_CHUNK_ENTRIES // dim))
 
 
 def _write_observables(args, lead_names, chunks):
@@ -430,10 +429,10 @@ def cmd_dynamics(args):
         if args.sweep:
             raise ValueError("trajectory mode (--steps) takes no --sweep")
         t = _parse_finite(args.t, "--t") if args.t is not None else float(np.pi / 2)
-        w, coin, pos, coords, band = _build_walk(args, family, graph)
-        _check_budget(args.steps + 1, graph.n + 3)
         if args.steps < 0:
             raise ValueError(f"steps must be >= 0, got {args.steps}")
+        _check_budget(args.steps + 1, graph.n + 3)
+        w, coin, pos, coords, band = _build_walk(args, family, graph)
         rows = _chunk_rows(graph.n + 3, w.dim)
 
         def trajectory():
@@ -516,14 +515,15 @@ def cmd_sweep(args):
     if args.init_coin is not None and name != "q_time":
         raise ValueError(f"--init-coin applies to q_time only; {name} sets the initial coin from q")
     steps = args.steps if args.steps is not None else 30
-    family, g = parse_graph_spec(args.graph, sweep=True) if args.graph else ("line3", graphs.line3(steps + 8))
-    if family != "line3":
-        raise ValueError("q sweeps run on the three-label line; use --graph line3:L or omit --graph")
-    w, base_coin, pos_vec, coords, band = _build_walk(args, family, g)
-    _check_budget(grid[2], g.n + 3)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    qs, rows = np.linspace(*grid), _chunk_rows(g.n + 3, w.dim)
+    family, g = parse_graph_spec(args.graph, sweep=True) if args.graph else ("line3", None)
+    if family != "line3":
+        raise ValueError("q sweeps run on the three-label line; use --graph line3:L or omit --graph")
+    columns = (2 * (steps + 8) + 1 if g is None else g.n) + 3  # line3(L) has 2L + 1 sites
+    _check_budget(grid[2], columns)
+    w, base_coin, pos_vec, coords, band = _build_walk(args, family, graphs.line3(steps + 8) if g is None else g)
+    qs, rows = np.linspace(*grid), _chunk_rows(columns, w.dim)
 
     def chunks():
         # each chunk of qs steps as one stack of states, which `rows` bounds; the initial stack

@@ -22,9 +22,11 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-# The most amplitudes of a state (labels x n), edges of a built graph and entries of a dense sector (n^2,
-# n <= 4096): 256 MiB per state or n x n complex array, of which building a sector's propagator holds about four.
+# The most amplitudes of a state (labels x n), edges of a built graph, entries of a dense sector (n^2, n <= 4096)
+# and register entries of a matmul walk: 256 MiB per state or n x n complex array, of which building a sector's
+# propagator holds about four.
 DENSE_SECTOR_ENTRIES = 2**24
+BLOCK_ENTRIES = 2**14  # per block of temporaries: (row, pair) entries of rotations, matmul rows, table cells
 
 
 class Edge(NamedTuple):

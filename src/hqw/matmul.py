@@ -13,11 +13,11 @@ amplitude C_ij / (d_K ... d_1), because every surviving path contributes the
 0/1 product of its adjacency entries. Each factor is validated once into an
 (n, d_l) neighbor table, O(K n d) memory in all. A state is an int array of
 register values beside an array of amplitudes and may hold many columns j; the
-matrix and trace walk the columns in blocks of at most max(2^14, D) rows, D =
-d_1...d_K, each final row adding its |amp|^2 to entry (last register, register
-1) in row order: O(n D) array work, and besides the tables and the output the
-block sets the peak memory. Walks over 2^24 register entries are refused. Only
-`product_matrix`'s output and `classical_product` are n x n.
+matrix and trace walk the columns in blocks of at most max(graphs.BLOCK_ENTRIES, D)
+rows, D = d_1...d_K, each final row adding its |amp|^2 to entry (last register,
+register 1) in row order: O(n D) array work, and besides the tables and the
+output the block sets the peak memory. Walks over DENSE_SECTOR_ENTRIES register
+entries are refused. Only `product_matrix`'s output and `classical_product` are n x n.
 
 Exact projection is the default readout; a seeded binomial sampler stands in
 for hardware-style amplitude estimation: every entry point draws entry (i, j)
@@ -36,10 +36,7 @@ from functools import reduce
 
 import numpy as np
 
-from .graphs import LabeledGraph, common_degree
-
-_BLOCK_ROWS = 1 << 14  # amplitude rows per block of columns: bounds peak memory
-_WALK_ENTRIES = 1 << 24  # register entries (rows x registers) of the largest walk
+from .graphs import BLOCK_ENTRIES, DENSE_SECTOR_ENTRIES, LabeledGraph, common_degree
 
 
 def _neighbor_table(g) -> np.ndarray:
@@ -167,8 +164,9 @@ def run_sequence(seq: RegularGraphSequence, j) -> MultiRegisterState:
     stage except the last (register K+1 already holds the stage-K vertex)."""
     K = len(seq.tables)
     state = initial_state(seq.n, K, j)
-    if (rows := len(state.amps) * seq.degree_product) * (K + 1) > _WALK_ENTRIES:
-        raise ValueError(f"a walk of {rows} rows x {K + 1} registers is over the limit of {_WALK_ENTRIES} entries")
+    if (rows := len(state.amps) * seq.degree_product) * (K + 1) > DENSE_SECTOR_ENTRIES:
+        raise ValueError(f"a walk of {rows} rows x {K + 1} registers is over the limit of "
+                         f"{DENSE_SECTOR_ENTRIES} entries")
     for l, table in enumerate(seq.tables, 1):
         state = stage_walk(state, l, table)
         if l < K:
@@ -251,7 +249,7 @@ def _read_columns(seq: RegularGraphSequence, size: int, index, entry, mode: str,
     P[k] > 0, as entry `entry(k)`, since binomial(shots, 0) is 0."""
     _check_mode(mode, shots, seed)
     P = np.zeros(size)
-    step = max(1, _BLOCK_ROWS // seq.degree_product)
+    step = max(1, BLOCK_ENTRIES // seq.degree_product)
     for first in range(0, seq.n, step):
         s = run_sequence(seq, np.arange(first, min(first + step, seq.n)))
         rows, at = index(s.regs[:, -1], s.regs[:, 0])

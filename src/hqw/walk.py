@@ -16,13 +16,13 @@ classified once, at construction, into one propagator over the whole state.
 Per step and per time, every diagonal and matching sector together costs
 O(dim) in one vectorized pass: one phase multiply over the state (skipped when
 no label has a self-loop) and a gather/scatter of 2x2 rotations over the pairs
-of every matching, in blocks of _PAIR_BLOCK (row, pair) entries so that its
-temporaries stay cache-sized however wide the state, with cos and sin taken
-once per time and distinct weight. A label without edges costs nothing
+of every matching, in blocks of graphs.BLOCK_ENTRIES (row, pair) entries so
+that its temporaries stay cache-sized however wide the state, with cos and sin
+taken once per time and distinct weight. A label without edges costs nothing
 (`star`'s label "0"). Each dense sector costs one eigh at construction, then
-O(n^2); a walk whose dense sectors hold more than DENSE_SECTOR_ENTRIES entries
-together (n^2 each, so one sector on at most 4096 vertices) is refused before
-the first eigh, and a walk whose states exceed DENSE_SECTOR_ENTRIES amplitudes
+O(n^2); a walk whose dense sectors hold more than graphs.DENSE_SECTOR_ENTRIES
+entries together (n^2 each, so one sector on at most 4096 vertices) is refused
+before the first eigh, and a walk whose states exceed that many amplitudes
 before its coin. `HybridWalk.apply_coin`, `evolve` and `step` take a stack of
 states (..., dim), one state being the empty stack, and times that broadcast
 against it. Each row has the bytes of the call on its state alone at its time
@@ -45,11 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .graphs import DENSE_SECTOR_ENTRIES, LabeledGraph, _check_size, subgraph_adjacency
+from .graphs import BLOCK_ENTRIES, DENSE_SECTOR_ENTRIES, LabeledGraph, _check_size, subgraph_adjacency
 
 COIN_UNITARY_ATOL = 1e-10
 _MATCHING_ZERO_ATOL = 1e-14
-_PAIR_BLOCK = 2**14  # (row, pair) entries per block of HybridWalk.evolve's rotations
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ class HybridWalk:
             p, q, w, of_pair = self._pairs
             wt = w * tcol
             cw, sw = np.cos(wt), -1j * np.sin(wt)
-            width = _PAIR_BLOCK // max(1, out.size // self.dim) or 1
+            width = BLOCK_ENTRIES // max(1, out.size // self.dim) or 1
             for j in range(0, len(p), width):
                 pj, qj, c, s = p[j:j + width], q[j:j + width], cw, sw
                 if len(w) > 1:  # one distinct weight broadcasts as it is

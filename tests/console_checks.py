@@ -150,6 +150,8 @@ CASES = [
          "doomed-sweep.csv", 20, code=2),
     Case("doomed-line-grid", ["dynamics", "--graph", "line3:5", "--t", "0:1:3", "--init-pos", "0"],
          "doomed-grid.csv", 20, code=2),
+    Case("refused-before-walk", ["dynamics", "--graph", "complete:2000", "--steps", "-1", "--t", "1"], "refused.csv",
+         60, code=1, rss_mb=250),
     Case("huge-star", ["dynamics", "--graph", "star:99999999999999999999", "--t", "1"], "huge.csv", 10, code=1),
     Case("readme-q_mix2", ["sweep", "--sweep", "q_mix2:0:1:41"], "q_mix2.csv", 300, lines=42,
          check=_entropies_in_range),
@@ -220,7 +222,7 @@ def main(cmd) -> int:
             argv = [a.replace("{d}", d) for a in case.argv] + ["--out", os.path.join(d, case.out)]
             res = run(cmd, argv, case.timeout)
             bad = failures(case, d, res)
-            print(f"{case.name:<17} exit {res.code!s:>4} {res.rss_mb:7.1f} MB {res.seconds:6.2f} s  "
+            print(f"{case.name:<19} exit {res.code!s:>4} {res.rss_mb:7.1f} MB {res.seconds:6.2f} s  "
                   + ("FAIL: " + "; ".join(bad) if bad else "ok"), flush=True)
             if bad:
                 failed.append(case.name)

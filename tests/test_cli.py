@@ -478,7 +478,7 @@ def test_table_writer_matches_per_value_formatting(fmt):
 def test_table_writer_spans_chunks(fmt, cells):
     import hqw.cli as cli
 
-    rows_per_chunk = max(1, (cli.TABLE_CHUNK_CELLS if cells is None else cells) // 5)
+    rows_per_chunk = max(1, (cli.graphs.BLOCK_ENTRIES if cells is None else cells) // 5)
     n = 3 * rows_per_chunk + 7  # four chunks, the last one short
     rng = np.random.default_rng(11)
     pool = [0.0, -0.0, float("nan"), 0.1, 1 / 3, -2.5e-300, 1e12, float("inf")]
@@ -1131,6 +1131,17 @@ def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
     *((["dynamics", "--graph", graph, "--t", "1"], None,
        "error: circle2 takes two weights, e.g. circle2:1,2 or circle2:2w,2w+1\n", 1)
       for graph in ("circle2:1", "circle2:1,2,3")),
+    # a sweep refuses its step count before it builds its default line3(steps + 8)
+    (["sweep", "--sweep", "q_time:0:1:2", "--steps", "-8"], None, "error: steps must be >= 0, got -8\n", 1),
+    # each builder's and the JSON reader's smallest refused size, and a pst endpoint off the graph
+    (["dynamics", "--graph", "DOC", "--t", "1"], {"n": 0, "labels": ["a"], "edges": []},
+     "error: graph needs at least one vertex, got n=0\n", 1),
+    *((["dynamics", "--graph", graph, "--t", "1"], None, f"error: {message}\n", 1)
+      for graph, message in (("line3:0", "line3 needs L >= 1, got 0"), ("fock_g0:0", "fock_g0 needs n_max >= 1, got 0"),
+                             ("fock_g0p:0", "fock_g0p needs n_max >= 1, got 0"), ("cycle:2", "cycle needs n >= 3, got 2"),
+                             ("complete:1", "complete needs n >= 2, got 1"))),
+    (["pst", "--graph", "segment_line:5", "--source", "9", "--target", "0"], None,
+     "error: path endpoints (9,0) outside 0..4\n", 1),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message, code):
     """The CLI contract: exit 1 (validation) or 2 (numerical invariant), one stderr line that starts
@@ -1154,6 +1165,26 @@ def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv
     assert err.startswith(message if message.startswith(prefix) else prefix) and message in err, err
     assert len(err.encode()) < 300 or err == message + "\n", err
     assert not out.exists()
+
+
+def test_bad_steps_and_over_budget_tables_are_refused_before_any_walk_is_built(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk was built")
+
+    monkeypatch.setattr(hqw.walk.HybridWalk, "__init__", refuse)
+    monkeypatch.setattr(hqw.graphs, "line3", refuse)  # the sweep's default line3(steps + 8) comes after its checks
+    budget = "error: a table of {} rows x {} columns is over the output budget of 1000000000 cells\n"
+    for argv, message in (
+            (["dynamics", "--graph", "complete:40", "--steps", "-1", "--t", "1"], "error: steps must be >= 0, got -1\n"),
+            (["dynamics", "--graph", "complete:40", "--steps", str(10**9), "--t", "1"], budget.format(10**9 + 1, 43)),
+            (["sweep", "--sweep", "q_time:0:1:3", "--graph", "line3:5", "--steps", "-1"],
+             "error: steps must be >= 0, got -1\n"),
+            (["sweep", "--sweep", "q_time:0:1:100000000", "--graph", "line3:5"], budget.format(10**8, 14)),
+            (["sweep", "--sweep", "q_time:0:1:1000", "--steps", str(10**6)], budget.format(1000, 2 * 10**6 + 20))):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 1, argv
+        assert one_line_error(capsys) == message
+        assert not out.exists()
 
 
 def test_an_out_of_memory_error_without_text_is_named_by_its_type(tmp_path, capsys, monkeypatch):

@@ -65,7 +65,7 @@ def test_a_walk_over_the_register_entry_limit_is_refused_before_its_first_stage(
             product_entry(regular_sequence([complete(163)] * 3), 0, 0)
     # the limit counts every row of the walk: with room for one cubic8^3 column (27 rows x 4
     # registers), that column runs and a block of two columns is refused
-    monkeypatch.setattr(matmul, "_WALK_ENTRIES", 27 * 4)
+    monkeypatch.setattr(matmul, "DENSE_SECTOR_ENTRIES", 27 * 4)
     seq = regular_sequence([cubic8()] * 3)
     assert run_sequence(seq, 0).norm() == pytest.approx(1.0)
     with pytest.raises(ValueError, match="a walk of 54 rows x 4 registers"):
@@ -282,7 +282,7 @@ def test_product_matrix_spanning_several_blocks(monkeypatch):
     assert product_trace(seq) == sum(want[k, k] for k in range(seq.n))
     # one column per block, or all columns in one block, reads the same entries
     for rows in (1, 1 << 20):
-        monkeypatch.setattr(matmul, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(matmul, "BLOCK_ENTRIES", rows)
         np.testing.assert_array_equal(product_matrix(seq), C)
 
 

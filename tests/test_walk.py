@@ -187,7 +187,7 @@ def test_fused_propagator_is_bit_identical_to_the_per_sector_kernels():
     # 200 pairs and 200 times: the rotations run in several blocks of times
     g = line3(100)
     w = HybridWalk(g, coin="grover")
-    assert len(w._pairs[0]) * 200 > 2 * walk._PAIR_BLOCK
+    assert len(w._pairs[0]) * 200 > 2 * walk.BLOCK_ENTRIES
     psi = rng.normal(size=w.dim) + 1j * rng.normal(size=w.dim)
     grid = np.linspace(-3.0, 9.0, 200)
     assert np.array_equal(w.evolve(grid, psi), per_sector_evolve(g, grid, psi))
@@ -199,9 +199,9 @@ def test_blocks_of_pairs_give_the_bytes_of_one_pass(monkeypatch):
     base = line3(150)
     g = LabeledGraph(base.n, tuple(Edge(e.u, e.v, e.label, float(rng.choice([1.0, 0.5, rng.uniform(0.2, 2.0)])))
                                    for e in base.edges), base.labels)
-    monkeypatch.setattr(walk, "_PAIR_BLOCK", 64)
+    monkeypatch.setattr(walk, "BLOCK_ENTRIES", 64)
     w = HybridWalk(g, coin="grover")
-    assert len(w._pairs[0]) > 4 * walk._PAIR_BLOCK and len(w._pairs[2]) > 1
+    assert len(w._pairs[0]) > 4 * walk.BLOCK_ENTRIES and len(w._pairs[2]) > 1
     psi = rng.normal(size=w.dim) + 1j * rng.normal(size=w.dim)
     for t in (0.37, -2.6, np.linspace(-3.0, 9.0, 7)):
         assert np.array_equal(w.evolve(t, psi), per_sector_evolve(g, t, psi))
@@ -221,7 +221,7 @@ def test_a_wide_matching_holds_only_block_sized_temporaries():
         tracemalloc.stop()
     assert abs(abs(out[1]) - 1.0) < 1e-12
     # the result and a few (times, pairs) blocks; full-width gathers and products would add 2 MiB each
-    assert peak < out.nbytes + 8 * 16 * walk._PAIR_BLOCK, peak
+    assert peak < out.nbytes + 8 * 16 * walk.BLOCK_ENTRIES, peak
 
 
 def test_a_rows_bytes_do_not_depend_on_the_call_that_made_it():
