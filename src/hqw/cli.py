@@ -26,7 +26,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-PROB_SUM_ATOL = 1e-9
 STATE_CHUNK_ENTRIES = 1 << 16  # amplitudes per chunk of states behind a streamed table (1 MiB)
 TABLE_CELL_BUDGET = 10**9  # rows x columns of the largest dynamics or sweep table
 
@@ -333,7 +332,7 @@ def _write_observables(args, lead_names, chunks):
     (rows, len(lead_names)) block; the first Trajectory's coords name the P columns.
 
     `_table_pieces` formats each chunk as it arrives, so only the rows of one
-    chunk are held. A chunk that fails its check in `_stepped` stops the run:
+    chunk are held. A chunk that fails its check in `HybridWalk.run` stops the run:
     no later chunk is computed, and a failed run leaves no artifact.
     """
     chunks = iter(chunks)
@@ -351,40 +350,6 @@ def _write_observables(args, lead_names, chunks):
     pieces = _table_pieces(header, blocks(first), args.format)
     del first  # `blocks` alone holds the first chunk, until it makes the next
     _emit(args, args.format, pieces)
-
-
-def _check_rows(P, band):
-    """Raise at the first row of the (..., positions) distributions `P` with mass
-    on the sites `band`, the run's boundary band (`_build_walk`), or with a sum
-    off 1. A row failing both (NaN does) reports the band."""
-    P = P.reshape(-1, P.shape[-1])
-    mass = P[:, band].sum(axis=1)
-    totals = P.sum(axis=1)
-    k = np.argmax(~(mass <= 1e-12) | ~(np.abs(totals - 1.0) <= PROB_SUM_ATOL))  # 0 if none fails
-    if not mass[k] <= 1e-12:
-        raise linalg.NumericalViolation(
-            f"boundary band carries probability {mass[k]:.3e}; enlarge the line truncation")
-    if not abs(totals[k] - 1.0) <= PROB_SUM_ATOL:
-        raise linalg.NumericalViolation(f"probability columns sum to {totals[k]:.12g}, not 1")
-
-
-def _stepped(w, coords, band, t, psi, steps: int, keep=1):
-    """Trajectory of the last `keep` of `psi`, one state or a stack, and the `steps` states after it, each
-    step being the coin, then `evolve` at the times `t` that broadcast against it. Every state is checked
-    once (`_check_rows` with the run's boundary `band`): each other state before it is stepped, so a doomed
-    run stops at its first bad step, and the kept rows from the Trajectory's own distributions. One kept
-    stack is the rows as it is; more, of a one-state stack, fill a block."""
-    rows = np.empty((keep, w.dim), dtype=complex) if keep > 1 else None
-    for i in range(steps + 1):
-        if i <= steps - keep:
-            _check_rows(walk.position_distribution(psi, w.coin_dim, w.pos_dim), band)
-        elif rows is not None:
-            rows[i - steps - 1] = psi
-        if i < steps:
-            psi = w.evolve(t, w.apply_coin(psi))
-    traj = walk.Trajectory.from_states(psi if rows is None else rows, w.coin_dim, w.pos_dim, coords)
-    _check_rows(traj.distributions, band)
-    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +401,12 @@ def cmd_dynamics(args):
         rows = _chunk_rows(graph.n + 3, w.dim)
 
         def trajectory():
-            # every state of a chunk is a row: a later chunk starts one step after the last row before it,
-            # which `_stepped` has checked; the chunk goes once it is written
+            # a later chunk steps on from a copy of the row before it (a view holds that chunk); each goes once written
             psi = walk.product_state(coin, pos)[None]
             for lo in range(0, args.steps + 1, rows):
                 k = min(rows, args.steps + 1 - lo)
-                psi = w.step(t, psi) if lo else psi
-                traj = _stepped(w, coords, band, t, psi, k - 1, keep=k)
-                psi = traj.states[-1:]
+                traj = w.run(t, k - (lo == 0), psi, coords, keep=k, band=band)
+                psi = traj.states[-1:].copy()
                 yield np.arange(lo, lo + k)[:, None], traj
                 del traj
 
@@ -477,7 +440,7 @@ def cmd_dynamics(args):
             for lo in range(0, len(ts), rows):
                 t = ts[lo:lo + rows]
                 leads = np.column_stack([t] if omega is None else [np.full(len(t), omega), t])
-                yield leads, _stepped(w, coords, band, t, psi, 1)
+                yield leads, w.run(t, 1, psi, coords, keep=1, band=band)
 
     _write_observables(args, lead_names, chunks())
 
@@ -526,14 +489,13 @@ def cmd_sweep(args):
     qs, rows = np.linspace(*grid), _chunk_rows(columns, w.dim)
 
     def chunks():
-        # each chunk of qs steps as one stack of states, which `rows` bounds; the initial stack
-        # is built in the call, so that only `_stepped` holds it while it steps
+        # each chunk of qs steps as one stack of states, which `rows` bounds
         for lo in range(0, len(qs), rows):
             q = qs[lo:lo + rows].tolist()
             # Python floats: a step time q * pi that overflows becomes inf without a numpy warning
             t = [x * np.pi for x in q] if name == "q_time" else 3 * np.pi / 2
-            yield qs[lo:lo + rows, None], _stepped(w, coords, band, t, np.array(
-                [walk.product_state(_sweep_initial_coin(name, x, base_coin), pos_vec) for x in q]), steps)
+            psi = np.array([walk.product_state(_sweep_initial_coin(name, x, base_coin), pos_vec) for x in q])
+            yield qs[lo:lo + rows, None], w.run(t, steps, psi, coords, keep=1, band=band)
 
     _write_observables(args, ["q"], chunks())
 

@@ -102,6 +102,7 @@ class LabeledGraph:
             raise ValueError(f"graph has n={n} vertices, beyond the int64 range")
         if len(set(labels)) != len(labels):
             raise ValueError("label set contains duplicates")
+        _check_size(max(1, len(labels)), n, len(u))  # the builders' rule, for a JSON or tuple graph too
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "labels", labels)
         for name, col in zip("uvcw", (u, v, c, w)):
@@ -160,7 +161,8 @@ class LabeledGraph:
 @dataclass(frozen=True)
 class ColoringReport:
     proper: bool
-    violations: tuple[tuple[int, str, Edge, Edge], ...]
+    count: int
+    first: tuple[int, str, Edge, Edge] | None  # (vertex, label, earlier edge, edge), None when proper
 
 
 class NotRegularError(ValueError):
@@ -190,18 +192,20 @@ def subgraph_adjacency(graph: LabeledGraph, label: str) -> np.ndarray:
 
 
 def validate_proper_coloring(graph: LabeledGraph) -> ColoringReport:
-    """Check that no vertex has two incident non-loop edges sharing a label; violations in edge-scan order."""
+    """Check that no vertex has two incident non-loop edges sharing a label. A violation is an
+    incidence whose (vertex, label) an earlier one has, in edge-scan order (u, then v, of each edge)."""
     hop = np.flatnonzero(graph.u != graph.v)
-    vertex = np.column_stack([graph.u[hop], graph.v[hop]]).reshape(-1)  # 2k + j: endpoint j of edge hop[k]
-    # return_index makes np.unique sort stably: no first-use page-in of another sort kernel
-    key = np.unique(vertex, return_index=True, return_inverse=True)[2] * len(graph.labels)
-    _, first, inverse = np.unique(key + np.repeat(graph.c[hop], 2), return_index=True, return_inverse=True)
-    first = first[inverse]  # the first incidence with each incidence's (vertex, label)
-    violations = []
-    for i in np.flatnonzero(first != np.arange(len(key))).tolist():
-        e = graph.edge(hop[i // 2])
-        violations.append((e[i % 2], e.label, graph.edge(hop[first[i] // 2]), e))
-    return ColoringReport(proper=not violations, violations=tuple(violations))
+    # incidence 2k + j, endpoint j of edge hop[k], keyed by vertex x labels + label, which the size rule bounds
+    key = np.column_stack([graph.u[hop], graph.v[hop]]).reshape(-1) * len(graph.labels)
+    key += np.repeat(graph.c[hop], 2)
+    order = np.argsort(key, kind="stable")  # ties in scan order: each run of one key starts at its first incidence
+    sorted_key = key[order]
+    repeat = sorted_key[1:] == sorted_key[:-1]
+    i = int(np.min(order[1:], where=repeat, initial=len(key)))  # the first violation in scan order, if any
+    if i == len(key):
+        return ColoringReport(proper=True, count=0, first=None)
+    e, earlier = graph.edge(hop[i // 2]), graph.edge(hop[int(np.argmax(key == key[i])) // 2])
+    return ColoringReport(proper=False, count=int(np.count_nonzero(repeat)), first=(e[i % 2], e.label, earlier, e))
 
 
 def common_degree(n: int, ends) -> int:
@@ -271,8 +275,8 @@ def bfs_path(graph: LabeledGraph, source: int, target: int) -> tuple[int, ...]:
 
 
 def _check_size(labels: int, n: int, edges: int = 0):
-    """Refuse a graph whose states (labels x n amplitudes) or edges would be over
-    DENSE_SECTOR_ENTRIES; a builder calls it on its parameters, before its first edge."""
+    """Refuse a graph whose states (labels x n amplitudes) or edges would be over DENSE_SECTOR_ENTRIES;
+    a builder calls it on its parameters, before its first edge, and every graph once more when it is made."""
     if labels * n > DENSE_SECTOR_ENTRIES:
         raise ValueError(f"a state of {labels} labels x {n} vertices is over the limit "
                          f"of {DENSE_SECTOR_ENTRIES} amplitudes")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .graphs import Edge, LabeledGraph, bfs_path, path_colors, segment_line, validate_proper_coloring
+from .graphs import Edge, LabeledGraph, _check_size, bfs_path, path_colors, segment_line, validate_proper_coloring
 from .walk import HybridWalk, coin_position_state, position_distribution
 
 STEP_TIME = 3 * np.pi / 2
@@ -109,15 +109,16 @@ class PstTranscript:
 def make_plan(graph: LabeledGraph, source: int, target: int, path=None) -> PstPlan:
     """Validate the graph and pick (or check) the transfer path.
 
-    The coloring must be proper, without self-loops (each color class a
-    matching), all edge weights must be exactly 1, and the endpoints must be
-    distinct and connected. Without an explicit path the BFS shortest path is used.
+    The (2N, n) transfer state must be within the size rule, the coloring proper, without self-loops (each
+    color class a matching), all edge weights exactly 1, and the endpoints distinct and connected. Without an
+    explicit path the BFS shortest path is used.
     """
+    _check_size(2 * len(graph.labels), graph.n)  # the (2N, n) state of `run_pst`, before any scan of the graph
     report = validate_proper_coloring(graph)
     if not report.proper:
-        v, lab, e1, e2 = report.violations[0]
+        v, lab, e1, e2 = report.first
         raise ValueError(
-            f"coloring is not proper ({len(report.violations)} violation(s)); "
+            f"coloring is not proper ({report.count} violation(s)); "
             f"e.g. vertex {v} meets label {lab!r} on edges {tuple(e1[:2])} and {tuple(e2[:2])}"
         )
     loop = np.flatnonzero(graph.u == graph.v)

@@ -22,13 +22,15 @@ taken once per time and distinct weight. A label without edges costs nothing
 (`star`'s label "0"). Each dense sector costs one eigh at construction, then
 O(n^2); a walk whose dense sectors hold more than graphs.DENSE_SECTOR_ENTRIES
 entries together (n^2 each, so one sector on at most 4096 vertices) is refused
-before the first eigh, and a walk whose states exceed that many amplitudes
-before its coin. `HybridWalk.apply_coin`, `evolve` and `step` take a stack of
-states (..., dim), one state being the empty stack, and times that broadcast
-against it. Each row has the bytes of the call on its state alone at its time
-alone: the coin is one gemm per row, phases and rotations are elementwise, and
-a dense sector is one gemv per state and one 1-row product per row, not gemms
-whose rounding would depend on the number of rows.
+before the first eigh. `HybridWalk.apply_coin`, `evolve` and `step` take a
+stack of states (..., dim), one state being the empty stack, and times that
+broadcast against it. Each row has the bytes of the call on its state alone at
+its time alone: the coin is one gemm per row, phases and rotations are
+elementwise, and a dense sector is one gemv per state and one 1-row product per
+row, not gemms whose rounding would depend on the number of rows.
+`HybridWalk.run`, the one loop that steps states for the library and every CLI
+table, checks each state it makes: its probabilities sum to 1 within
+PROB_SUM_ATOL and put no mass on the boundary band that a line run names.
 
 Observables: `entanglement_entropy` takes each state's Schmidt values over
 the positions it reaches (those where some coin row is nonzero), since
@@ -45,9 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .graphs import BLOCK_ENTRIES, DENSE_SECTOR_ENTRIES, LabeledGraph, _check_size, subgraph_adjacency
+from .graphs import BLOCK_ENTRIES, DENSE_SECTOR_ENTRIES, LabeledGraph, subgraph_adjacency
 
 COIN_UNITARY_ATOL = 1e-10
+PROB_SUM_ATOL = 1e-9
 _MATCHING_ZERO_ATOL = 1e-14
 
 
@@ -152,7 +155,6 @@ class HybridWalk:
         self.dim = self.coin_dim * self.pos_dim
         if not self.coin_dim:
             raise ValueError("a walk needs a graph with at least one label")
-        _check_size(self.coin_dim, self.pos_dim)
         self.coin = make_coin(coin, self.coin_dim)
         self._identity_coin = np.array_equal(self.coin, np.eye(self.coin_dim))
         # The propagator, over flat indices c * n + v: the self-loop phases of
@@ -256,19 +258,44 @@ class HybridWalk:
         """One walk step of a stack of states at times t, as `evolve` takes them: coin first, then exp(-iHt)."""
         return self.evolve(t, self.apply_coin(psi))
 
-    def run(self, t: float, steps: int, psi0, coords=None) -> Trajectory:
-        """psi0 and the `steps` states after it, each a `step` of the one before, with their observables."""
+    def run(self, t, steps: int, psi0, coords=None, keep=None, band=()) -> Trajectory:
+        """Trajectory of the last `keep` (default: all) of psi0, one state or a stack, and the `steps` states after it,
+        each the coin, then `evolve` at the times `t` that broadcast against it; a stack keeps its last step alone.
+        Every state is checked once (`_check_rows` against the boundary `band`): the kept ones from the Trajectory's
+        distributions, every other one before it is stepped, so a doomed run stops at its first bad step."""
         psi = self._check_dim(psi0)
-        nrm = np.linalg.norm(psi)
-        if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
-            raise ValueError(f"initial state is not normalized: ||psi0|| = {nrm:.12g}")
+        for nrm in map(np.linalg.norm, psi.reshape(-1, self.dim)):
+            if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
+                raise ValueError(f"initial state is not normalized: ||psi0|| = {nrm:.12g}")
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
-        states = [psi]
-        for _ in range(steps):
-            states.append(self.step(t, states[-1]))
-        coords = np.arange(self.pos_dim) if coords is None else coords
-        return Trajectory.from_states(states, self.coin_dim, self.pos_dim, coords)
+        keep = steps + 1 if keep is None else keep
+        if not 1 <= keep <= (steps + 1 if math.prod(np.broadcast_shapes(np.shape(t), psi.shape[:-1])) == 1 else 1):
+            raise ValueError(f"keep must be in 1..{steps + 1} for one state and 1 for a stack of states, got {keep}")
+        rows = np.empty((keep, self.dim), dtype=complex) if keep > 1 else None
+        for i in range(steps + 1):
+            if i <= steps - keep:
+                _check_rows(position_distribution(psi, self.coin_dim, self.pos_dim), band)
+            elif rows is not None:
+                rows[i - steps - 1] = psi
+            if i < steps:
+                psi = self.evolve(t, self.apply_coin(psi))
+        traj = Trajectory.from_states(psi.reshape(-1, self.dim) if rows is None else rows, self.coin_dim,
+                                      self.pos_dim, np.arange(self.pos_dim) if coords is None else coords)
+        _check_rows(traj.distributions, band)
+        return traj
+
+
+def _check_rows(P, band):
+    """Raise at the first row of the (..., positions) distributions `P` with mass on the sites `band`
+    (a line's boundary band), or with a sum off 1. A row failing both (NaN does) reports the band."""
+    P = P.reshape(-1, P.shape[-1])
+    mass, totals = P[:, band].sum(axis=1), P.sum(axis=1)
+    k = np.argmax(~(mass <= 1e-12) | ~(np.abs(totals - 1.0) <= PROB_SUM_ATOL))  # 0 if none fails
+    if not mass[k] <= 1e-12:
+        raise linalg.NumericalViolation(f"boundary band carries probability {mass[k]:.3e}; enlarge the line truncation")
+    if not abs(totals[k] - 1.0) <= PROB_SUM_ATOL:
+        raise linalg.NumericalViolation(f"probability columns sum to {totals[k]:.12g}, not 1")
 
 
 # ---------------------------------------------------------------------------

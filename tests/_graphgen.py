@@ -5,7 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from hqw.graphs import ColoringReport, Edge, LabeledGraph, bfs_path
+from hqw.graphs import Edge, LabeledGraph, bfs_path
 from hqw.matmul import RegularGraphSequence, regular_sequence
 
 
@@ -133,7 +133,8 @@ def reference_bfs_path(graph: LabeledGraph, source: int, target: int) -> tuple[i
     return tuple(reversed(path))
 
 
-def reference_validate_proper_coloring(graph: LabeledGraph) -> ColoringReport:
+def reference_coloring_violations(graph: LabeledGraph) -> list[tuple[int, str, Edge, Edge]]:
+    """Every (vertex, label, earlier edge, edge) incidence that repeats a (vertex, label), in edge-scan order."""
     incident: dict[tuple[int, str], Edge] = {}
     violations = []
     for e in graph.edges:
@@ -145,4 +146,4 @@ def reference_validate_proper_coloring(graph: LabeledGraph) -> ColoringReport:
                 violations.append((vertex, e.label, incident[key], e))
             else:
                 incident[key] = e
-    return ColoringReport(proper=not violations, violations=tuple(violations))
+    return violations

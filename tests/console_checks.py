@@ -83,7 +83,8 @@ def _write_graph(path, n, labels, edges):
 
 
 def write_inputs(d):
-    """The JSON graphs the cases read: circulants C_4096(1,2,3,4), C_512(1,2,5,11) and Q12, Q14, Q16."""
+    """The JSON graphs the cases read: circulants C_4096(1,2,3,4), C_512(1,2,5,11), Q12, Q14, Q16, and a
+    path of two edges that names 40,000,000 vertices."""
     for n, shifts in ((4096, (1, 2, 3, 4)), (512, (1, 2, 5, 11))):
         _write_graph(os.path.join(d, f"c{n}.json"), n, ["0"],
                      ((v, (v + s) % n, 0) for v in range(n) for s in shifts))
@@ -91,6 +92,7 @@ def write_inputs(d):
         n = 1 << dim
         _write_graph(os.path.join(d, f"q{dim}.json"), n, [str(b) for b in range(dim)],
                      ((v, v ^ (1 << b), b) for v in range(n) for b in range(dim) if v < v ^ (1 << b)))
+    _write_graph(os.path.join(d, "huge-n.json"), 40_000_000, ["a", "b"], [(0, 1, "a"), (1, 2, "b")])
 
 
 def _read(d, name):
@@ -128,6 +130,13 @@ def _stdout_line(prefix, whole=True):
     def check(d, res):
         if not any(line == prefix or not whole and line.startswith(prefix) for line in res.stdout.splitlines()):
             return f"no stdout line {'is' if whole else 'starts with'} {prefix!r}: {res.stdout.strip()[-300:]!r}"
+    return check
+
+
+def _stderr_line(line):
+    def check(d, res):
+        if res.stderr.strip() != line:
+            return f"stderr {res.stderr.strip()[-300:]!r}, expected {line!r}"
     return check
 
 
@@ -176,6 +185,14 @@ CASES = [
     _pst(12, 120, 120),
     _pst(14, 120, 200),
     _pst(16, 300, 250),
+    # refusals that once built a Python object per coloring violation, or arrays over every named vertex
+    Case("pst-improper-coloring", ["pst", "--graph", "complete:2000", "--source", "0", "--target", "1"],
+         "k2000.pst.json", 30, code=1, rss_mb=500,
+         check=_stderr_line("error: coloring is not proper (3996000 violation(s)); "
+                            "e.g. vertex 0 meets label '0' on edges (0, 1) and (0, 2)")),
+    Case("json-huge-n", ["pst", "--graph", "{d}/huge-n.json", "--source", "0", "--target", "2"], "huge-n.pst.json",
+         30, code=1, rss_mb=100,
+         check=_stderr_line("error: a state of 2 labels x 40000000 vertices is over the limit of 16777216 amplitudes")),
 ]
 
 
@@ -222,7 +239,7 @@ def main(cmd) -> int:
             argv = [a.replace("{d}", d) for a in case.argv] + ["--out", os.path.join(d, case.out)]
             res = run(cmd, argv, case.timeout)
             bad = failures(case, d, res)
-            print(f"{case.name:<19} exit {res.code!s:>4} {res.rss_mb:7.1f} MB {res.seconds:6.2f} s  "
+            print(f"{case.name:<21} exit {res.code!s:>4} {res.rss_mb:7.1f} MB {res.seconds:6.2f} s  "
                   + ("FAIL: " + "; ".join(bad) if bad else "ok"), flush=True)
             if bad:
                 failed.append(case.name)

@@ -233,14 +233,14 @@ def test_triangles_cli(tmp_path):
 
 def test_nan_probabilities_fail_the_sum_check_and_the_line_guard(monkeypatch):
     from hqw import walk
-    from hqw.cli import _check_rows, _stepped
     from hqw.linalg import NumericalViolation
+    from hqw.walk import _check_rows
 
     with pytest.raises(NumericalViolation, match="boundary band carries probability nan"):
         _check_rows(np.full((1, 7), np.nan), [0, 1, 5, 6])
     with pytest.raises(NumericalViolation, match="sum to nan"):
         _check_rows(np.full((1, 7), np.nan), [])
-    # a NaN in row 1 of every distribution: `_stepped` checks a kept row and a state about to be stepped
+    # a NaN in row 1 of every distribution: `HybridWalk.run` checks a kept row and a state about to be stepped
     distribution = walk.position_distribution
 
     def nan_row_1(states, *dims):
@@ -255,7 +255,7 @@ def test_nan_probabilities_fail_the_sum_check_and_the_line_guard(monkeypatch):
     monkeypatch.setattr(w, "evolve", lambda *a: calls.append(1) or evolve(*a))
     for steps in (0, 3):
         with pytest.raises(NumericalViolation, match="sum to nan"):
-            _stepped(w, np.arange(4.0), [], 0.5, psi, steps)
+            w.run(0.5, steps, psi, np.arange(4.0), keep=1)
     assert calls == []  # the initial stack fails before its first step
 
 
@@ -1142,6 +1142,16 @@ def test_a_table_holds_no_whole_run_column(tmp_path, capsys, monkeypatch, argv):
                              ("complete:1", "complete needs n >= 2, got 1"))),
     (["pst", "--graph", "segment_line:5", "--source", "9", "--target", "0"], None,
      "error: path endpoints (9,0) outside 0..4\n", 1),
+    # a JSON graph follows the builders' size rule when it is read, and the transfer's (2N, n) state
+    # is bounded before its coloring is scanned
+    (["pst", "--graph", "DOC", "--source", "0", "--target", "2"],
+     {"n": 40000000, "labels": ["a", "b"], "edges": [[0, 1, "a"], [1, 2, "b"]]},
+     "error: a state of 2 labels x 40000000 vertices is over the limit of 16777216 amplitudes\n", 1),
+    (["triangles", "--graph", "DOC"], {"n": 40000000, "labels": ["a", "b"], "edges": [[0, 1, "a"], [1, 2, "b"]]},
+     "error: a state of 2 labels x 40000000 vertices is over the limit of 16777216 amplitudes\n", 1),
+    (["pst", "--graph", "DOC", "--source", "0", "--target", "2"],
+     {"n": 8000000, "labels": ["a", "b"], "edges": [[0, 1, "a"], [1, 2, "b"]]},
+     "error: a state of 4 labels x 8000000 vertices is over the limit of 16777216 amplitudes\n", 1),
 ])
 def test_bad_input_is_one_validation_line_and_no_artifact(tmp_path, capsys, argv, doc, message, code):
     """The CLI contract: exit 1 (validation) or 2 (numerical invariant), one stderr line that starts

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 from _graphgen import (hypercube, random_labeled_graph, random_properly_colored_graph,
-                       reference_bfs_path, reference_validate_proper_coloring)
+                       reference_bfs_path, reference_coloring_violations)
 
 from hqw import graphs
 from _reference import adjacency, validate_regular
@@ -61,8 +61,8 @@ def test_line_builders_properly_colored():
 def test_triangle_single_label_improper():
     g = LabeledGraph(3, (Edge(0, 1, "0"), Edge(1, 2, "0"), Edge(0, 2, "0")), ("0",))
     report = validate_proper_coloring(g)
-    assert not report.proper
-    assert {v for v, *_ in report.violations} == {0, 1, 2}
+    assert not report.proper and report.count == 3
+    assert report.first == (1, "0", Edge(0, 1, "0"), Edge(1, 2, "0"))
 
 
 def test_validate_regular():
@@ -126,8 +126,9 @@ def test_coloring_violations_match_the_per_edge_reference():
     improper = 0
     for _ in range(300):
         g = random_labeled_graph(rng)
-        report = validate_proper_coloring(g)
-        assert report == reference_validate_proper_coloring(g), g  # order included
+        report, violations = validate_proper_coloring(g), reference_coloring_violations(g)
+        assert (report.proper, report.count) == (not violations, len(violations)), g
+        assert report.first == (violations[0] if violations else None), g  # the first in scan order
         improper += not report.proper
     assert improper > 150
 

@@ -299,7 +299,7 @@ def test_a_state_over_the_limit_is_refused_before_its_coin(monkeypatch):
     monkeypatch.setattr(walk, "make_coin", unreachable)
     n = walk.DENSE_SECTOR_ENTRIES // 2  # two labels without edges: states of 2n amplitudes, no sector built
     with pytest.raises(ValueError, match=rf"a state of 2 labels x {n + 1} vertices is over the limit of 16777216"):
-        HybridWalk(LabeledGraph(n + 1, (), ("a", "b")))
+        LabeledGraph(n + 1, (), ("a", "b"))  # the graph's own size rule, before any walk
     with pytest.raises(AssertionError, match="walk built"):
         HybridWalk(LabeledGraph(n, (), ("a", "b")))
 
@@ -557,6 +557,55 @@ def test_run_rejects_a_nan_initial_state():
     psi0[1] = np.nan
     with pytest.raises(ValueError, match="not normalized: .* nan"):
         HybridWalk(circle2(1, 2)).run(1.0, 3, psi0)
+
+
+@pytest.mark.parametrize("g, coin", [(star(7), "fourier"), (line3(9), "grover")])
+def test_run_keeps_the_bytes_of_the_last_rows_of_the_whole_run(g, coin):
+    w = HybridWalk(g, coin=coin)
+    psi0 = product_state(np.ones(w.coin_dim) / np.sqrt(w.coin_dim), np.eye(g.n)[g.n // 2])
+    whole = w.run(0.7, 8, psi0)
+    for keep in (1, 3, 9):
+        part = w.run(0.7, 8, psi0, keep=keep)
+        for name in ("states", "distributions", "sigmas", "entropies"):
+            assert getattr(part, name).tobytes() == getattr(whole, name)[-keep:].tobytes(), (keep, name)
+
+
+@pytest.mark.parametrize("g, coin", [(star(7), "fourier"), (line3(9), "grover")])
+def test_a_run_at_many_times_or_of_a_stack_has_the_bytes_of_each_rows_own_run(g, coin):
+    w = HybridWalk(g, coin=coin)
+    ts = np.array([0.3, 0.7, 2.9])
+    psis = np.array([product_state(np.eye(w.coin_dim)[c], np.eye(g.n)[v]) for c, v in ((0, 1), (1, 4), (2, 3))])
+    at_times, stack = w.run(ts, 3, psis[0], keep=1), w.run(ts, 3, psis, keep=1)
+    for k, t in enumerate(ts):
+        for traj, psi in ((at_times, psis[0]), (stack, psis[k])):
+            alone = w.run(t, 3, psi, keep=1)
+            for name in ("states", "distributions", "sigmas", "entropies"):
+                assert getattr(traj, name)[k].tobytes() == getattr(alone, name)[0].tobytes(), (k, name)
+
+
+def test_a_run_stops_at_its_first_state_with_mass_on_the_band(monkeypatch):
+    g = line3(5)
+    w = HybridWalk(g, coin="grover")
+    psi0 = product_state(np.ones(3) / np.sqrt(3), np.eye(g.n)[5])
+    calls, evolve = [], w.evolve
+    monkeypatch.setattr(w, "evolve", lambda *a: calls.append(1) or evolve(*a))
+    for keep in (1, 101):
+        calls.clear()
+        with pytest.raises(linalg.NumericalViolation, match="boundary band carries probability"):
+            w.run(0.8, 100, psi0, keep=keep, band=[0, 1, g.n - 2, g.n - 1])
+        # a walker moves one site per step: site 1 is 4 steps from the middle site 5
+        assert len(calls) == (4 if keep == 1 else 100), keep
+    assert w.run(0.8, 3, psi0, band=[0, 1, g.n - 2, g.n - 1]).steps == 3
+
+
+def test_a_run_refuses_a_keep_it_cannot_hold():
+    w = HybridWalk(star(4), coin="grover")
+    psi = coin_position_state(4, 4, 0, 0)
+    refusal = "keep must be in 1..4 for one state and 1 for a stack of states, got {}"
+    for t, psi0, keep in ((np.array([0.1, 0.2]), psi, 2), (0.1, np.array([psi, psi]), 2), (0.1, psi, 0), (0.1, psi, 5)):
+        with pytest.raises(ValueError, match=re.escape(refusal.format(keep))):
+            w.run(t, 3, psi0, keep=keep)
+    assert w.run(0.1, 3, psi[None], keep=2).states.tobytes() == w.run(0.1, 3, psi).states[-2:].tobytes()
 
 
 @pytest.mark.parametrize("g, rate", [(circle2(10, 1), 10.0),  # matching pairs
