@@ -332,7 +332,7 @@ def _write_observables(args, lead_names, chunks):
     (rows, len(lead_names)) block; the first Trajectory's coords name the P columns.
 
     `_table_pieces` formats each chunk as it arrives, so only the rows of one
-    chunk are held. A chunk that fails its check in `HybridWalk.run` stops the run:
+    chunk are held. A chunk that fails its check in `HybridWalk.chunks` stops the run:
     no later chunk is computed, and a failed run leaves no artifact.
     """
     chunks = iter(chunks)
@@ -398,16 +398,12 @@ def cmd_dynamics(args):
             raise ValueError(f"steps must be >= 0, got {args.steps}")
         _check_budget(args.steps + 1, graph.n + 3)
         w, coin, pos, coords, band = _build_walk(args, family, graph)
-        rows = _chunk_rows(graph.n + 3, w.dim)
+        chunks = w.chunks(t, args.steps, walk.product_state(coin, pos), coords, band, _chunk_rows(graph.n + 3, w.dim))
 
-        def trajectory():
-            # a later chunk steps on from a copy of the row before it (a view holds that chunk); each goes once written
-            psi = walk.product_state(coin, pos)[None]
-            for lo in range(0, args.steps + 1, rows):
-                k = min(rows, args.steps + 1 - lo)
-                traj = w.run(t, k - (lo == 0), psi, coords, keep=k, band=band)
-                psi = traj.states[-1:].copy()
-                yield np.arange(lo, lo + k)[:, None], traj
+        def trajectory(lo=0):
+            for traj in chunks:  # its step numbers lead each chunk; `del`: the loop variable would hold the chunk
+                lo += len(traj.states)
+                yield np.arange(lo - len(traj.states), lo)[:, None], traj
                 del traj
 
         _write_observables(args, ["step"], trajectory())
@@ -440,7 +436,7 @@ def cmd_dynamics(args):
             for lo in range(0, len(ts), rows):
                 t = ts[lo:lo + rows]
                 leads = np.column_stack([t] if omega is None else [np.full(len(t), omega), t])
-                yield leads, w.run(t, 1, psi, coords, keep=1, band=band)
+                yield leads, w.run(t, 1, psi, coords, band)
 
     _write_observables(args, lead_names, chunks())
 
@@ -495,7 +491,7 @@ def cmd_sweep(args):
             # Python floats: a step time q * pi that overflows becomes inf without a numpy warning
             t = [x * np.pi for x in q] if name == "q_time" else 3 * np.pi / 2
             psi = np.array([walk.product_state(_sweep_initial_coin(name, x, base_coin), pos_vec) for x in q])
-            yield qs[lo:lo + rows, None], w.run(t, steps, psi, coords, keep=1, band=band)
+            yield qs[lo:lo + rows, None], w.run(t, steps, psi, coords, band)
 
     _write_observables(args, ["q"], chunks())
 

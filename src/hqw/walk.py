@@ -28,9 +28,9 @@ broadcast against it. Each row has the bytes of the call on its state alone at
 its time alone: the coin is one gemm per row, phases and rotations are
 elementwise, and a dense sector is one gemv per state and one 1-row product per
 row, not gemms whose rounding would depend on the number of rows.
-`HybridWalk.run`, the one loop that steps states for the library and every CLI
-table, checks each state it makes: its probabilities sum to 1 within
-PROB_SUM_ATOL and put no mass on the boundary band that a line run names.
+`HybridWalk.chunks` (`run` is its one-chunk case), the one loop that steps states
+for the library and every CLI table, checks each state it makes once: its
+probabilities sum to 1 within PROB_SUM_ATOL and put no mass on the boundary band.
 
 Observables: `entanglement_entropy` takes each state's Schmidt values over
 the positions it reaches (those where some coin row is nonzero), since
@@ -258,32 +258,35 @@ class HybridWalk:
         """One walk step of a stack of states at times t, as `evolve` takes them: coin first, then exp(-iHt)."""
         return self.evolve(t, self.apply_coin(psi))
 
-    def run(self, t, steps: int, psi0, coords=None, keep=None, band=()) -> Trajectory:
-        """Trajectory of the last `keep` (default: all) of psi0, one state or a stack, and the `steps` states after it,
-        each the coin, then `evolve` at the times `t` that broadcast against it; a stack keeps its last step alone.
-        Every state is checked once (`_check_rows` against the boundary `band`): the kept ones from the Trajectory's
-        distributions, every other one before it is stepped, so a doomed run stops at its first bad step."""
-        psi = self._check_dim(psi0)
+    def chunks(self, t, steps: int, psi0, coords=None, band=(), rows=None):
+        """Yield psi0 (one state or a stack) and its next `steps` states, each the coin then `evolve` at times `t`, as
+        Trajectories: every state of one state at one time, in chunks of at most `rows` (default: all); the last step
+        of any other run. Each state is checked once (`_check_rows`): with its chunk if yielded, else before a step."""
+        psi, psi0 = self._check_dim(psi0), None  # the frame holds no state but the one it steps
         for nrm in map(np.linalg.norm, psi.reshape(-1, self.dim)):
             if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
                 raise ValueError(f"initial state is not normalized: ||psi0|| = {nrm:.12g}")
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        keep = steps + 1 if keep is None else keep
-        if not 1 <= keep <= (steps + 1 if math.prod(np.broadcast_shapes(np.shape(t), psi.shape[:-1])) == 1 else 1):
-            raise ValueError(f"keep must be in 1..{steps + 1} for one state and 1 for a stack of states, got {keep}")
-        rows = np.empty((keep, self.dim), dtype=complex) if keep > 1 else None
+        if steps < 0 or rows is not None and rows < 1:
+            raise ValueError(f"steps must be >= 0, got {steps}" if steps < 0 else f"rows must be >= 1, got {rows}")
+        one = psi.ndim == 1 and np.ndim(t) == 0
+        size = rows if one and rows is not None else steps + 1  # states per chunk
         for i in range(steps + 1):
-            if i <= steps - keep:
+            if one:  # each state is a row of its chunk's block, made at the chunk's first state
+                block = block if i % size else np.empty((min(size, steps + 1 - i), self.dim), dtype=complex)
+                block[i % size] = psi
+            if i % size == size - 1 or i == steps:  # a chunk's last state
+                traj = Trajectory.from_states(block if one else psi.reshape(-1, self.dim), self.coin_dim,
+                                              self.pos_dim, np.arange(self.pos_dim) if coords is None else coords)
+                _check_rows(traj.distributions, band)
+                block = traj = (yield traj)  # neither is held while the next chunk is made
+            elif not one:
                 _check_rows(position_distribution(psi, self.coin_dim, self.pos_dim), band)
-            elif rows is not None:
-                rows[i - steps - 1] = psi
             if i < steps:
                 psi = self.evolve(t, self.apply_coin(psi))
-        traj = Trajectory.from_states(psi.reshape(-1, self.dim) if rows is None else rows, self.coin_dim,
-                                      self.pos_dim, np.arange(self.pos_dim) if coords is None else coords)
-        _check_rows(traj.distributions, band)
-        return traj
+
+    def run(self, t, steps: int, psi0, coords=None, band=()) -> Trajectory:
+        """The one-chunk case of `chunks`: every state of one state at one time, the last step of any other run."""
+        return next(self.chunks(t, steps, psi0, coords, band))
 
 
 def _check_rows(P, band):

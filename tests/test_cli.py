@@ -255,7 +255,7 @@ def test_nan_probabilities_fail_the_sum_check_and_the_line_guard(monkeypatch):
     monkeypatch.setattr(w, "evolve", lambda *a: calls.append(1) or evolve(*a))
     for steps in (0, 3):
         with pytest.raises(NumericalViolation, match="sum to nan"):
-            w.run(0.5, steps, psi, np.arange(4.0), keep=1)
+            w.run(0.5, steps, psi, np.arange(4.0))
     assert calls == []  # the initial stack fails before its first step
 
 
@@ -646,6 +646,43 @@ def test_a_trajectory_has_the_bytes_of_one_chunk_in_chunks_of(tmp_path, monkeypa
     monkeypatch.setattr(cli, "_chunk_rows", lambda columns, dim: rows)
     assert main(argv + ["--out", str(chunked)]) == 0
     assert read(chunked) == read(whole)
+
+
+def test_a_trajectory_checks_each_state_once(tmp_path, monkeypatch):
+    from hqw import walk
+
+    states, distribution = [], walk.position_distribution
+    monkeypatch.setattr(walk, "position_distribution",
+                        lambda psi, *dims: states.append(len(psi)) or distribution(psi, *dims))
+    # line3:1000 streams its 101 states in 13 chunks of at most 8
+    argv = ["dynamics", "--graph", "line3:1000", "--steps", "100", "--t", "0.5"]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+    assert sum(states) == 101 and len(states) == 13, states
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_no_trajectory_chunk_outlives_its_turn(tmp_path, monkeypatch, rows):
+    import weakref
+
+    import hqw.cli as cli
+    from hqw import walk
+
+    refs, live = [], []
+    from_states, evolve = walk.Trajectory.from_states.__func__, HybridWalk.evolve
+
+    def recorded(cls, *a):
+        traj = from_states(cls, *a)
+        refs.extend([weakref.ref(traj), weakref.ref(traj.states)])
+        return traj
+
+    monkeypatch.setattr(walk.Trajectory, "from_states", classmethod(recorded))
+    monkeypatch.setattr(HybridWalk, "evolve",
+                        lambda self, *a: live.append(sum(r() is not None for r in refs)) or evolve(self, *a))
+    monkeypatch.setattr(cli, "_chunk_rows", lambda columns, dim: rows)
+    argv = ["dynamics", "--graph", "line3:20", "--steps", "10", "--t", "0.7"]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+    # the writer and the step leads let each chunk go before the next one takes its first step
+    assert len(refs) == 2 * -(-11 // rows) and live == [0] * 10
 
 
 @pytest.mark.parametrize("argv, code", [(["dynamics", "--graph", "star:5", "--t", "0:1:4", "--init-pos", "9"], 1),

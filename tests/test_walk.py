@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -561,13 +562,16 @@ def test_run_rejects_a_nan_initial_state():
 
 @pytest.mark.parametrize("g, coin", [(star(7), "fourier"), (line3(9), "grover")])
 def test_run_keeps_the_bytes_of_the_last_rows_of_the_whole_run(g, coin):
+    # the chunks of a run, cut at any size, have the bytes of its one chunk
     w = HybridWalk(g, coin=coin)
     psi0 = product_state(np.ones(w.coin_dim) / np.sqrt(w.coin_dim), np.eye(g.n)[g.n // 2])
-    whole = w.run(0.7, 8, psi0)
-    for keep in (1, 3, 9):
-        part = w.run(0.7, 8, psi0, keep=keep)
+    whole = w.run(0.7, 12, psi0)
+    for rows in (1, 3, 8, 13):
+        parts = list(w.chunks(0.7, 12, psi0, rows=rows))
+        assert [len(p.states) for p in parts] == [min(rows, 13 - lo) for lo in range(0, 13, rows)], rows
         for name in ("states", "distributions", "sigmas", "entropies"):
-            assert getattr(part, name).tobytes() == getattr(whole, name)[-keep:].tobytes(), (keep, name)
+            assert np.concatenate([getattr(p, name) for p in parts]).tobytes() == getattr(whole, name).tobytes(), \
+                (rows, name)
 
 
 @pytest.mark.parametrize("g, coin", [(star(7), "fourier"), (line3(9), "grover")])
@@ -575,10 +579,10 @@ def test_a_run_at_many_times_or_of_a_stack_has_the_bytes_of_each_rows_own_run(g,
     w = HybridWalk(g, coin=coin)
     ts = np.array([0.3, 0.7, 2.9])
     psis = np.array([product_state(np.eye(w.coin_dim)[c], np.eye(g.n)[v]) for c, v in ((0, 1), (1, 4), (2, 3))])
-    at_times, stack = w.run(ts, 3, psis[0], keep=1), w.run(ts, 3, psis, keep=1)
+    at_times, stack = w.run(ts, 3, psis[0]), w.run(ts, 3, psis)
     for k, t in enumerate(ts):
         for traj, psi in ((at_times, psis[0]), (stack, psis[k])):
-            alone = w.run(t, 3, psi, keep=1)
+            alone = w.run(np.array([t]), 3, psi)  # one state at an array of one time: its last step
             for name in ("states", "distributions", "sigmas", "entropies"):
                 assert getattr(traj, name)[k].tobytes() == getattr(alone, name)[0].tobytes(), (k, name)
 
@@ -587,25 +591,43 @@ def test_a_run_stops_at_its_first_state_with_mass_on_the_band(monkeypatch):
     g = line3(5)
     w = HybridWalk(g, coin="grover")
     psi0 = product_state(np.ones(3) / np.sqrt(3), np.eye(g.n)[5])
+    band = [0, 1, g.n - 2, g.n - 1]
     calls, evolve = [], w.evolve
     monkeypatch.setattr(w, "evolve", lambda *a: calls.append(1) or evolve(*a))
-    for keep in (1, 101):
+    # a walker moves one site per step: site 1 is 4 steps from the middle site 5; a chunk is checked once made
+    for t, rows, evolved in ((0.8, 1, 4), (np.array([0.8]), None, 4), (0.8, 101, 100)):
         calls.clear()
         with pytest.raises(linalg.NumericalViolation, match="boundary band carries probability"):
-            w.run(0.8, 100, psi0, keep=keep, band=[0, 1, g.n - 2, g.n - 1])
-        # a walker moves one site per step: site 1 is 4 steps from the middle site 5
-        assert len(calls) == (4 if keep == 1 else 100), keep
-    assert w.run(0.8, 3, psi0, band=[0, 1, g.n - 2, g.n - 1]).steps == 3
+            list(w.chunks(t, 100, psi0, band=band, rows=rows))
+        assert len(calls) == evolved, (t, rows)
+    assert w.run(0.8, 3, psi0, band=band).steps == 3
 
 
-def test_a_run_refuses_a_keep_it_cannot_hold():
+def test_chunks_refuse_fewer_than_one_row():
     w = HybridWalk(star(4), coin="grover")
     psi = coin_position_state(4, 4, 0, 0)
-    refusal = "keep must be in 1..4 for one state and 1 for a stack of states, got {}"
-    for t, psi0, keep in ((np.array([0.1, 0.2]), psi, 2), (0.1, np.array([psi, psi]), 2), (0.1, psi, 0), (0.1, psi, 5)):
-        with pytest.raises(ValueError, match=re.escape(refusal.format(keep))):
-            w.run(t, 3, psi0, keep=keep)
-    assert w.run(0.1, 3, psi[None], keep=2).states.tobytes() == w.run(0.1, 3, psi).states[-2:].tobytes()
+    for rows in (0, -2):
+        with pytest.raises(ValueError, match=re.escape(f"rows must be >= 1, got {rows}")):
+            next(w.chunks(0.1, 3, psi, rows=rows))
+    # a stack, a (1, dim) one too, or one state at an array of times yields its last step alone, whatever `rows`
+    last = w.run(0.1, 3, psi).states[-1:]
+    for t, psi0 in ((0.1, psi[None]), (np.array([0.1]), psi), (np.array([0.1, 0.1]), psi)):
+        chunks = [c.states for c in w.chunks(t, 3, psi0, rows=2)]
+        assert len(chunks) == 1 and chunks[0].tobytes() == np.repeat(last, len(chunks[0]), axis=0).tobytes(), t
+    assert [len(c.states) for c in w.chunks(0.1, 3, psi, rows=5)] == [4]
+
+
+def test_no_chunk_outlives_its_turn(monkeypatch):
+    g = line3(20)
+    w = HybridWalk(g, coin="grover")
+    psi0 = product_state(np.ones(3) / np.sqrt(3), np.eye(g.n)[g.n // 2])
+    refs, live, evolve = [], [], w.evolve
+    monkeypatch.setattr(w, "evolve", lambda *a: live.append(sum(r() is not None for r in refs)) or evolve(*a))
+    for traj in w.chunks(0.7, 10, psi0, rows=3):
+        refs += [weakref.ref(traj), weakref.ref(traj.states)]
+        del traj
+    # every chunk, and the states behind it, is gone before the next one takes its first step
+    assert len(refs) == 8 and live == [0] * 10
 
 
 @pytest.mark.parametrize("g, rate", [(circle2(10, 1), 10.0),  # matching pairs
